@@ -294,9 +294,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[int, str, str, str]) -> tuple[int, str, int, str, str, str]:
-    index, name, line, statement_key = task
-    g = parse_graph6(line)
+def _batch_worker(task: tuple[int, str, Graph, str]) -> tuple[int, str, int, str, str, str]:
+    index, name, g, statement_key = task
     statement = _statement_arg(statement_key)
     start = time.perf_counter()
     try:
@@ -337,11 +336,11 @@ def cmd_batch(args) -> int:
         if not line.strip():
             continue
         try:
-            parse_graph6(line)
+            g = parse_graph6(line)
         except DegbalError as exc:
             print(f"{source}:{lineno}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        tasks.append((len(tasks), f"{source}:{lineno}", line, statement_key))
+        tasks.append((len(tasks), f"{source}:{lineno}", g, statement_key))
 
     if cfg.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:

@@ -17,6 +17,7 @@ unexpected on small orders.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -118,23 +119,40 @@ class ConnectedTrace:
 class ColoringState:
     """Mutable 2-coloring bookkeeping for the staged construction.
 
-    colors: bitmask over canonical edge order, bit set <=> color 1 <=> in H.
-    deg1[v]: number of color-1 edges at v; sizes[k] = |V_k|.
+    colored[i] is 1 iff canonical edge i has color 1, i.e. lies in H; subset()
+    packs it into a bitmask once.  deg1[v] is the number of color-1 edges at
+    v; sizes[k] = |V_k|.
+
+    Each rule finder keeps a lazy min-heap of candidate vertex or edge
+    indices in heaps, built on its first call to lowest().  Every finder
+    predicate reads only the colors of the edges at its vertex or edge and
+    deg1 of that vertex or those endpoints and of their neighbors (R1 asks
+    whether a color-1 neighbor of an endpoint is in V2 or V3).  Coloring
+    edge xy changes one edge color at x and y and deg1 at x and y alone, so
+    a predicate can change only for the vertices within distance 1 of x or y
+    and for the edges at those vertices.  color_edge offers exactly these to
+    every heap, so each heap holds every valid index, plus stale ones that
+    lowest() discards when they reach the top.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
         self.host = host
         self.targets = targets
         self.cycle = cycle
-        self.cycle_edges = frozenset(
+        self.cycle_edges = sorted(
             host.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
             for i in range(len(cycle))
         )
-        self.bits = 0
+        self.incident = [
+            tuple(host.edge_index(v, w) for w in host.adjacency[v]) for v in range(host.n)
+        ]
+        self.colored = bytearray(host.m)
         self.deg1 = [0] * host.n
         self.sizes = [host.n, 0, 0, 0]
         self.rule_counts = {"R1": 0, "R2": 0, "R3": 0}
         self.stage1: Stage1Stats | None = None
+        # (predicate, on_edges) -> lazy min-heap of indices
+        self.heaps: dict[tuple, list[int]] = {}
 
     # targets, highest subgraph degree first
     @property
@@ -149,37 +167,56 @@ class ColoringState:
     def n1(self) -> int:
         return self.targets.counts[2]
 
-    def is_colored(self, i: int) -> bool:
-        return bool(self.bits >> i & 1)
-
     def color_edge(self, i: int) -> None:
-        assert not self.is_colored(i)
-        self.bits |= 1 << i
-        for x in self.host.edges[i]:
-            d = self.deg1[x]
+        assert not self.colored[i]
+        self.colored[i] = 1
+        x, y = self.host.edges[i]
+        for v in (x, y):
+            d = self.deg1[v]
             self.sizes[d] -= 1
             self.sizes[d + 1] += 1
-            self.deg1[x] = d + 1
+            self.deg1[v] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (self.sizes[1] + self.sizes[3]) % 2 == 0
+        if self.heaps:
+            adj = self.host.adjacency
+            near = {x, y, *adj[x], *adj[y]}
+            near_edges = {e for v in near for e in self.incident[v]}
+            for (valid, on_edges), heap in self.heaps.items():
+                for item in near_edges if on_edges else near:
+                    if valid(self, item):
+                        heapq.heappush(heap, item)
         if DEEP_CHECKS:
             self.assert_consistent()
 
     def color_vertex(self, v: int) -> None:
         """Color every uncolored edge at v (v becomes a 3-vertex)."""
-        for w in self.host.adjacency[v]:
-            i = self.host.edge_index(v, w)
-            if not self.is_colored(i):
+        for i in self.incident[v]:
+            if not self.colored[i]:
                 self.color_edge(i)
 
-    def v_set(self, k: int) -> list[int]:
-        return [v for v in range(self.host.n) if self.deg1[v] == k]
+    def lowest(self, valid, on_edges: bool) -> int | None:
+        """Lowest vertex (or edge) index i with valid(self, i), else None.
+
+        Stale indices are popped from the top of the heap; the valid one
+        found stays, since the caller may not color it.
+        """
+        heap = self.heaps.get((valid, on_edges))
+        if heap is None:
+            items = range(self.host.m if on_edges else self.host.n)
+            # Ascending, so already a heap.
+            heap = self.heaps[valid, on_edges] = [i for i in items if valid(self, i)]
+        while heap:
+            if valid(self, heap[0]):
+                return heap[0]
+            heapq.heappop(heap)
+        return None
 
     def colored_neighbor_degrees(self, v: int) -> list[int]:
         return [
             self.deg1[w]
-            for w in self.host.adjacency[v]
-            if self.is_colored(self.host.edge_index(v, w))
+            for w, i in zip(self.host.adjacency[v], self.incident[v])
+            if self.colored[i]
         ]
 
     def e_within(self, k: int) -> int:
@@ -190,7 +227,7 @@ class ColoringState:
     def assert_consistent(self) -> None:
         deg = [0] * self.host.n
         for i, (u, v) in enumerate(self.host.edges):
-            if self.is_colored(i):
+            if self.colored[i]:
                 deg[u] += 1
                 deg[v] += 1
         assert deg == self.deg1, "incremental degree bookkeeping drifted"
@@ -198,7 +235,10 @@ class ColoringState:
             assert self.sizes[k] == sum(1 for x in deg if x == k)
 
     def subset(self) -> EdgeSubset:
-        return EdgeSubset(self.host.m, self.bits)
+        return EdgeSubset(self.host.m, int(b"0" + self.colored[::-1].translate(_BIT_DIGITS), 2))
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def stage1_grow_v3(state: ColoringState) -> ColoringState:
@@ -232,27 +272,26 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
     assert state.sizes[1] <= n3 + 2
     assert _v3_connected(state)
     state.stage1 = Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
+    state.heaps.clear()  # this stage's finders are done; stop offering to them
     return state
 
 
-def _stage1_candidate(state: ColoringState) -> int | None:
-    """Lowest vertex adjacent to V3 with no neighbor in V2."""
+def _is_stage1_candidate(state: ColoringState, v: int) -> bool:
     deg1 = state.deg1
-    adj = state.host.adjacency
-    for v in range(state.host.n):
-        if deg1[v] == 3:
-            continue
-        has_v3 = False
-        has_v2 = False
-        for w in adj[v]:
-            if deg1[w] == 3:
-                has_v3 = True
-            elif deg1[w] == 2:
-                has_v2 = True
-                break
-        if has_v3 and not has_v2:
-            return v
-    return None
+    if deg1[v] == 3:
+        return False
+    has_v3 = False
+    for w in state.host.adjacency[v]:
+        if deg1[w] == 3:
+            has_v3 = True
+        elif deg1[w] == 2:
+            return False
+    return has_v3
+
+
+def _stage1_candidate(state: ColoringState) -> int | None:
+    """Lowest vertex outside V3, adjacent to V3, with no neighbor in V2."""
+    return state.lowest(_is_stage1_candidate, on_edges=False)
 
 
 def _v3_connected(state: ColoringState) -> bool:
@@ -270,42 +309,55 @@ def _v3_connected(state: ColoringState) -> bool:
     return len(seen) == len(v3)
 
 
+def _is_r1(state: ColoringState, i: int) -> bool:
+    u, v = state.host.edges[i]
+    return (
+        not state.colored[i]
+        and state.deg1[u] == state.deg1[v] == 1
+        and any(d >= 2 for x in (u, v) for d in state.colored_neighbor_degrees(x))
+    )
+
+
 def _find_r1(state: ColoringState) -> int | None:
-    """Uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
-    deg1 = state.deg1
-    for i, (u, v) in enumerate(state.host.edges):
-        if state.is_colored(i) or deg1[u] != 1 or deg1[v] != 1:
-            continue
-        if any(d >= 2 for d in state.colored_neighbor_degrees(u)) or any(
-            d >= 2 for d in state.colored_neighbor_degrees(v)
-        ):
-            return i
-    return None
+    """Lowest uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
+    return state.lowest(_is_r1, on_edges=True)
+
+
+def _is_r2(state: ColoringState, i: int) -> bool:
+    u, v = state.host.edges[i]
+    return state.deg1[u] + state.deg1[v] == 1
 
 
 def _find_r2(state: ColoringState) -> int | None:
-    """V1-V0 edge, preferring edges of the stage-1 cycle."""
+    """Lowest V1-V0 edge of the stage-1 cycle, else lowest V1-V0 edge."""
+    for i in state.cycle_edges:
+        if _is_r2(state, i):
+            return i
+    return state.lowest(_is_r2, on_edges=True)
+
+
+def _is_r3(state: ColoringState, v: int) -> bool:
     deg1 = state.deg1
-    first = None
-    for i, (u, v) in enumerate(state.host.edges):
-        if {deg1[u], deg1[v]} == {0, 1}:
-            if i in state.cycle_edges:
-                return i
-            if first is None:
-                first = i
-    return first
+    return deg1[v] == 0 and sum(1 for w in state.host.adjacency[v] if deg1[w] == 0) >= 2
 
 
 def _find_r3(state: ColoringState) -> tuple[int, int, int] | None:
     """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
-    deg1 = state.deg1
-    for v in range(state.host.n):
-        if deg1[v] != 0:
-            continue
-        zeros = [w for w in state.host.adjacency[v] if deg1[w] == 0]
-        if len(zeros) >= 2:
-            return v, zeros[0], zeros[1]
-    return None
+    v = state.lowest(_is_r3, on_edges=False)
+    if v is None:
+        return None
+    zeros = [w for w in state.host.adjacency[v] if state.deg1[w] == 0]
+    return v, zeros[0], zeros[1]
+
+
+def _is_v0_v0(state: ColoringState, i: int) -> bool:
+    u, v = state.host.edges[i]
+    return state.deg1[u] == 0 and state.deg1[v] == 0
+
+
+def _find_v0_v0(state: ColoringState) -> int | None:
+    """Lowest edge with both endpoints in V0."""
+    return state.lowest(_is_v0_v0, on_edges=True)
 
 
 def _run_rule(state: ColoringState, name: str, edge_indices: list[int],
@@ -354,21 +406,17 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
         )
     state.assert_consistent()
     assert state.sizes[1] <= state.n1, "stage 2 must finish with |V1| <= n1"
+    state.heaps.clear()  # this stage's finders are done; stop offering to them
     return state
 
 
 def stage3_fill_v1(state: ColoringState) -> ColoringState:
     """Raise |V1| to n1 two at a time by coloring V0-V0 edges."""
-    deg1 = state.deg1
     if state.sizes[1] > state.n1:
         raise InternalStuck("stage 3 entered with |V1| > n1")
     assert (state.n1 - state.sizes[1]) % 2 == 0, "V1 deficit must be even"
     while state.sizes[1] < state.n1:
-        edge = None
-        for i, (u, v) in enumerate(state.host.edges):
-            if deg1[u] == 0 and deg1[v] == 0:
-                edge = i
-                break
+        edge = _find_v0_v0(state)
         if edge is None:
             raise InternalStuck("stage 3: no V0-V0 edge (should be impossible)")
         before = tuple(state.sizes)

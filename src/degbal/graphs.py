@@ -212,6 +212,10 @@ def connected_components(g: Graph) -> list[Component]:
                     seen[w] = True
                     verts.append(w)
                     queue.append(w)
+        if len(verts) == g.n:
+            # Connected: the host is its own component, so skip the rebuild.
+            everything = tuple(range(g.n))
+            return [Component(everything, g, everything)]
         verts.sort()
         local = {v: i for i, v in enumerate(verts)}
         sub_edges = [

@@ -218,6 +218,22 @@ class TestBatchCommand:
         )
         assert out1 == out2
 
+    def test_each_record_parsed_once(self, capsys, tmp_path, monkeypatch):
+        import degbal.cli as cli_mod
+
+        calls = []
+
+        def counting_parse(line):
+            calls.append(line)
+            return parse_graph6(line)
+
+        monkeypatch.setattr(cli_mod, "parse_graph6", counting_parse)
+        path = self._write_corpus(tmp_path)
+        code, out, _ = run_cli(capsys, "batch", "--input", str(path), "--jobs", "1")
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith("# total=4 ok=4")
+        assert calls == path.read_text().splitlines()
+
     def test_malformed_line_aborts_with_lineno(self, capsys, tmp_path):
         path = tmp_path / "corpus.g6"
         path.write_text("C~\nC\x05\n")

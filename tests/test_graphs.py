@@ -100,8 +100,12 @@ class TestConnectedComponents:
         assert comps[1].vertices == (4, 5, 6, 7)
 
     def test_petersen_single(self):
-        comps = connected_components(named("PETERSEN"))
+        g = named("PETERSEN")
+        comps = connected_components(g)
         assert len(comps) == 1 and comps[0].graph.n == 10
+        # A connected host is its own component, labels unchanged.
+        assert comps[0].graph is g
+        assert comps[0].vertices == comps[0].to_host == tuple(range(10))
 
     def test_empty(self):
         assert connected_components(build_graph(0, [])) == []
