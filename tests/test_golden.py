@@ -9,13 +9,15 @@ digest too, as the kind of exception raised.
 """
 
 import hashlib
+import random
 
 from degbal.cli import _document
-from degbal.connected import Statement
+from degbal.connected import Statement, target_profile
 from degbal.errors import ExceptionGraph
 from degbal.formats import render_result
-from degbal.gen import random_cubic
-from degbal.general import decompose_balanced, decompose_result
+from degbal.gen import CATALOG_NAMES, disjoint_union, named, random_cubic
+from degbal.general import decompose_balanced, decompose_result, decompose_traced
+from degbal.graphs import connected_components, profile_of
 
 from conftest import FIXTURES, load_corpus_file
 
@@ -51,3 +53,59 @@ def test_result_documents_match_golden_digest():
         count += 1
     assert count == 3 * (54 + len(RANDOM_CASES))
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+# Seeded unions of 2-12 components deep enough for case 1 to peel several
+# components in a row.  Their digest covers the subsets and fallback flags
+# only: branch_trace is flat, so it reads differently from a nested one
+# once more than one component is peeled.
+DEEP_UNION_SHA256 = "89aeedc7037e1fccbece7a88cdd9a2c0b1d9e3e0b2fa5a08c4cbd5c517f64b63"
+
+DEEP_UNION_CASES = [
+    ("PRISM", "CUBE", "K4", "K4"),         # 2K4 tail after two peels
+    ("K4", "PETERSEN", "K4", "K33", "PRISM"),
+    ("HEAWOOD", "K4", "PRISM", "K4"),
+    ("K33", "K33", "PETERSEN", "CUBE"),
+]
+DEEP_UNION_SEEDS = range(36)
+
+
+def _connected_random(n, rng):
+    while True:
+        g = random_cubic(n, rng.getrandbits(32))
+        if len(connected_components(g)) == 1:
+            return g
+
+
+def deep_unions():
+    for names in DEEP_UNION_CASES:
+        yield "+".join(names), disjoint_union([named(p) for p in names])
+    for seed in DEEP_UNION_SEEDS:
+        rng = random.Random(f"deep-union:{seed}")
+        parts = []
+        for _ in range(rng.randint(2, 12)):
+            if rng.random() < 0.5:
+                parts.append(named(rng.choice(CATALOG_NAMES)))
+            else:
+                parts.append(_connected_random(rng.randrange(8, 32, 2), rng))
+        yield f"deep-union:{seed}", disjoint_union(parts)
+
+
+def test_deep_union_subsets_match_golden_digest():
+    digest = hashlib.sha256()
+    traces = []
+    for name, g in deep_unions():
+        statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
+        for s in statements:
+            try:
+                sub, trace, fallback = decompose_traced(g, s)
+            except ExceptionGraph as exc:
+                line = f"{name}\t{s.value}\texception:{exc.kind.value}"
+            else:
+                assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
+                line = f"{name}\t{s.value}\t{sub.edges(g)}\t{fallback}"
+                traces.append(" ".join(trace))
+            digest.update(line.encode("ascii") + b"\n")
+    assert any("2K4-balanced" in t for t in traces)
+    assert any("|whole~c" in t for t in traces)
+    assert digest.hexdigest() == DEEP_UNION_SHA256
