@@ -14,6 +14,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import gen, oracle
 from .connected import Statement
@@ -39,7 +40,7 @@ from .general import (
     decompose_result,
     decompose_two_regular,
 )
-from .graphs import DegreeProfile, EdgeSubset, Graph, connected_components, subgraph_degrees
+from .graphs import DegreeProfile, EdgeSubset, Graph, connected_components, profile_of
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -172,6 +173,19 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _profile_diffs(claimed: DegreeProfile, actual: DegreeProfile) -> list[str]:
+    """Per-degree count differences; a degree beyond a profile counts 0."""
+
+    def count(p: DegreeProfile, k: int) -> int:
+        return p.count(k) if k <= p.degree else 0
+
+    return [
+        f"degree {k}: document {count(claimed, k)}, recomputed {count(actual, k)}"
+        for k in range(max(claimed.degree, actual.degree), -1, -1)
+        if count(claimed, k) != count(actual, k)
+    ]
+
+
 def cmd_verify(args) -> int:
     graphs = _load_graphs(_config(args))
     if len(graphs) != 1:
@@ -188,24 +202,15 @@ def cmd_verify(args) -> int:
     except KeyError:
         problems.append("subgraph edge not present in host graph (SizeMismatch)")
     if not problems:
-        deg = subgraph_degrees(g, EdgeSubset.from_edges(g, doc.subgraph_edges))
-        d = doc.achieved_profile.degree
-        counts = [0] * (d + 1)
-        for x in deg:
-            counts[x] += 1
-        recomputed = tuple(reversed(counts))
-        if recomputed != doc.achieved_profile.counts:
-            diffs = [
-                f"degree {d - i}: document {a}, recomputed {b}"
-                for i, (a, b) in enumerate(zip(doc.achieved_profile.counts, recomputed))
-                if a != b
-            ]
+        achieved = profile_of(g, EdgeSubset.from_edges(g, doc.subgraph_edges))
+        diffs = _profile_diffs(doc.achieved_profile, achieved)
+        if diffs:
             problems.append("achieved profile mismatch: " + "; ".join(diffs))
-        if recomputed != doc.target_profile.counts:
+        if _profile_diffs(doc.target_profile, achieved):
             problems.append(
-                f"recomputed profile {recomputed} != target {doc.target_profile.counts}"
+                f"recomputed profile {achieved.counts} != target {doc.target_profile.counts}"
             )
-        true_dev = DegreeProfile(recomputed).max_deviation()
+        true_dev = achieved.max_deviation() if g.n else Fraction(0)
         if true_dev != doc.max_deviation:
             problems.append(
                 f"deviation mismatch: document {format_rational(doc.max_deviation)},"

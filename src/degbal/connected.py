@@ -613,6 +613,7 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
     cycle = shortest_cycle(g)
     assert cycle is not None, "a cubic graph always contains a cycle"
     state = ColoringState(g, target, cycle)
+    trace.rule_counts = state.rule_counts  # counted in place from here on
     stage1_grow_v3(state)
     trace.stage1 = state.stage1
     try:
@@ -620,7 +621,6 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
     except SpecialCaseNeeded:
         return _blocked_dispatch(g, s, target, state, trace)
     stage3_fill_v1(state)
-    trace.rule_counts = dict(state.rule_counts)
     trace.branch.append(f"staged:{s.value}:girth={len(cycle)}")
     return state.subset()
 
@@ -644,7 +644,6 @@ def _blocked_dispatch(
         try:
             subset = special_14_construction(g)
             trace.special_used = True
-            trace.rule_counts = dict(state.rule_counts)
             trace.branch.append("staged:blocked->special14")
             return subset
         except PreconditionViolated:
@@ -656,7 +655,6 @@ def _blocked_dispatch(
                 f"stage 2 blocked and exhaustive search finds no {target.counts}"
             )
         trace.fallback_used = True
-        trace.rule_counts = dict(state.rule_counts)
         trace.branch.append("staged:blocked->fallback")
         log.warning("fallback used on n=%d statement %s", g.n, s.value)
         return subset

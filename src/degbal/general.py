@@ -1,16 +1,19 @@
 """Decomposition of arbitrary cubic graphs and the balanced/2-regular drivers.
 
-Multi-component graphs split into two regimes: if some component is bigger
-than K4/K3,3, peel it off and recurse on the rest with a statement chosen
-by a parity table; if every component is K4 or K3,3, combine entries of
-fixed per-component decomposition tables, pairing isomorphic components
-into "perfectly balanced" (tuple, complemented tuple) couples.
+A multi-component graph is split once and composed in one pass over its
+components in label order.  While more than one component is left, each
+component bigger than K4/K3,3 is peeled off in turn, its statement and the
+statement of what is left read from a parity table (the paper's case 1).
+What is left at the end is one connected component, two K4s, or components
+that are all K4 or K3,3; the last combine entries of fixed per-component
+decomposition tables, pairing isomorphic components into "perfectly
+balanced" (tuple, complemented tuple) couples (case 2).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .connected import (
@@ -37,7 +40,6 @@ from .graphs import (
     classify_small,
     complement_within,
     connected_components,
-    induced_on,
     profile_of,
     require_regular,
 )
@@ -109,16 +111,19 @@ def k33_table(p: DegreeProfile) -> EdgeSubset:
 def detect_exception(g: Graph, s: Statement) -> ExceptionKind | None:
     """Provably undecomposable (graph, statement) pairs, by component census."""
     require_regular(g, 3)
-    comps = connected_components(g)
-    classes = [classify_small(c.graph) for c in comps]
+    return _exception_of([classify_small(c.graph) for c in connected_components(g)], s)
+
+
+def _exception_of(classes: list[SmallClass], s: Statement) -> ExceptionKind | None:
+    """detect_exception from the small classes of the components."""
     all_k4 = all(c is SmallClass.K4 for c in classes)
-    if s is Statement.I and all_k4 and len(comps) == 1:
+    if s is Statement.I and all_k4 and len(classes) == 1:
         return ExceptionKind.K4_I
-    if s is Statement.I and all_k4 and len(comps) == 3:
+    if s is Statement.I and all_k4 and len(classes) == 3:
         return ExceptionKind.THREE_K4_I
-    if s is Statement.II and all_k4 and len(comps) == 2:
+    if s is Statement.II and all_k4 and len(classes) == 2:
         return ExceptionKind.TWO_K4_II
-    if s is Statement.III and len(comps) == 1 and classes[0] is SmallClass.K33:
+    if s is Statement.III and len(classes) == 1 and classes[0] is SmallClass.K33:
         return ExceptionKind.K33_III
     return None
 
@@ -184,9 +189,9 @@ _CASE1 = {
     (2, 2, Statement.IV): (Statement.II, Statement.III, False, False),
 }
 
-# When G-H is exactly 2K4 the recursion would hit the statement-II
-# exception; use its perfectly balanced (2,2,2,2) decomposition instead and
-# solve H directly with the statement that completes the target.
+# When G-H is exactly 2K4 the rest would hit the statement-II exception;
+# use its perfectly balanced (2,2,2,2) decomposition instead and solve H
+# directly with the statement that completes the target.
 _CASE1_2K4 = {
     (0, 0, Statement.I): Statement.I,
     (0, 0, Statement.II): Statement.II,
@@ -201,93 +206,108 @@ def decompose(g: Graph, s: Statement) -> EdgeSubset:
 
 
 def decompose_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, list[str], bool]:
-    """decompose plus (branch trace, fallback_used)."""
+    """decompose plus (branch trace, fallback_used).
+
+    The trace of a multi-component graph is flat: one label per peeled
+    component, then the entries of what was left prefixed "rest:", then
+    each peeled component's entries prefixed "H:", in peel order.
+    """
     require_regular(g, 3)
     if g.n % 4 != statement_modulus(s):
         raise ParityMismatch(
             f"statement {s} needs n = 4t+{statement_modulus(s)}, got n={g.n}"
         )
-    kind = detect_exception(g, s)
+    comps = connected_components(g)
+    classes = [classify_small(c.graph) for c in comps]
+    kind = _exception_of(classes, s)
     if kind is not None:
         raise ExceptionGraph(kind)
     target = target_profile(g.n, s)
     if g.n == 0:
         return EdgeSubset.empty(0), ["empty"], False
-
-    comps = connected_components(g)
     if len(comps) == 1:
         sub, trace = decompose_connected_traced(g, s)
         return sub, trace.branch, trace.fallback_used
 
-    classes = [classify_small(c.graph) for c in comps]
-    if all(cls in (SmallClass.K4, SmallClass.K33) for cls in classes):
-        sub, trace = _case2(g, s, comps, classes)
-        fallback = False
-    else:
-        sub, trace, fallback = _case1(g, s, comps, classes)
-
+    sub, trace, fallback = _compose(g, s, comps, classes)
     achieved = profile_of(g, sub)
     if achieved != target:
         raise InternalStuck(f"achieved {achieved.counts}, target {target.counts}")
     return sub, trace, fallback
 
 
-def _lift(host: Graph, part: Graph, to_host, subset: EdgeSubset) -> int:
+def _lift(host: Graph, comp: Component, subset: EdgeSubset, complemented: bool) -> int:
+    """Host bits of a component's subset, complemented within it if asked."""
+    if complemented:
+        subset = complement_within(comp.graph, subset)
     bits = 0
-    for u, v in subset.edges(part):
-        bits |= 1 << host.edge_index(to_host[u], to_host[v])
+    for u, v in subset.edges(comp.graph):
+        bits |= 1 << host.edge_index(comp.to_host[u], comp.to_host[v])
     return bits
 
 
-def _case1(g: Graph, s: Statement, comps: list[Component], classes) -> tuple[EdgeSubset, list[str], bool]:
-    """Peel off the first component larger than K4/K3,3 and recurse."""
-    idx = next(i for i, cls in enumerate(classes) if cls is SmallClass.OTHER or cls is SmallClass.PRISM)
-    comp = comps[idx]
-    rest_vertices = [v for v in range(g.n) if v not in set(comp.vertices)]
-    rest_graph, rest_map = induced_on(g, rest_vertices)
-    key = (g.n % 4, comp.graph.n % 4, s)
-    rest_stmt, h_stmt, compl_h, compl_whole = _CASE1[key]
+def _compose(
+    g: Graph, s: Statement, comps: list[Component], classes: list[SmallClass]
+) -> tuple[EdgeSubset, list[str], bool]:
+    """One pass over two or more components, lowest label first.
 
-    rest_is_2k4 = (
-        key in _CASE1_2K4
-        and rest_graph.n == 8
-        and all(
-            classify_small(c.graph) is SmallClass.K4
-            for c in connected_components(rest_graph)
-        )
-    )
-    fallback = False
-    if rest_is_2k4:
-        rest_comps = connected_components(rest_graph)
-        paired = pair_perfectly_balanced(
-            rest_comps[0].graph, rest_comps[1].graph, Statement.II
-        )
-        rest_sub = EdgeSubset(rest_graph.m, paired.bits)
-        h_stmt, compl_h, compl_whole = _CASE1_2K4[key], False, False
-        trace = [f"case1:rest=2K4-balanced,H={h_stmt.value}"]
+    Case 1 peels each PRISM/OTHER component while more than one component
+    is left; the _CASE1 row for the running residue and statement gives
+    the peeled component's statement and the statement of the rest.  A
+    "complement whole" flag complements the rest and everything peeled
+    from it on, so a peeled part is complemented by its own flag XOR the
+    running XOR of those flags, and the tail by that running XOR.
+    """
+    big = [i for i, cls in enumerate(classes) if cls in (SmallClass.PRISM, SmallClass.OTHER)]
+    peels = big[: len(comps) - 1]
+    peeled = set(peels)
+    tail = [i for i in range(len(comps)) if i not in peeled]
+    tail_is_2k4 = len(tail) == 2 and all(classes[i] is SmallClass.K4 for i in tail)
+
+    labels: list[str] = []
+    h_trace: list[str] = []
+    bits = 0
+    fallback = flip = rest_is_2k4 = False
+    n_left, stmt = g.n, s
+    for i in peels:
+        comp = comps[i]
+        key = (n_left % 4, comp.graph.n % 4, stmt)
+        n_left -= comp.graph.n
+        stmt, h_stmt, compl_h, compl_whole = _CASE1[key]
+        rest_is_2k4 = n_left == 8 and tail_is_2k4
+        if rest_is_2k4:
+            # The rest's statement-I pairs, (0,0,2,2) and its reversal, are
+            # the perfectly balanced ones of pair_perfectly_balanced.
+            stmt, h_stmt, compl_h, compl_whole = Statement.I, _CASE1_2K4[key], False, False
+            labels.append(f"case1:rest=2K4-balanced,H={h_stmt.value}")
+        else:
+            labels.append(
+                f"case1:rest={stmt.value},H={h_stmt.value}"
+                + ("~c" if compl_h else "")
+                + ("|whole~c" if compl_whole else "")
+            )
+        flip ^= compl_whole
+        h_sub, trace = decompose_connected_traced(comp.graph, h_stmt)
+        fallback |= trace.fallback_used
+        h_trace.extend(f"H:{t}" for t in trace.branch)
+        bits |= _lift(g, comp, h_sub, compl_h ^ flip)
+
+    if len(tail) == 1:
+        comp = comps[tail[0]]
+        sub, trace = decompose_connected_traced(comp.graph, stmt)
+        fallback |= trace.fallback_used
+        tail_trace = trace.branch
+        bits |= _lift(g, comp, sub, flip)
     else:
-        rest_sub, rest_trace, rest_fb = decompose_traced(rest_graph, rest_stmt)
-        fallback |= rest_fb
-        trace = [
-            f"case1:rest={rest_stmt.value},H={h_stmt.value}"
-            + ("~c" if compl_h else "")
-            + ("|whole~c" if compl_whole else "")
-        ]
-        trace.extend(f"rest:{t}" for t in rest_trace)
+        k4s = [comps[i] for i in tail if classes[i] is SmallClass.K4]
+        k33s = [comps[i] for i in tail if classes[i] is SmallClass.K33]
+        label, assignments = _case2_assignments(stmt, k4s, k33s)
+        tail_trace = [] if rest_is_2k4 else [label]
+        for comp, cls, counts in assignments:
+            bits |= _lift(g, comp, realize_tuple_on(comp.graph, cls, counts), flip)
 
-    h_sub, h_trace = decompose_connected_traced(comp.graph, h_stmt)
-    fallback |= h_trace.fallback_used
-    if compl_h:
-        h_sub = complement_within(comp.graph, h_sub)
-    trace.extend(f"H:{t}" for t in h_trace.branch)
-
-    bits = _lift(g, rest_graph, rest_map, rest_sub) | _lift(
-        g, comp.graph, comp.to_host, h_sub
-    )
-    sub = EdgeSubset(g.m, bits)
-    if compl_whole:
-        sub = complement_within(g, sub)
-    return sub, trace, fallback
+    trace = labels + [f"rest:{t}" for t in tail_trace] + h_trace if peels else tail_trace
+    return EdgeSubset(g.m, bits), trace, fallback
 
 
 def _pairs(items: list) -> list:
@@ -389,17 +409,6 @@ def _case2_assignments(
     raise InternalStuck(f"no case-2 assignment for k={k}, l={ell}, s={s}")
 
 
-def _case2(g: Graph, s: Statement, comps, classes) -> tuple[EdgeSubset, list[str]]:
-    k4s = [c for c, cls in zip(comps, classes) if cls is SmallClass.K4]
-    k33s = [c for c, cls in zip(comps, classes) if cls is SmallClass.K33]
-    label, assignments = _case2_assignments(s, k4s, k33s)
-    bits = 0
-    for comp, cls, counts in assignments:
-        sub = realize_tuple_on(comp.graph, cls, counts)
-        bits |= _lift(g, comp.graph, comp.to_host, sub)
-    return EdgeSubset(g.m, bits), [label]
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     """A decomposition plus everything needed to report and verify it."""
@@ -441,34 +450,18 @@ def decompose_balanced(g: Graph) -> DecompositionResult:
     The three exception graphs (K4, K3,3, 3K4) get their best achievable
     decomposition instead: deviation exactly 1, 3/2, and 1 respectively.
     """
-    require_regular(g, 3)
     s = Statement.I if g.n % 4 == 0 else Statement.III
-    kind = detect_exception(g, s)
-    if kind is None:
+    try:
         inner = decompose_result(g, s)
+    except ExceptionGraph as exc:
+        best = _BEST_EFFORT[exc.kind]
+        inner = decompose_result(g, best)
+        label = f"exception:{exc.kind.value}:best-effort:{best.value}"
+    else:
         if inner.max_deviation > Fraction(1, 2):
             raise InternalStuck(f"balanced deviation {inner.max_deviation} > 1/2")
-        return DecompositionResult(
-            statement="BALANCED",
-            subset=inner.subset,
-            target=inner.target,
-            achieved=inner.achieved,
-            max_deviation=inner.max_deviation,
-            branch_trace=(f"balanced:{s.value}",) + inner.branch_trace,
-            fallback_used=inner.fallback_used,
-        )
-    best = _BEST_EFFORT[kind]
-    inner = decompose_result(g, best)
-    return DecompositionResult(
-        statement="BALANCED",
-        subset=inner.subset,
-        target=inner.target,
-        achieved=inner.achieved,
-        max_deviation=inner.max_deviation,
-        branch_trace=(f"exception:{kind.value}:best-effort:{best.value}",)
-        + inner.branch_trace,
-        fallback_used=inner.fallback_used,
-    )
+        label = f"balanced:{s.value}"
+    return replace(inner, statement="BALANCED", branch_trace=(label,) + inner.branch_trace)
 
 
 def decompose_two_regular(g: Graph) -> DecompositionResult:

@@ -72,6 +72,16 @@ class TestDecomposeCommand:
         assert len(lines) == 3
         assert lines[0].startswith("input_name\t")
 
+    def test_600_prisms_edge_list(self, capsys, tmp_path):
+        g = disjoint_union([named("PRISM")] * 600)
+        path = tmp_path / "prisms.txt"
+        path.write_text(f"{g.n} {g.m}\n" + "".join(f"{u} {v}\n" for u, v in g.edges))
+        code, out, _ = run_cli(capsys, "decompose", "--input", str(path))
+        assert code == 0
+        docs = out.strip().splitlines()
+        assert len(docs) == 1
+        assert json.loads(docs[0])["max_deviation"] == "0"
+
     def test_two_regular_statement(self, capsys, tmp_path):
         path = tmp_path / "c9.txt"
         path.write_text("9 9\n" + "\n".join(f"{i} {(i + 1) % 9}" for i in range(9)))
@@ -115,6 +125,29 @@ class TestVerifyCommand:
             path.write_text(out)
             code, out, _ = run_cli(capsys, "verify", "--named", name, "--result", str(path))
             assert code == 0, (name, out)
+
+
+    def test_subgraph_degree_above_document_degree_fails(self, capsys, tmp_path):
+        # K5 host, degree-3 document listing every edge: each vertex has
+        # subgraph degree 4, which the document's profile has no slot for.
+        host = tmp_path / "k5.txt"
+        host.write_text("5 10\n" + "".join(f"{u} {v}\n" for u in range(5) for v in range(u + 1, 5)))
+        doc = {
+            "input_name": "k5",
+            "n": 5,
+            "statement": "I",
+            "target_profile": [1, 1, 1, 2],
+            "achieved_profile": [1, 1, 1, 2],
+            "subgraph_edges": [[u, v] for u in range(5) for v in range(u + 1, 5)],
+            "max_deviation": "3/4",
+            "branch_trace": [],
+            "fallback_used": False,
+        }
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--input", str(host), "--result", str(result))
+        assert code == 1
+        assert "FAIL: achieved profile mismatch: degree 4: document 0, recomputed 5" in out
 
 
 class TestOracleCommand:

@@ -20,6 +20,7 @@ from degbal.general import (
     decompose,
     decompose_balanced,
     decompose_result,
+    decompose_traced,
     decompose_two_regular,
     detect_exception,
     k33_table,
@@ -265,6 +266,13 @@ class TestDecomposeBalanced:
             res = decompose_balanced(g)
             assert profile_of(g, res.subset) == res.achieved, name
 
+    def test_600_prisms_no_recursion_limit(self):
+        # Case 1 peels 599 prisms; a recursion per peel overflowed the stack.
+        k = 600
+        res = decompose_balanced(disjoint_union([named("PRISM")] * k))
+        assert res.max_deviation == 0
+        assert len(res.branch_trace) <= 3 * k
+
 
 class TestDecomposeTwoRegular:
     def test_c6(self):
@@ -305,6 +313,29 @@ class TestDecomposeTwoRegular:
     def test_empty(self):
         res = decompose_two_regular(build_graph(0, []))
         assert res.achieved.counts == (0, 0, 0)
+
+
+class TestFlatTrace:
+    """Peel labels, then the "rest:" entries, then the "H:" entries."""
+
+    def test_two_peels_then_2k4_tail(self):
+        g = disjoint_union([named("PRISM"), named("CUBE"), named("K4"), named("K4")])
+        _, trace, _ = decompose_traced(g, Statement.III)
+        assert trace == [
+            "case1:rest=II,H=IV~c|whole~c",
+            "case1:rest=2K4-balanced,H=II",
+            "H:base:PRISM:P3",
+            "H:staged:II:girth=4",
+        ]
+
+    def test_one_peel_connected_rest(self):
+        g = disjoint_union([named("PETERSEN"), named("K4")])
+        _, trace, _ = decompose_traced(g, Statement.III)
+        assert trace == [
+            "case1:rest=II,H=IV~c|whole~c",
+            "rest:base:K4:single-edge",
+            "H:staged:IV:girth=5",
+        ]
 
 
 class TestDecomposeResult:
