@@ -241,6 +241,13 @@ class TestBatchCommand:
         assert "exception:K4_I" in out
         assert "failures=0" in out
 
+    def test_jobs_zero_rejected(self, capsys, tmp_path):
+        path = self._write_corpus(tmp_path)
+        code, out, err = run_cli(capsys, "batch", "--input", str(path), "--jobs", "0")
+        assert code == 1
+        assert "jobs must be >= 1" in err
+        assert out == ""
+
     def test_jobs_independent_output(self, capsys, tmp_path):
         path = self._write_corpus(tmp_path)
         _, out1, _ = run_cli(

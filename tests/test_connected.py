@@ -309,6 +309,16 @@ class TestBlockedDispatch:
         assert trace.fallback_used
         assert profile_of(g, sub).counts == (2, 2, 2, 2)
 
+    @pytest.mark.parametrize("s", [Statement.I, Statement.II])
+    def test_fallback_on_largest_order(self, monkeypatch, s):
+        # n = 16, m = 24: the largest order the backstop accepts.
+        g = random_cubic(16, 1)
+        assert len(connected_components(g)) == 1
+        self._force_block(monkeypatch)
+        sub, trace = decompose_connected_traced(g, s)
+        assert trace.fallback_used
+        assert profile_of(g, sub) == target_profile(16, s)
+
     def test_no_fallback_beyond_16(self, monkeypatch):
         self._force_block(monkeypatch)
         with pytest.raises(InternalStuck):

@@ -1,10 +1,17 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from degbal.errors import CapExceeded, NotRegular
 from degbal.gen import cycles, disjoint_union, named, random_cubic
-from degbal.graphs import DegreeProfile, EdgeSubset, build_graph, profile_of
+from degbal.graphs import (
+    DegreeProfile,
+    EdgeSubset,
+    build_graph,
+    connected_components,
+    profile_of,
+)
 from degbal.oracle import (
     achievable_profiles,
     find_witness,
@@ -110,6 +117,34 @@ class TestWitnesses:
 
     def test_find_witness_none_for_wrong_shape(self):
         assert find_witness(named("K4"), DegreeProfile((4,))) is None
+
+
+def _witness_graph(name):
+    if name.startswith("random10:"):
+        g = random_cubic(10, int(name.split(":")[1]))
+        assert len(connected_components(g)) == 1
+        return g
+    return named(name)
+
+
+class TestFindWitnessAgainstReport:
+    """The single-profile search agrees with the full enumeration."""
+
+    @pytest.mark.parametrize(
+        "name", ["K4", "K33", "PRISM", "CUBE", "PETERSEN", "random10:1", "random10:2"]
+    )
+    def test_every_profile(self, name):
+        g = _witness_graph(name)
+        rep = achievable_profiles(g)
+        for counts in itertools.product(range(g.n + 1), repeat=4):
+            if sum(counts) != g.n:
+                continue
+            p = DegreeProfile(counts)
+            found = find_witness(g, p)
+            if p in rep.witness:
+                assert found is not None and found.bits == rep.witness[p].bits, counts
+            else:
+                assert found is None, counts
 
 
 class TestProperties:
