@@ -11,7 +11,7 @@ The construction 2-colors edges in three stages: grow a connected set of
 3-vertices from a shortest cycle, top up 2-vertices with three local
 recoloring rules, then pair up leftover 0-vertices into 1-vertices.  The
 one genuinely blocked configuration (n = 14, statement III) has its own
-explicit construction; a bounded backtracking search backstops anything
+explicit construction; the oracle's exhaustive search backstops anything
 unexpected on small orders.
 """
 
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
-    BudgetExceeded,
     ExceptionGraph,
     InternalStuck,
     NotConnected,
@@ -43,6 +42,7 @@ from .graphs import (
     require_regular,
     shortest_cycle,
 )
+from .oracle import find_witness
 
 log = logging.getLogger(__name__)
 
@@ -489,75 +489,13 @@ def _find_special_w(g: Graph, inside: set, u: int, u1: int) -> int | None:
     return None
 
 
-def fallback_search(g: Graph, target: DegreeProfile, budget: int = 2_000_000) -> EdgeSubset | None:
-    """Backtracking over edge colorings pruned by finalized degree counts.
+def fallback_search(g: Graph, target: DegreeProfile) -> EdgeSubset | None:
+    """First subset in rank order realizing ``target``, or None.
 
-    Intended for n <= 16.  Returns the first subset (edges decided in
-    canonical order, absent before present) realizing ``target``, or None
-    when the whole space is exhausted.
+    The stage-2 backstop for n <= 16 (m <= 24, within the oracle's default
+    cap): the oracle's exhaustive single-profile search.
     """
-    if target.order != g.n or len(target.counts) != 4:
-        return None
-    m = g.m
-    want = list(target.counts)  # (n3, n2, n1, n0)
-    # Vertices become final once their last incident edge is decided.
-    last_edge = [-1] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        last_edge[u] = i
-        last_edge[v] = i
-    finalized_at: list[list[int]] = [[] for _ in range(m)]
-    for v in range(g.n):
-        if last_edge[v] >= 0:
-            finalized_at[last_edge[v]].append(v)
-    isolated = sum(1 for v in range(g.n) if last_edge[v] < 0)
-
-    deg = [0] * g.n
-    final_counts = [0, 0, 0, 0]  # indexed like want: degree 3-k
-    final_counts[3] += isolated  # isolated host vertices always end at degree 0
-    if final_counts[3] > want[3]:
-        return None
-
-    nodes = 0
-
-    def finalize(i: int, sign: int) -> bool:
-        """Commit/rollback finalized vertices at edge i; False if overfull."""
-        ok = True
-        for v in finalized_at[i]:
-            slot = 3 - deg[v]
-            final_counts[slot] += sign
-            if sign > 0 and final_counts[slot] > want[slot]:
-                ok = False
-        return ok
-
-    def rec(i: int, bits: int) -> int | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"fallback search exceeded {budget} nodes")
-        if i == m:
-            return bits if final_counts == want else None
-        u, v = g.edges[i]
-        for choice in (0, 1):
-            if choice:
-                if deg[u] >= 3 or deg[v] >= 3:
-                    continue
-                deg[u] += 1
-                deg[v] += 1
-            ok = finalize(i, +1)
-            if ok:
-                found = rec(i + 1, bits | (choice << i))
-                if found is not None:
-                    return found
-            finalize(i, -1)
-            if choice:
-                deg[u] -= 1
-                deg[v] -= 1
-        return None
-
-    found = rec(0, 0) if m else (0 if final_counts == want else None)
-    if found is None:
-        return None
-    return EdgeSubset(m, found)
+    return find_witness(g, target)
 
 
 def decompose_connected(g: Graph, s: Statement) -> EdgeSubset:
@@ -632,7 +570,7 @@ def _blocked_dispatch(
     state: ColoringState,
     trace: ConnectedTrace,
 ) -> EdgeSubset:
-    """Stage-2 block: try the 14-vertex construction, then bounded search."""
+    """Stage-2 block: try the 14-vertex construction, then exhaustive search."""
     e_v1 = state.e_within(1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means

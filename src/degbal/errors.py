@@ -67,10 +67,6 @@ class PreconditionViolated(DegbalError):
     """A construction was invoked on a graph lacking its structural pattern."""
 
 
-class BudgetExceeded(DegbalError):
-    """Backtracking search exceeded its node budget."""
-
-
 class NoSuchTuple(DegbalError):
     """Requested profile is not in the stored decomposition table."""
 

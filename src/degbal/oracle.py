@@ -2,7 +2,9 @@
 
 Enumeration is in subset rank order over the canonical edge indexing and
 the witness for each profile is the first subset reaching it, so reports
-are deterministic and independent of chunking.
+are deterministic and independent of chunking.  A single-profile query
+finds that same first subset by a pruned depth-first search instead of
+enumerating every subset.
 """
 
 from __future__ import annotations
@@ -71,15 +73,6 @@ def _decode(code: int, d: int, n: int) -> DegreeProfile:
     return DegreeProfile(tuple(reversed(counts)))  # back to (n_d, ..., n_0)
 
 
-def _encode(p: DegreeProfile, n: int) -> int:
-    """Inverse of _decode; places n_d in the highest digit like _profile_codes."""
-    base = n + 1
-    code = 0
-    for c in p.counts:
-        code = code * base + c
-    return code
-
-
 def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityReport:
     """Iterate all 2^m edge subsets; record every profile and its first witness."""
     _check_cap(g, edge_cap)
@@ -128,22 +121,67 @@ def is_achievable(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> bo
 
 
 def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> EdgeSubset | None:
-    """First subset (rank order) realizing p, or None."""
+    """First subset (rank order) realizing p, or None.
+
+    Depth-first over edges m-1 down to 0, absent before present, which
+    visits masks in increasing order.  A vertex is final once its lowest
+    edge is decided; a branch is cut when a final degree count exceeds p,
+    or when its edge count can no longer be |E(H)| = sum_k k*n_k / 2.
+    """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
     if len(p.counts) != d + 1 or p.order != g.n:
         return None
     if g.m == 0:
         return EdgeSubset.empty(0) if profile_of(g, EdgeSubset.empty(0)) == p else None
-    target = _encode(p, g.n)
-    total = 1 << g.m
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        codes = _profile_codes(g, d, masks)
-        hits = np.nonzero(codes == target)[0]
-        if hits.size:
-            return EdgeSubset(g.m, lo + int(hits[0]))
+    want = p.counts[::-1]  # want[k] = vertices of subgraph degree k
+    degree_sum = sum(k * c for k, c in enumerate(want))
+    if degree_sum % 2:
+        return None
+    size = degree_sum // 2
+    m = g.m
+    edges = g.edges
+    final_at: list[list[int]] = [[] for _ in range(m)]
+    for v in range(g.n):
+        final_at[min(g.edge_index(v, w) for w in g.adjacency[v])].append(v)
+
+    deg = [0] * g.n
+    final = [0] * (d + 1)
+    chosen = bits = 0
+    choice = [-1] * m  # option applied at edge i: -1 none, 0 absent, 1 present
+    i = m - 1
+    while i < m:
+        if i < 0:
+            # Every vertex is final within its count, and the counts sum to n.
+            return EdgeSubset(m, bits)
+        c = choice[i]
+        if c >= 0:  # back at i: undo its option before trying the next
+            for v in final_at[i]:
+                final[deg[v]] -= 1
+            if c:
+                u, v = edges[i]
+                deg[u] -= 1
+                deg[v] -= 1
+                chosen -= 1
+                bits ^= 1 << i
+        if c == 1:
+            choice[i] = -1
+            i += 1
+            continue
+        c = choice[i] = c + 1
+        if c:
+            u, v = edges[i]
+            deg[u] += 1
+            deg[v] += 1
+            chosen += 1
+            bits |= 1 << i
+        ok = chosen <= size <= chosen + i  # edges 0..i-1 are still open
+        for v in final_at[i]:
+            k = deg[v]
+            final[k] += 1
+            ok = ok and final[k] <= want[k]
+        if ok:
+            i -= 1
     return None
 
 

@@ -20,7 +20,6 @@ from degbal.connected import (
     _find_r3,
 )
 from degbal.errors import (
-    BudgetExceeded,
     ExceptionGraph,
     InternalStuck,
     NotConnected,
@@ -37,7 +36,7 @@ from degbal.graphs import (
     profile_of,
     shortest_cycle,
 )
-from degbal.oracle import is_achievable
+from degbal.oracle import find_witness, is_achievable
 
 # 14-vertex cubic graph containing the blocked-configuration pattern:
 # K4 on {0,1,2,3} with edge (0,1) subdivided by vertex 4, whose single
@@ -309,6 +308,14 @@ class TestBlockedDispatch:
         assert trace.fallback_used
         assert profile_of(g, sub).counts == (2, 2, 2, 2)
 
+    @pytest.mark.parametrize("name, s", [("CUBE", Statement.I), ("HEAWOOD", Statement.III)])
+    def test_fallback_is_first_witness(self, monkeypatch, name, s):
+        self._force_block(monkeypatch)
+        g = named(name)
+        sub, trace = decompose_connected_traced(g, s)
+        assert trace.fallback_used
+        assert sub.bits == find_witness(g, target_profile(g.n, s)).bits
+
     @pytest.mark.parametrize("s", [Statement.I, Statement.II])
     def test_fallback_on_largest_order(self, monkeypatch, s):
         # n = 16, m = 24: the largest order the backstop accepts.
@@ -339,10 +346,6 @@ class TestFallbackSearch:
         g = named("PRISM")
         sub = fallback_search(g, DegreeProfile((1, 2, 1, 2)))
         assert profile_of(g, sub).counts == (1, 2, 1, 2)
-
-    def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
-            fallback_search(named("PETERSEN"), DegreeProfile((2, 3, 2, 3)), budget=10)
 
     def test_wrong_order_target(self):
         assert fallback_search(named("K4"), DegreeProfile((1, 1, 1, 2))) is None
