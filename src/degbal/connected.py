@@ -41,6 +41,7 @@ from .graphs import (
     profile_of,
     require_regular,
     shortest_cycle,
+    subgraph_degrees,
 )
 from .oracle import find_witness
 
@@ -225,14 +226,10 @@ class ColoringState:
         return sum(1 for u, v in self.host.edges if deg1[u] == k and deg1[v] == k)
 
     def assert_consistent(self) -> None:
-        deg = [0] * self.host.n
-        for i, (u, v) in enumerate(self.host.edges):
-            if self.colored[i]:
-                deg[u] += 1
-                deg[v] += 1
+        deg = subgraph_degrees(self.host, self.subset())
         assert deg == self.deg1, "incremental degree bookkeeping drifted"
         for k in range(4):
-            assert self.sizes[k] == sum(1 for x in deg if x == k)
+            assert self.sizes[k] == deg.count(k)
 
     def subset(self) -> EdgeSubset:
         return EdgeSubset(self.host.m, int(b"0" + self.colored[::-1].translate(_BIT_DIGITS), 2))

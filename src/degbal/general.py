@@ -425,13 +425,13 @@ class DecompositionResult:
 def decompose_result(g: Graph, s: Statement) -> DecompositionResult:
     """decompose wrapped with profile and deviation bookkeeping."""
     sub, trace, fallback = decompose_traced(g, s)
-    achieved = profile_of(g, sub) if g.n else DegreeProfile((0, 0, 0, 0))
+    target = target_profile(g.n, s)  # decompose_traced has checked sub against it
     return DecompositionResult(
         statement=s.value,
         subset=sub,
-        target=target_profile(g.n, s),
-        achieved=achieved,
-        max_deviation=achieved.max_deviation() if g.n else Fraction(0),
+        target=target,
+        achieved=target,
+        max_deviation=target.max_deviation() if g.n else Fraction(0),
         branch_trace=tuple(trace),
         fallback_used=fallback,
     )
