@@ -244,32 +244,40 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     ascending order.
     """
     best = g.n + 1
-    best_root = -1
+    found = None
     for root in range(g.n):
-        val = _bfs_cycle_value(g, root, best)
+        val, parent, meet = _bfs_cycle_value(g, root, best)
         if val < best:
             best = val
-            best_root = root
+            found = parent, meet
             if best == 3:
                 break
-    if best_root < 0:
+    if found is None:
         return None
-    cycle = _bfs_cycle_at(g, best_root, best)
-    assert cycle is not None and len(cycle) == best
+    parent, (u, w) = found
+    # Paths u->root and w->root meet only at the root, else a strictly
+    # shorter cycle would exist.
+    left, right = _path_to_root(parent, u), _path_to_root(parent, w)
+    assert left[-1] == right[-1]
+    cycle = left[::-1] + right[:-1]
+    assert len(cycle) == best
     assert _is_chordless_cycle(g, cycle), "shortest cycle must be chordless"
     return cycle
 
 
-def _bfs_cycle_value(g: Graph, root: int, cutoff: int) -> int:
+def _bfs_cycle_value(g: Graph, root: int, cutoff: int) -> tuple[int, dict, tuple | None]:
     """Shortest closed-walk value min(dist[u]+dist[w]+1) found from root.
 
-    Only values strictly below ``cutoff`` matter to the caller, which lets
-    the search stop expanding once layers cannot improve on it.
+    Returns the value, the BFS parent map and the first scanned (u, w)
+    pair that reaches it (None when nothing beats ``cutoff``).  Only values
+    strictly below ``cutoff`` matter to the caller, which lets the search
+    stop expanding once layers cannot improve on it.
     """
     dist = {root: 0}
     parent = {root: -1}
     queue = deque([root])
     best = cutoff
+    meet = None
     while queue:
         u = queue.popleft()
         du = dist[u]
@@ -284,38 +292,16 @@ def _bfs_cycle_value(g: Graph, root: int, cutoff: int) -> int:
                 cand = du + dist[w] + 1
                 if cand < best:
                     best = cand
-    return best
+                    meet = u, w
+    return best, parent, meet
 
 
-def _bfs_cycle_at(g: Graph, root: int, girth: int) -> list[int] | None:
-    """Reconstruct the first scanned cycle of exact length ``girth`` at root."""
-    dist = {root: 0}
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.adjacency[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                parent[w] = u
-                queue.append(w)
-            elif w != parent[u] and du + dist[w] + 1 == girth:
-                # Paths u->root and w->root meet only at the root, else a
-                # strictly shorter cycle would exist.
-                left = []
-                x = u
-                while x != -1:
-                    left.append(x)
-                    x = parent[x]
-                right = []
-                x = w
-                while x != -1:
-                    right.append(x)
-                    x = parent[x]
-                assert left[-1] == root and right[-1] == root
-                return list(reversed(left)) + right[:-1]
-    return None
+def _path_to_root(parent: dict, x: int) -> list[int]:
+    path = []
+    while x != -1:
+        path.append(x)
+        x = parent[x]
+    return path
 
 
 def _is_chordless_cycle(g: Graph, cycle: list[int]) -> bool:
