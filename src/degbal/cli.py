@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gen, oracle
@@ -52,39 +51,6 @@ EXIT_INTERNAL = 5
 EDGE_CAP_ENV = "BALANCE_EDGE_CAP"
 
 
-@dataclass
-class RunConfig:
-    """Common knobs shared by the graph-consuming subcommands."""
-
-    command: str
-    input: str | None = None
-    named: str | None = None
-    statement: object = "balanced"      # Statement | "balanced" | "two-regular"
-    format: str = "json"
-    seed: int = 0
-    edge_cap: int | None = None
-    jobs: int = 1
-    no_timing: bool = False
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        input=getattr(args, "input", None),
-        named=getattr(args, "named", None),
-        statement=getattr(args, "statement", getattr(args, "statement_raw", "balanced")),
-        format=getattr(args, "format", "json"),
-        seed=getattr(args, "seed", 0),
-        edge_cap=_resolve_edge_cap(getattr(args, "edge_cap", None)),
-        jobs=getattr(args, "jobs", 1),
-        no_timing=getattr(args, "no_timing", False),
-    )
-
-
 def _statement_arg(value: str):
     """'i'..'iv' | 'balanced' | 'two-regular' -> dispatch key."""
     key = value.strip().lower().replace("_", "-")
@@ -112,17 +78,17 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graphs(cfg: RunConfig) -> list[tuple[str, Graph]]:
+def _load_graphs(args) -> list[tuple[str, Graph]]:
     """(display name, graph) pairs from --named, a file, or stdin."""
-    if cfg.named:
-        return [(cfg.named.lower(), gen.named(cfg.named))]
-    if not cfg.input:
+    if args.named:
+        return [(args.named.lower(), gen.named(args.named))]
+    if not args.input:
         raise ParseError("no input: pass --named NAME or --input PATH (or '-')")
-    text = _read_text(cfg.input)
+    text = _read_text(args.input)
     stripped = text.lstrip()
     if not stripped:
         raise ParseError("empty input")
-    source = "stdin" if cfg.input == "-" else cfg.input
+    source = "stdin" if args.input == "-" else args.input
     if stripped[0].isdigit():
         return [(source, parse_edge_list(text))]
     out = []
@@ -159,14 +125,13 @@ def _document(name: str, g: Graph, res: DecompositionResult) -> ResultDocument:
 
 
 def cmd_decompose(args) -> int:
-    cfg = _config(args)
-    graphs = _load_graphs(cfg)
+    graphs = _load_graphs(args)
     first = True
     for name, g in graphs:
-        res = _run_statement(g, cfg.statement)
+        res = _run_statement(g, args.statement)
         doc = _document(name, g, res)
-        text = render_result(doc, cfg.format)
-        if cfg.format == "tsv" and not first:
+        text = render_result(doc, args.format)
+        if args.format == "tsv" and not first:
             text = text.split("\n", 1)[1]  # keep one header per stream
         print(text)
         first = False
@@ -187,7 +152,7 @@ def _profile_diffs(claimed: DegreeProfile, actual: DegreeProfile) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    graphs = _load_graphs(_config(args))
+    graphs = _load_graphs(args)
     if len(graphs) != 1:
         print("verify expects exactly one graph", file=sys.stderr)
         return EXIT_FAIL
@@ -225,17 +190,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _config(args)
-    graphs = _load_graphs(cfg)
+    graphs = _load_graphs(args)
     if len(graphs) != 1:
         print("oracle expects exactly one graph", file=sys.stderr)
         return EXIT_FAIL
     name, g = graphs[0]
-    cap = cfg.edge_cap
+    cap = _resolve_edge_cap(args.edge_cap)
     if args.profile:
         counts = tuple(int(x) for x in args.profile.split(","))
-        from .graphs import DegreeProfile
-
         witness = oracle.find_witness(g, DegreeProfile(counts), cap)
         doc = {
             "input_name": name,
@@ -327,15 +289,17 @@ def _batch_worker(task: tuple[int, str, Graph, str]) -> tuple[int, str, int, str
 
 
 def cmd_batch(args) -> int:
-    cfg = _config(args)
-    statement_key = cfg.statement
+    if args.jobs < 1:
+        print("error: jobs must be >= 1", file=sys.stderr)
+        return EXIT_FAIL
+    statement_key = args.statement_raw
     try:
         _statement_arg(statement_key)  # fail fast, before any workers spawn
     except argparse.ArgumentTypeError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
-    text = _read_text(cfg.input)
-    source = "stdin" if cfg.input == "-" else cfg.input
+    text = _read_text(args.input)
+    source = "stdin" if args.input == "-" else args.input
     tasks = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -347,8 +311,8 @@ def cmd_batch(args) -> int:
             return EXIT_PARSE
         tasks.append((len(tasks), f"{source}:{lineno}", g, statement_key))
 
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if args.jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_batch_worker, tasks, chunksize=8))
     else:
         rows = [_batch_worker(t) for t in tasks]
@@ -365,7 +329,7 @@ def cmd_batch(args) -> int:
             skipped += 1
         else:
             failures += 1
-        ms_text = "-" if cfg.no_timing else str(ms)
+        ms_text = "-" if args.no_timing else str(ms)
         print(f"{name}\t{n}\t{statement_key}\t{status}\t{dev}\t{fb}\t{ms_text}")
     print(
         f"# total={len(rows)} ok={ok} exceptions={exceptions}"
