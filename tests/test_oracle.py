@@ -190,6 +190,13 @@ class TestCap:
             achievable_profiles(g, edge_cap=5)
         assert achievable_profiles(g, edge_cap=6).edge_count == 6
 
+    def test_raised_cap_no_recursion_limit(self):
+        g = random_cubic(2000, 1)  # m = 3000 edges, deeper than the recursion limit
+        empty = find_witness(g, DegreeProfile((0, 0, 0, g.n)), edge_cap=g.m)
+        assert empty.bits == 0
+        full = find_witness(g, DegreeProfile((g.n, 0, 0, 0)), edge_cap=g.m)
+        assert full.bits == (1 << g.m) - 1
+
     def test_empty_graph(self):
         rep = achievable_profiles(build_graph(0, []))
         assert rep.edge_count == 0 and len(rep.achievable) == 1
