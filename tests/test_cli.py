@@ -46,6 +46,22 @@ class TestDecomposeCommand:
         assert code == 4
         assert ":2" in err  # failing line number
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4 2\n0 1\n0 1\n", "listed twice"),
+            ("4 1\n2 2\n", "loop"),
+            ("4 1\n0 4\n", "outside"),
+        ],
+        ids=["duplicate", "loop", "out-of-range"],
+    )
+    def test_malformed_edge_list_exit_4(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "decompose", "--input", str(path))
+        assert code == 4
+        assert message in err and str(path) in err
+
     def test_file_input_multiple_graphs(self, capsys, tmp_path):
         path = tmp_path / "two.g6"
         path.write_text(encode_graph6(named("CUBE")) + "\n" + encode_graph6(named("PETERSEN")) + "\n")

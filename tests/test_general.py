@@ -1,7 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degbal.connected import ExceptionKind, Statement, target_profile
 from degbal.errors import (
@@ -36,11 +39,25 @@ from degbal.graphs import (
 )
 from degbal.oracle import achievable_profiles, is_achievable
 
+from test_acceptance import partitions_min3
 from test_oracle import K33_BASE_TUPLES, K4_BASE_TUPLES
 
 
 def applicable_statements(n):
     return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
+
+
+def two_regular_bound(n):
+    third = Fraction(n, 3)
+    return Fraction(1) if third.denominator == 1 and third.numerator % 2 else Fraction(2, 3)
+
+
+def assert_two_regular_within_bound(parts):
+    g = cycles(parts)
+    res = decompose_two_regular(g)
+    assert res.max_deviation <= two_regular_bound(g.n), parts
+    assert res.achieved.count(1) % 2 == 0, parts
+    assert profile_of(g, res.subset) == res.achieved, parts
 
 
 class TestDetectException:
@@ -313,6 +330,38 @@ class TestDecomposeTwoRegular:
     def test_empty(self):
         res = decompose_two_regular(build_graph(0, []))
         assert res.achieved.counts == (0, 0, 0)
+
+    def test_23_c5_past_the_old_cap(self):
+        assert_two_regular_within_bound([5] * 23)
+
+    def test_2000_c3(self):
+        assert_two_regular_within_bound([3] * 2000)
+
+    def test_c3001_one_host_many_paths(self):
+        assert_two_regular_within_bound([3001])
+
+    def test_21_c5_under_a_second(self):
+        start = time.perf_counter()
+        assert_two_regular_within_bound([5] * 21)
+        assert time.perf_counter() - start < 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        parts=st.lists(st.integers(3, 12), min_size=1, max_size=300).filter(
+            lambda parts: sorted(parts) not in ([3, 3], [4, 4])
+        )
+    )
+    def test_random_unions_within_bound(self, parts):
+        assert_two_regular_within_bound(parts)
+
+    def test_every_partition_25_to_36(self):
+        # Extends acceptance criterion 7 (n <= 24); no exception graph here.
+        graphs = 0
+        for n in range(25, 37):
+            for parts in partitions_min3(n):
+                assert_two_regular_within_bound(parts)
+                graphs += 1
+        assert graphs == 5094
 
 
 class TestFlatTrace:
