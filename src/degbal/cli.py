@@ -90,14 +90,17 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
         raise ParseError("empty input")
     source = "stdin" if args.input == "-" else args.input
     if stripped[0].isdigit():
-        return [(source, parse_edge_list(text))]
+        try:
+            return [(source, parse_edge_list(text))]
+        except DegbalError as exc:
+            raise ParseError(f"{source}: {exc}") from None
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             out.append((f"{source}:{lineno}", parse_graph6(line)))
-        except (ParseError, DegbalError) as exc:
+        except DegbalError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
     return out
 

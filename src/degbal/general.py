@@ -488,7 +488,7 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
     bound = Fraction(1) if third.denominator == 1 and third.numerator % 2 == 1 else Fraction(2, 3)
     chosen = None
     for counts in _two_regular_candidates(n, bound):
-        plan = _plan_arcs(lengths, counts[0], counts[1])
+        plan = _plan_two_regular(lengths, counts[0], counts[1])
         if plan is not None:
             chosen = (counts, plan)
             break
@@ -496,19 +496,15 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
         log.warning("two-regular construction missed the bound on cycles %s", lengths)
         raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
 
-    counts, (full, arcs, pads) = chosen
-    subset = _build_two_regular(g, comps, full, arcs, pads)
+    counts, (full, hosts) = chosen
+    subset = _build_two_regular(g, comps, full, hosts)
     achieved = profile_of(g, subset)
     target = DegreeProfile(counts)
     if achieved != target or achieved.max_deviation() > bound:
         raise InternalStuck(
             f"two-regular build got {achieved.counts}, wanted {counts} within {bound}"
         )
-    trace = (
-        f"two-regular:full={full}",
-        f"arcs={[(c, r) for c, r in arcs]}",
-        f"pads={pads}",
-    )
+    trace = (f"two-regular:full={full}", f"paths={hosts}")
     return DecompositionResult(
         "TWO_REGULAR", subset, target, achieved, achieved.max_deviation(), trace, False
     )
@@ -535,91 +531,65 @@ def _two_regular_candidates(n: int, bound: Fraction):
     return [c for c, _ in cands]
 
 
-def _plan_arcs(lengths: list[int], n2: int, n1: int):
-    """Choose full cycles, up to two arcs, and isolated-edge padding.
+def _plan_two_regular(lengths: list[int], n2: int, n1: int):
+    """Full cycles and path hosts giving n2 2-vertices and n1 1-vertices.
 
-    Returns (full_cycle_indices, [(cycle_index, twos)], pad_count) or None.
-    A full cycle yields its length in 2-vertices; an arc of r+1 edges
-    yields r 2-vertices and two 1-vertices; each pad edge yields two
-    1-vertices among untouched stretches.
+    Returns (full_cycle_indices, [(cycle_index, paths, interior)]) or None.
+    A full cycle yields its length in 2-vertices.  A host of length L
+    carries j >= 1 vertex-disjoint paths with interior total R, R + 2j <= L,
+    and yields R 2-vertices and 2j 1-vertices; other cycles stay untouched.
+    The full cycles are the shortest few, taken in (length, index) order
+    until the rest fits; the hosts are the n1/2 longest others, or all of
+    them.  Each host has one path; the extra paths and the interior go to
+    the longest hosts first, as far as each has room.
     """
+    k = n1 // 2
     p = len(lengths)
-    if p > 22:
-        raise InternalStuck(f"too many cycle components ({p}) for plan search")
-    for ones_from_arcs in (0, 2, 4):
-        if ones_from_arcs > n1:
-            continue
-        pads = (n1 - ones_from_arcs) // 2
-        for mask in range(1 << p):
-            full = [i for i in range(p) if mask >> i & 1]
-            r = n2 - sum(lengths[i] for i in full)
-            if r < 0:
-                continue
-            free = [i for i in range(p) if not (mask >> i & 1)]
-            arcs = _fit_arcs(lengths, free, r, ones_from_arcs // 2)
-            if arcs is None:
-                continue
-            capacity = 0
-            arc_cycles = {c: twos for c, twos in arcs}
-            for i in free:
-                if i in arc_cycles:
-                    capacity += (lengths[i] - arc_cycles[i] - 2) // 2
-                else:
-                    capacity += lengths[i] // 2
-            if pads <= capacity:
-                return full, arcs, pads
-    return None
-
-
-def _fit_arcs(lengths: list[int], free: list[int], r: int, count: int):
-    """Place exactly ``count`` arcs totalling r 2-vertices on free cycles."""
-    if count == 0:
-        return [] if r == 0 else None
-    if r < count:  # each arc contributes at least one 2-vertex
-        return None
-    if count == 1:
-        for c in free:
-            if lengths[c] >= r + 2:
-                return [(c, r)]
-        return None
-    assert count == 2
-    for r1 in range(1, r):
-        r2 = r - r1
-        for c1 in free:
-            if lengths[c1] < r1 + 2:
-                continue
-            for c2 in free:
-                if c2 != c1 and lengths[c2] >= r2 + 2:
-                    return [(c1, r1), (c2, r2)]
-    return None
-
-
-def _build_two_regular(g: Graph, comps, full, arcs, pads) -> EdgeSubset:
-    """Materialize the plan into host edges."""
-    pairs: list[tuple[int, int]] = []
-    arc_map = {c: twos for c, twos in arcs}
-    free_runs: list[list[int]] = []  # vertex runs available for pad edges
-    for i, comp in enumerate(comps):
-        order = _cycle_order(comp)
-        a = len(order)
-        if i in full:
-            pairs.extend((order[j], order[(j + 1) % a]) for j in range(a))
-        elif i in arc_map:
-            edges_in_arc = arc_map[i] + 1
-            pairs.extend((order[j], order[j + 1]) for j in range(edges_in_arc))
-            free_runs.append(order[edges_in_arc + 1:])
-        else:
-            free_runs.append(order)
-    remaining = pads
-    for run in free_runs:
-        j = 0
-        while remaining and j + 1 < len(run):
-            pairs.append((run[j], run[j + 1]))
-            remaining -= 1
-            j += 2
-        if not remaining:
+    order = sorted(range(p), key=lambda i: (lengths[i], i))
+    # Over order[t:]: total length, and paths beyond one per cycle.
+    suffix_len = [0] * (p + 1)
+    suffix_spare = [0] * (p + 1)
+    for t in range(p - 1, -1, -1):
+        length = lengths[order[t]]
+        suffix_len[t] = suffix_len[t + 1] + length
+        suffix_spare[t] = suffix_spare[t + 1] + length // 2 - 1
+    for f in range(p + 1):
+        full_len = suffix_len[0] - suffix_len[f]
+        if full_len > n2:
+            return None
+        first = max(p - k, f)  # the hosts are order[first:]
+        extra, interior = k - (p - first), n2 - full_len
+        if extra <= suffix_spare[first] and interior <= suffix_len[first] - 2 * k:
             break
-    assert remaining == 0, "plan capacity check guaranteed enough pad room"
+    else:
+        return None
+    hosts = []
+    for i in reversed(order[first:]):
+        paths = 1 + min(extra, lengths[i] // 2 - 1)
+        share = min(interior, lengths[i] - 2 * paths)
+        extra -= paths - 1
+        interior -= share
+        hosts.append((i, paths, share))
+    return sorted(order[:f]), sorted(hosts)
+
+
+def _build_two_regular(g: Graph, comps, full, hosts) -> EdgeSubset:
+    """Materialize the plan into host edges.
+
+    A full cycle takes every edge.  A host's paths lie back to back from
+    the start of its traversal, one skipped edge apart: the first has
+    interior + 1 edges, each other one a single edge.
+    """
+    pairs: list[tuple[int, int]] = []
+    for i in full:
+        comp = comps[i]
+        pairs.extend((comp.to_host[u], comp.to_host[v]) for u, v in comp.graph.edges)
+    for i, paths, interior in hosts:
+        order = _cycle_order(comps[i])
+        pairs.extend(zip(order[: interior + 1], order[1 : interior + 2]))
+        pairs.extend(
+            (order[t], order[t + 1]) for t in range(interior + 2, interior + 2 * paths, 2)
+        )
     return EdgeSubset.from_edges(g, pairs)
 
 
