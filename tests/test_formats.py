@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,12 @@ def reference_encode(g) -> str:
     return prefix + "".join(
         chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6)
     )
+
+
+# SHA-256 over encode_graph6 of every fixture line and of random_cubic(500, s)
+# for each seed below, one line each: the encoder's output is byte-stable.
+ENCODE_SHA256 = "e38d60739063c157ddffaea6b11a3fb3866a7604f2cef57c3475cb1d3e4af495"
+ENCODE_SEEDS = (1, 2, 3)
 
 
 class TestGraph6:
@@ -112,6 +119,18 @@ class TestGraph6:
     def test_round_trip_random(self, seed, n):
         g = random_cubic(n, seed)
         assert parse_graph6(encode_graph6(g)).edges == g.edges
+
+    def test_encoding_matches_golden_digest(self):
+        lines = corpus_lines()
+        graphs = [parse_graph6(line) for line in lines]
+        graphs += [random_cubic(500, seed) for seed in ENCODE_SEEDS]
+        digest = hashlib.sha256()
+        for g in graphs:
+            line = encode_graph6(g)
+            assert line == reference_encode(g)
+            digest.update(line.encode("ascii") + b"\n")
+        assert len(lines) == 54
+        assert digest.hexdigest() == ENCODE_SHA256
 
 
 class TestEdgeList:

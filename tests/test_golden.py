@@ -15,9 +15,14 @@ from degbal.cli import _document
 from degbal.connected import Statement, target_profile
 from degbal.errors import ExceptionGraph
 from degbal.formats import render_result
-from degbal.gen import CATALOG_NAMES, disjoint_union, named, random_cubic
-from degbal.general import decompose_balanced, decompose_result, decompose_traced
-from degbal.graphs import connected_components, profile_of
+from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
+from degbal.general import (
+    decompose_balanced,
+    decompose_result,
+    decompose_traced,
+    decompose_two_regular,
+)
+from degbal.graphs import build_graph, connected_components, profile_of
 
 from conftest import FIXTURES, load_corpus_file
 
@@ -109,3 +114,77 @@ def test_deep_union_subsets_match_golden_digest():
     assert any("2K4-balanced" in t for t in traces)
     assert any("|whole~c" in t for t in traces)
     assert digest.hexdigest() == DEEP_UNION_SHA256
+
+
+# Seeded unions of 1-40 cycles under a random relabeling, so cycles do not
+# sit on consecutive labels and each starts away from its first vertex.
+# The digest covers the subset, the achieved profile and the trace.
+TWO_REGULAR_SHA256 = "2cacf84290db1f8143356387b7a5fed5207a6001724e2ff1e927331e129e79d0"
+TWO_REGULAR_SEEDS = range(400)
+
+
+def relabeled_cycle_unions():
+    for seed in TWO_REGULAR_SEEDS:
+        rng = random.Random(f"two-regular:{seed}")
+        while True:
+            parts = [rng.randint(3, 12) for _ in range(rng.randint(1, 40))]
+            if sorted(parts) not in ([3, 3], [4, 4]):
+                break
+        g = cycles(parts)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield f"two-regular:{seed}", build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_two_regular_subsets_match_golden_digest():
+    digest = hashlib.sha256()
+    for name, g in relabeled_cycle_unions():
+        res = decompose_two_regular(g)
+        line = f"{name}\t{res.achieved.counts}\t{res.subset.edges(g)}\t{res.branch_trace}"
+        digest.update(line.encode("ascii") + b"\n")
+    assert digest.hexdigest() == TWO_REGULAR_SHA256
+
+
+# Every nonempty K4^k u K3,3^l with k, l <= 7, in both component orders, under each
+# statement of matching parity: these reach all eleven case-2 rows, which
+# the fixture corpus does not.  The digest covers subsets and traces.
+CASE2_SHA256 = "380a571a00c82453d102c54f5a963c9311c1a4feeb83bb281d2769cc986bf878"
+CASE2_LABELS = {
+    "case2(a):I:all-pairs",
+    "case2(a):II:2xK33",
+    "case2(a):II:4xK4",
+    "case2(b):III",
+    "case2(b):IV",
+    "case2(c):III:3xK33",
+    "case2(c):III:2xK4+K33",
+    "case2(c):IV",
+    "case2(d):I:5xK4",
+    "case2(d):I:K4+2xK33",
+    "case2(d):II",
+}
+
+
+def test_case2_unions_match_golden_digest():
+    digest = hashlib.sha256()
+    labels = set()
+    for k in range(8):
+        for ell in range(8):
+            orders = [("K4", "K33"), ("K33", "K4")] if k and ell else [("K4", "K33")]
+            for first, second in orders if k + ell else []:
+                counts = {"K4": k, "K33": ell}
+                parts = [first] * counts[first] + [second] * counts[second]
+                g = disjoint_union([named(p) for p in parts])
+                name = f"{first}^{counts[first]}+{second}^{counts[second]}"
+                statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
+                for s in statements:
+                    try:
+                        sub, trace, fallback = decompose_traced(g, s)
+                    except ExceptionGraph as exc:
+                        line = f"{name}\t{s.value}\texception:{exc.kind.value}"
+                    else:
+                        assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
+                        line = f"{name}\t{s.value}\t{sub.edges(g)}\t{trace}\t{fallback}"
+                        labels.update(t for t in trace if t.startswith("case2"))
+                    digest.update(line.encode("ascii") + b"\n")
+    assert labels == CASE2_LABELS
+    assert digest.hexdigest() == CASE2_SHA256
