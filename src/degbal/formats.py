@@ -3,6 +3,8 @@
 graph6 layout: N(n) prefix (one byte for n < 63, '~' plus three bytes for
 63 <= n <= 258047), then the upper triangle of the adjacency matrix in
 column-major order, packed into 6-bit groups offset by 63, zero-padded.
+Edge (u, v) with u < v is bit v(v-1)/2 + u of that stream, counted from
+its start.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from .graphs import DegreeProfile, Graph, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 _MAX_ORDER = 258047
+# str.translate table: each graph6 data character to its six bits, MSB first.
+_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
 
 
 def parse_graph6(line: str | bytes) -> Graph:
@@ -32,46 +36,38 @@ def parse_graph6(line: str | bytes) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise ParseError("empty graph6 line")
-    vals = []
-    for ch in s:
-        o = ord(ch)
-        if not 63 <= o <= 126:
-            raise ParseError(f"character {ch!r} out of graph6 range 63..126")
-        vals.append(o - 63)
+    if min(s) < "?" or max(s) > "~":
+        ch = next(c for c in s if not "?" <= c <= "~")
+        raise ParseError(f"character {ch!r} out of graph6 range 63..126")
 
-    if vals[0] != 63:
-        n = vals[0]
-        body = vals[1:]
-    else:
-        if len(vals) >= 2 and vals[1] == 63:
+    n, body = ord(s[0]) - 63, s[1:]
+    if n == 63:
+        if s[1:2] == "~":
             raise UnsupportedOrder("8-byte graph6 order prefix (n > 258047)")
-        if len(vals) < 4:
+        if len(s) < 4:
             raise ParseError("truncated long-form order prefix")
-        n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | (ord(s[3]) - 63)
         if n < 63:
             raise ParseError(f"non-canonical long-form prefix for n={n}")
-        body = vals[4:]
+        body = s[4:]
 
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ParseError(f"expected {expect} data bytes for n={n}, got {len(body)}")
-
-    bits = 0
-    for v in body:
-        bits = bits << 6 | v
-    total = expect * 6
-    pad = total - nbits
-    if pad and bits & ((1 << pad) - 1):
+    bits = body.translate(_SIX_BITS)
+    if "1" in bits[nbits:]:
         raise ParseError("nonzero padding bits")
 
     edges = []
-    pos = total - 1  # MSB-first within the packed stream
-    for col in range(1, n):
-        for row in range(col):
-            if bits >> pos & 1:
-                edges.append((row, col))
-            pos -= 1
+    v, column_start, column_end = 1, 0, 1  # column v holds bits [v(v-1)/2, v(v+1)/2)
+    pos = bits.find("1")
+    while pos != -1:
+        while pos >= column_end:
+            v += 1
+            column_start, column_end = column_end, column_end + v
+        edges.append((pos - column_start, v))
+        pos = bits.find("1", pos + 1)
     return build_graph(n, edges)
 
 
@@ -80,21 +76,12 @@ def encode_graph6(g: Graph) -> str:
     n = g.n
     if n > _MAX_ORDER:
         raise UnsupportedOrder(f"n={n} exceeds graph6 3-byte form")
-    if n < 63:
-        prefix = [n]
-    else:
-        prefix = [63, n >> 12 & 63, n >> 6 & 63, n & 63]
-
+    prefix = [n] if n < 63 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     nbits = n * (n - 1) // 2
-    bits = 0
-    for col in range(1, n):
-        for row in range(col):
-            bits = bits << 1 | (1 if g.has_edge(row, col) else 0)
-    pad = (-nbits) % 6
-    bits <<= pad
-    groups = []
-    for i in range(((nbits + pad) // 6) - 1, -1, -1):
-        groups.append(bits >> (6 * i) & 63)
+    bits = bytearray(b"0" * (nbits + (-nbits) % 6))
+    for u, v in g.edges:
+        bits[v * (v - 1) // 2 + u] = ord("1")
+    groups = [int(bits[i : i + 6], 2) for i in range(0, len(bits), 6)]
     return "".join(chr(v + 63) for v in prefix + groups)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -131,6 +132,15 @@ class TestGraph6:
             digest.update(line.encode("ascii") + b"\n")
         assert len(lines) == 54
         assert digest.hexdigest() == ENCODE_SHA256
+
+    def test_round_trip_n1000_is_fast(self):
+        g = random_cubic(1000, 1)
+        start = time.perf_counter()
+        line = encode_graph6(g)
+        parsed = parse_graph6(line)
+        elapsed = time.perf_counter() - start
+        assert parsed.edges == g.edges
+        assert elapsed < 2, f"encode + parse took {elapsed:.2f} s at n = 1000"
 
 
 class TestEdgeList:
