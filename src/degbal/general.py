@@ -471,8 +471,8 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
     two graphs 2C3 and 2C4 provably miss it and are rejected.
     """
     require_regular(g, 2)
-    comps = connected_components(g)
-    lengths = [c.graph.n for c in comps]
+    orders = _cycle_orders(g)
+    lengths = [len(order) for order in orders]
     if sorted(lengths) == [3, 3]:
         raise ExceptionGraph(ExceptionKind.TWO_C3)
     if sorted(lengths) == [4, 4]:
@@ -497,7 +497,7 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
         raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
 
     counts, (full, hosts) = chosen
-    subset = _build_two_regular(g, comps, full, hosts)
+    subset = _build_two_regular(g, orders, full, hosts)
     achieved = profile_of(g, subset)
     target = DegreeProfile(counts)
     if achieved != target or achieved.max_deviation() > bound:
@@ -573,7 +573,29 @@ def _plan_two_regular(lengths: list[int], n2: int, n1: int):
     return sorted(order[:f]), sorted(hosts)
 
 
-def _build_two_regular(g: Graph, comps, full, hosts) -> EdgeSubset:
+def _cycle_orders(g: Graph) -> list[list[int]]:
+    """Vertices of each cycle of a 2-regular g, in traversal order.
+
+    Cycles come in order of their lowest vertex; each starts there and
+    heads first to that vertex's lower neighbour.
+    """
+    seen = [False] * g.n
+    orders = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        order = [start]
+        prev, v = start, g.adjacency[start][0]
+        while v != start:
+            order.append(v)
+            seen[v] = True
+            a, b = g.adjacency[v]
+            prev, v = v, b if a == prev else a
+        orders.append(order)
+    return orders
+
+
+def _build_two_regular(g: Graph, orders, full, hosts) -> EdgeSubset:
     """Materialize the plan into host edges.
 
     A full cycle takes every edge.  A host's paths lie back to back from
@@ -582,27 +604,12 @@ def _build_two_regular(g: Graph, comps, full, hosts) -> EdgeSubset:
     """
     pairs: list[tuple[int, int]] = []
     for i in full:
-        comp = comps[i]
-        pairs.extend((comp.to_host[u], comp.to_host[v]) for u, v in comp.graph.edges)
+        order = orders[i]
+        pairs.extend(zip(order, order[1:] + order[:1]))
     for i, paths, interior in hosts:
-        order = _cycle_order(comps[i])
+        order = orders[i]
         pairs.extend(zip(order[: interior + 1], order[1 : interior + 2]))
         pairs.extend(
             (order[t], order[t + 1]) for t in range(interior + 2, interior + 2 * paths, 2)
         )
     return EdgeSubset.from_edges(g, pairs)
-
-
-def _cycle_order(comp: Component) -> list[int]:
-    """Host-labeled vertices of a cycle component in traversal order."""
-    graph = comp.graph
-    order = [0]
-    prev = -1
-    while True:
-        nbrs = [w for w in graph.adjacency[order[-1]] if w != prev]
-        nxt = min(nbrs) if len(order) == 1 else nbrs[0]
-        if nxt == 0:
-            break
-        prev = order[-1]
-        order.append(nxt)
-    return [comp.to_host[v] for v in order]
