@@ -310,103 +310,59 @@ def _compose(
     return EdgeSubset(g.m, bits), trace, fallback
 
 
-def _pairs(items: list) -> list:
-    assert len(items) % 2 == 0
-    return [(items[i], items[i + 1]) for i in range(0, len(items), 2)]
+# Case-2 dispatch: (#K4 mod 2, #K3,3 mod 2, statement) -> rows of
+#   (trace label, special K4 tuples, special K3,3 tuples), tried in order.
+# The first row whose specials fit goes on the last components of each
+# kind; the rest pair up as (perfectly balanced tuple, its reversal).
+_CASE2 = {
+    (0, 0, Statement.I): [("case2(a):I:all-pairs", (), ())],
+    (0, 0, Statement.II): [
+        ("case2(a):II:2xK33", (), ((2, 2, 2, 0), (0, 0, 2, 4))),
+        ("case2(a):II:4xK4", ((2, 2, 0, 0), (1, 0, 3, 0), (0, 1, 2, 1), (0, 0, 0, 4)), ()),
+    ],
+    (1, 1, Statement.III): [("case2(b):III", ((2, 2, 0, 0),), ((0, 1, 2, 3),))],
+    (1, 1, Statement.IV): [("case2(b):IV", ((0, 0, 0, 4),), ((1, 2, 3, 0),))],
+    (0, 1, Statement.III): [
+        ("case2(c):III:3xK33", (), ((0, 0, 2, 4), (2, 3, 0, 1), (2, 2, 2, 0))),
+        ("case2(c):III:2xK4+K33", ((0, 0, 0, 4), (1, 2, 1, 0)), ((2, 2, 2, 0),)),
+    ],
+    (0, 1, Statement.IV): [("case2(c):IV", (), ((0, 1, 2, 3),))],
+    (1, 0, Statement.I): [
+        ("case2(d):I:K4+2xK33", ((0, 0, 0, 4),), ((2, 2, 2, 0), (2, 2, 2, 0))),
+        (
+            "case2(d):I:5xK4",
+            ((0, 0, 0, 4), (0, 1, 2, 1), (1, 0, 3, 0), (2, 2, 0, 0), (2, 2, 0, 0)),
+            (),
+        ),
+    ],
+    (1, 0, Statement.II): [("case2(d):II", ((0, 0, 2, 2),), ())],
+}
+
+# Perfectly balanced tuple of each kind; a pair takes it and its reversal.
+_PAIR_BASE = {SmallClass.K4: (0, 0, 2, 2), SmallClass.K33: (0, 1, 2, 3)}
 
 
 def _case2_assignments(
     s: Statement, k4s: list[Component], k33s: list[Component]
 ) -> tuple[str, list[tuple[Component, SmallClass, tuple[int, ...]]]]:
-    """Per-component tuples for graphs whose components are all K4 / K3,3.
-
-    Isomorphic components pair up as (tuple, reversed tuple); the handful
-    of leftover components get the explicit combination for the parity of
-    (#K4, #K3,3).  Components carrying special tuples are the last of each
-    kind in label order.
-    """
+    """Per-component tuples for graphs whose components are all K4 / K3,3."""
     k, ell = len(k4s), len(k33s)
+    for label, k4_specials, k33_specials in _CASE2.get((k % 2, ell % 2, s), ()):
+        if len(k4_specials) <= k and len(k33_specials) <= ell:
+            break
+    else:
+        raise InternalStuck(f"no case-2 assignment for k={k}, l={ell}, s={s}")
     out: list[tuple[Component, SmallClass, tuple[int, ...]]] = []
-
-    def pair_up(comps: list[Component], cls: SmallClass, base: tuple[int, ...]) -> None:
-        for c1, c2 in _pairs(comps):
-            out.append((c1, cls, base))
-            out.append((c2, cls, tuple(reversed(base))))
-
-    def specials(comps: list[Component], cls: SmallClass, tuples: list[tuple[int, ...]]) -> None:
-        assert len(comps) == len(tuples)
-        for c, t in zip(comps, tuples):
-            out.append((c, cls, t))
-
-    K4, K33 = SmallClass.K4, SmallClass.K33
-    pb_k4 = (0, 0, 2, 2)
-    pb_k33 = (0, 1, 2, 3)
-
-    if k % 2 == 0 and ell % 2 == 0:
-        if s is Statement.I:
-            pair_up(k4s, K4, pb_k4)
-            pair_up(k33s, K33, pb_k33)
-            return "case2(a):I:all-pairs", out
-        if s is Statement.II:
-            if ell > 0:
-                pair_up(k4s, K4, pb_k4)
-                pair_up(k33s[:-2], K33, pb_k33)
-                specials(k33s[-2:], K33, [(2, 2, 2, 0), (0, 0, 2, 4)])
-                return "case2(a):II:2xK33", out
-            assert k >= 4
-            pair_up(k4s[:-4], K4, pb_k4)
-            specials(k4s[-4:], K4, [(2, 2, 0, 0), (1, 0, 3, 0), (0, 1, 2, 1), (0, 0, 0, 4)])
-            return "case2(a):II:4xK4", out
-    if k % 2 == 1 and ell % 2 == 1:
-        pair_up(k4s[:-1], K4, pb_k4)
-        pair_up(k33s[:-1], K33, pb_k33)
-        if s is Statement.III:
-            specials(k4s[-1:], K4, [(2, 2, 0, 0)])
-            specials(k33s[-1:], K33, [(0, 1, 2, 3)])
-            return "case2(b):III", out
-        if s is Statement.IV:
-            specials(k4s[-1:], K4, [(0, 0, 0, 4)])
-            specials(k33s[-1:], K33, [(1, 2, 3, 0)])
-            return "case2(b):IV", out
-    if k % 2 == 0 and ell % 2 == 1:
-        if s is Statement.III:
-            if ell >= 3:
-                pair_up(k4s, K4, pb_k4)
-                pair_up(k33s[:-3], K33, pb_k33)
-                specials(k33s[-3:], K33, [(0, 0, 2, 4), (2, 3, 0, 1), (2, 2, 2, 0)])
-                return "case2(c):III:3xK33", out
-            assert k >= 2
-            pair_up(k4s[:-2], K4, pb_k4)
-            specials(k4s[-2:], K4, [(0, 0, 0, 4), (1, 2, 1, 0)])
-            specials(k33s, K33, [(2, 2, 2, 0)])
-            return "case2(c):III:2xK4+K33", out
-        if s is Statement.IV:
-            pair_up(k4s, K4, pb_k4)
-            pair_up(k33s[:-1], K33, pb_k33)
-            specials(k33s[-1:], K33, [(0, 1, 2, 3)])
-            return "case2(c):IV", out
-    if k % 2 == 1 and ell % 2 == 0:
-        if s is Statement.I:
-            if ell == 0:
-                assert k >= 5
-                pair_up(k4s[:-5], K4, pb_k4)
-                specials(
-                    k4s[-5:],
-                    K4,
-                    [(0, 0, 0, 4), (0, 1, 2, 1), (1, 0, 3, 0), (2, 2, 0, 0), (2, 2, 0, 0)],
-                )
-                return "case2(d):I:5xK4", out
-            pair_up(k4s[:-1], K4, pb_k4)
-            pair_up(k33s[:-2], K33, pb_k33)
-            specials(k4s[-1:], K4, [(0, 0, 0, 4)])
-            specials(k33s[-2:], K33, [(2, 2, 2, 0), (2, 2, 2, 0)])
-            return "case2(d):I:K4+2xK33", out
-        if s is Statement.II:
-            pair_up(k4s[:-1], K4, pb_k4)
-            pair_up(k33s, K33, pb_k33)
-            specials(k4s[-1:], K4, [(0, 0, 2, 2)])
-            return "case2(d):II", out
-    raise InternalStuck(f"no case-2 assignment for k={k}, l={ell}, s={s}")
+    for comps, cls, specials in (
+        (k4s, SmallClass.K4, k4_specials),
+        (k33s, SmallClass.K33, k33_specials),
+    ):
+        paired = len(comps) - len(specials)
+        base = _PAIR_BASE[cls]
+        pair = (base, tuple(reversed(base)))
+        for i, comp in enumerate(comps):
+            out.append((comp, cls, pair[i % 2] if i < paired else specials[i - paired]))
+    return label, out
 
 
 @dataclass(frozen=True)
