@@ -165,10 +165,12 @@ def cmd_verify(args) -> int:
     if doc.n != g.n:
         problems.append(f"order mismatch: document n={doc.n}, graph n={g.n}")
     try:
-        for u, v in doc.subgraph_edges:
-            g.edge_index(u, v)
+        indices = [g.edge_index(u, v) for u, v in doc.subgraph_edges]
     except KeyError:
         problems.append("subgraph edge not present in host graph (SizeMismatch)")
+    else:
+        if len(set(indices)) != len(indices):
+            problems.append("subgraph edge listed more than once")
     if not problems:
         achieved = profile_of(g, EdgeSubset.from_edges(g, doc.subgraph_edges))
         diffs = _profile_diffs(doc.achieved_profile, achieved)
@@ -264,31 +266,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[int, str, Graph, str]) -> tuple[int, str, int, str, str, str]:
+def _batch_worker(task: tuple[int, str, Graph, str]) -> tuple[int, str, int, str, str, str, int]:
     index, name, g, statement_key = task
     statement = _statement_arg(statement_key)
     start = time.perf_counter()
     try:
         res = _run_statement(g, statement)
-        ms = int((time.perf_counter() - start) * 1000)
-        return (
-            index,
-            name,
-            g.n,
-            "ok",
-            format_rational(res.max_deviation),
-            "true" if res.fallback_used else "false",
-            ms,
-        )
     except ExceptionGraph as exc:
-        ms = int((time.perf_counter() - start) * 1000)
-        return (index, name, g.n, f"exception:{exc.kind.value}", "-", "-", ms)
+        status, dev, fallback = f"exception:{exc.kind.value}", "-", "-"
     except ParityMismatch:
-        ms = int((time.perf_counter() - start) * 1000)
-        return (index, name, g.n, "parity-mismatch", "-", "-", ms)
+        status, dev, fallback = "parity-mismatch", "-", "-"
     except DegbalError as exc:
-        ms = int((time.perf_counter() - start) * 1000)
-        return (index, name, g.n, f"failed:{type(exc).__name__}", "-", "-", ms)
+        status, dev, fallback = f"failed:{type(exc).__name__}", "-", "-"
+    else:
+        status, dev = "ok", format_rational(res.max_deviation)
+        fallback = "true" if res.fallback_used else "false"
+    ms = int((time.perf_counter() - start) * 1000)
+    return index, name, g.n, status, dev, fallback, ms
 
 
 def cmd_batch(args) -> int:

@@ -128,6 +128,23 @@ class TestVerifyCommand:
         assert code == 1
         assert "degree" in out  # lists the differing degrees
 
+    def test_edge_listed_twice_fails(self, capsys, tmp_path):
+        path = self._decompose_to_file(capsys, tmp_path, "petersen", "iii")
+        doc = json.loads(path.read_text())
+        doc["subgraph_edges"].append(doc["subgraph_edges"][0])
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--named", "petersen", "--result", str(path))
+        assert code == 1
+        assert out.startswith("FAIL:") and "listed more than once" in out
+
+    def test_reversed_edges_pass(self, capsys, tmp_path):
+        path = self._decompose_to_file(capsys, tmp_path, "petersen", "iii")
+        doc = json.loads(path.read_text())
+        doc["subgraph_edges"] = [[v, u] for u, v in doc["subgraph_edges"]]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--named", "petersen", "--result", str(path))
+        assert code == 0 and out.startswith("PASS")
+
     def test_wrong_graph_fails(self, capsys, tmp_path):
         path = self._decompose_to_file(capsys, tmp_path, "petersen", "iii")
         code, out, _ = run_cli(capsys, "verify", "--named", "desargues", "--result", str(path))
