@@ -78,11 +78,11 @@ def encode_graph6(g: Graph) -> str:
         raise UnsupportedOrder(f"n={n} exceeds graph6 3-byte form")
     prefix = [n] if n < 63 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     nbits = n * (n - 1) // 2
-    bits = bytearray(b"0" * (nbits + (-nbits) % 6))
+    bits = bytearray(b"0") * (nbits + (-nbits) % 6)
     for u, v in g.edges:
         bits[v * (v - 1) // 2 + u] = ord("1")
-    groups = [int(bits[i : i + 6], 2) for i in range(0, len(bits), 6)]
-    return "".join(chr(v + 63) for v in prefix + groups)
+    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
+    return "".join(chr(v + 63) for v in prefix) + body.decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

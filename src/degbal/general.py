@@ -338,8 +338,8 @@ _CASE2 = {
     (1, 0, Statement.II): [("case2(d):II", ((0, 0, 2, 2),), ())],
 }
 
-# Perfectly balanced tuple of each kind; a pair takes it and its reversal.
-_PAIR_BASE = {SmallClass.K4: (0, 0, 2, 2), SmallClass.K33: (0, 1, 2, 3)}
+# A perfectly balanced tuple of each kind and its reversal, for one pair.
+_PAIR = {SmallClass.K4: ((0, 0, 2, 2), (2, 2, 0, 0)), SmallClass.K33: ((0, 1, 2, 3), (3, 2, 1, 0))}
 
 
 def _case2_assignments(
@@ -358,10 +358,8 @@ def _case2_assignments(
         (k33s, SmallClass.K33, k33_specials),
     ):
         paired = len(comps) - len(specials)
-        base = _PAIR_BASE[cls]
-        pair = (base, tuple(reversed(base)))
         for i, comp in enumerate(comps):
-            out.append((comp, cls, pair[i % 2] if i < paired else specials[i - paired]))
+            out.append((comp, cls, _PAIR[cls][i % 2] if i < paired else specials[i - paired]))
     return label, out
 
 

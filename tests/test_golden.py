@@ -145,9 +145,10 @@ def test_two_regular_subsets_match_golden_digest():
     assert digest.hexdigest() == TWO_REGULAR_SHA256
 
 
-# Every nonempty K4^k u K3,3^l with k, l <= 7, in both component orders, under each
-# statement of matching parity: these reach all eleven case-2 rows, which
-# the fixture corpus does not.  The digest covers subsets and traces.
+# Every nonempty K4^k u K3,3^l with k, l <= 7, in both component orders,
+# under each statement of matching parity: these reach all eleven case-2
+# rows, which the fixture corpus does not.  The digest covers subsets and
+# traces.
 CASE2_SHA256 = "380a571a00c82453d102c54f5a963c9311c1a4feeb83bb281d2769cc986bf878"
 CASE2_LABELS = {
     "case2(a):I:all-pairs",
@@ -164,27 +165,32 @@ CASE2_LABELS = {
 }
 
 
+def k4_k33_unions():
+    for k in range(8):
+        for ell in range(8):
+            if k + ell == 0:
+                continue
+            counts = {"K4": k, "K33": ell}
+            for first, second in [("K4", "K33"), ("K33", "K4")] if k and ell else [("K4", "K33")]:
+                parts = [first] * counts[first] + [second] * counts[second]
+                name = f"{first}^{counts[first]}+{second}^{counts[second]}"
+                yield name, disjoint_union([named(p) for p in parts])
+
+
 def test_case2_unions_match_golden_digest():
     digest = hashlib.sha256()
     labels = set()
-    for k in range(8):
-        for ell in range(8):
-            orders = [("K4", "K33"), ("K33", "K4")] if k and ell else [("K4", "K33")]
-            for first, second in orders if k + ell else []:
-                counts = {"K4": k, "K33": ell}
-                parts = [first] * counts[first] + [second] * counts[second]
-                g = disjoint_union([named(p) for p in parts])
-                name = f"{first}^{counts[first]}+{second}^{counts[second]}"
-                statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
-                for s in statements:
-                    try:
-                        sub, trace, fallback = decompose_traced(g, s)
-                    except ExceptionGraph as exc:
-                        line = f"{name}\t{s.value}\texception:{exc.kind.value}"
-                    else:
-                        assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
-                        line = f"{name}\t{s.value}\t{sub.edges(g)}\t{trace}\t{fallback}"
-                        labels.update(t for t in trace if t.startswith("case2"))
-                    digest.update(line.encode("ascii") + b"\n")
+    for name, g in k4_k33_unions():
+        statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
+        for s in statements:
+            try:
+                sub, trace, fallback = decompose_traced(g, s)
+            except ExceptionGraph as exc:
+                line = f"{name}\t{s.value}\texception:{exc.kind.value}"
+            else:
+                assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
+                line = f"{name}\t{s.value}\t{sub.edges(g)}\t{trace}\t{fallback}"
+                labels.update(t for t in trace if t.startswith("case2"))
+            digest.update(line.encode("ascii") + b"\n")
     assert labels == CASE2_LABELS
     assert digest.hexdigest() == CASE2_SHA256
