@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -313,6 +315,29 @@ class TestBatchCommand:
         code, _, err = run_cli(capsys, "batch", "--input", str(path))
         assert code == 4
         assert ":2" in err
+
+
+# SHA-256 of `batch --no-timing` stdout over every fixture corpus in name
+# order, each fed on stdin so row names read `stdin:N` wherever the
+# checkout lives.  Pinned before the CLI read every input through one loader.
+BATCH_SHA256 = {
+    "balanced": "fb9d6ea56ce6d8c924b06a1adb8e3b73a756fa99dbc8bbf55d1dcd037cd135ee",
+    "i": "b0b791d1ca9b1d5d21e904f37d559955ff7c493dd2aae0b7d7e6ac7e90400839",
+    "ii": "7ed24103e6a207363fa64c238c36fc00414f481dc48ddb8be0baa327fceacf39",
+    "iii": "79ad1e73c012201b056ade0ac39223db2cd76596a531200269d10c1e4bb0ec9c",
+    "iv": "658cbc6d3dc83e4037638f54a85d5a043c20cd2c4738d6e95403173a74ca6f08",
+}
+
+
+@pytest.mark.parametrize("statement", sorted(BATCH_SHA256))
+def test_batch_output_digest(capsys, monkeypatch, statement):
+    digest = hashlib.sha256()
+    for path in sorted(FIXTURES.glob("*.g6")):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+        code, out, _ = run_cli(capsys, "batch", "-i", "-", "-s", statement, "--no-timing")
+        assert code == 0, path.name
+        digest.update(f"{path.name}\n{out}".encode("ascii"))
+    assert digest.hexdigest() == BATCH_SHA256[statement]
 
 
 class TestBatchCorpus:
