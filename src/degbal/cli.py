@@ -72,9 +72,11 @@ def _resolve_edge_cap(flag_value: int | None) -> int | None:
 
 
 def _read_text(path: str) -> str:
+    """Text of a file or stdin.  A file is read as UTF-8, like stdin, and an
+    undecodable byte becomes U+FFFD, which no graph format accepts."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read()
 
 
@@ -103,6 +105,13 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
         except DegbalError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from None
     return out
+
+
+def _one_graph(args) -> tuple[str, Graph]:
+    graphs = _load_graphs(args)
+    if len(graphs) != 1:
+        raise DegbalError(f"{args.command} expects exactly one graph")
+    return graphs[0]
 
 
 def _run_statement(g: Graph, statement) -> DecompositionResult:
@@ -155,11 +164,7 @@ def _profile_diffs(claimed: DegreeProfile, actual: DegreeProfile) -> list[str]:
 
 
 def cmd_verify(args) -> int:
-    graphs = _load_graphs(args)
-    if len(graphs) != 1:
-        print("verify expects exactly one graph", file=sys.stderr)
-        return EXIT_FAIL
-    name, g = graphs[0]
+    name, g = _one_graph(args)
     doc = parse_result_json(_read_text(args.result))
     problems = []
     if doc.n != g.n:
@@ -195,11 +200,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    graphs = _load_graphs(args)
-    if len(graphs) != 1:
-        print("oracle expects exactly one graph", file=sys.stderr)
-        return EXIT_FAIL
-    name, g = graphs[0]
+    name, g = _one_graph(args)
     cap = _resolve_edge_cap(args.edge_cap)
     if args.profile:
         counts = tuple(int(x) for x in args.profile.split(","))
@@ -211,30 +212,27 @@ def cmd_oracle(args) -> int:
             "achievable": witness is not None,
             "witness": [list(e) for e in witness.edges(g)] if witness else None,
         }
-        print(json.dumps(doc, separators=(",", ":")))
-        return EXIT_OK
-    if args.min_deviation:
+    elif args.min_deviation:
         doc = {
             "input_name": name,
             "n": g.n,
             "min_max_deviation": format_rational(oracle.min_max_deviation(g, cap)),
         }
-        print(json.dumps(doc, separators=(",", ":")))
-        return EXIT_OK
-    report = oracle.achievable_profiles(g, cap)
-    doc = {
-        "input_name": name,
-        "n": report.graph_order,
-        "degree": report.degree,
-        "edge_count": report.edge_count,
-        "achievable_count": len(report.achievable),
-        "achievable": [list(p.counts) for p in report.achievable],
-        "min_max_deviation": format_rational(report.min_max_deviation),
-        "witnesses": {
-            ",".join(map(str, p.counts)): [list(e) for e in report.witness[p].edges(g)]
-            for p in report.achievable
-        },
-    }
+    else:
+        report = oracle.achievable_profiles(g, cap)
+        doc = {
+            "input_name": name,
+            "n": report.graph_order,
+            "degree": report.degree,
+            "edge_count": report.edge_count,
+            "achievable_count": len(report.achievable),
+            "achievable": [list(p.counts) for p in report.achievable],
+            "min_max_deviation": format_rational(report.min_max_deviation),
+            "witnesses": {
+                ",".join(map(str, p.counts)): [list(e) for e in report.witness[p].edges(g)]
+                for p in report.achievable
+            },
+        }
     print(json.dumps(doc, separators=(",", ":")))
     return EXIT_OK
 
@@ -266,9 +264,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[int, str, Graph, str]) -> tuple[int, str, int, str, str, str, int]:
-    index, name, g, statement_key = task
-    statement = _statement_arg(statement_key)
+def _batch_worker(task: tuple[str, Graph, Statement | str]) -> tuple[str, int, str, str, str, int]:
+    name, g, statement = task
     start = time.perf_counter()
     try:
         res = _run_statement(g, statement)
@@ -282,42 +279,28 @@ def _batch_worker(task: tuple[int, str, Graph, str]) -> tuple[int, str, int, str
         status, dev = "ok", format_rational(res.max_deviation)
         fallback = "true" if res.fallback_used else "false"
     ms = int((time.perf_counter() - start) * 1000)
-    return index, name, g.n, status, dev, fallback, ms
+    return name, g.n, status, dev, fallback, ms
 
 
 def cmd_batch(args) -> int:
     if args.jobs < 1:
         print("error: jobs must be >= 1", file=sys.stderr)
         return EXIT_FAIL
-    statement_key = args.statement_raw
     try:
-        _statement_arg(statement_key)  # fail fast, before any workers spawn
+        statement = _statement_arg(args.statement_raw)
     except argparse.ArgumentTypeError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
-    text = _read_text(args.input)
-    source = "stdin" if args.input == "-" else args.input
-    tasks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            g = parse_graph6(line)
-        except DegbalError as exc:
-            print(f"{source}:{lineno}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        tasks.append((len(tasks), f"{source}:{lineno}", g, statement_key))
-
+    tasks = [(name, g, statement) for name, g in _load_graphs(args)]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_batch_worker, tasks, chunksize=8))
     else:
         rows = [_batch_worker(t) for t in tasks]
-    rows.sort(key=lambda r: r[0])
 
     print("name\tn\tstatement\tstatus\tdeviation\tfallback_used\tms")
     ok = exceptions = skipped = failures = 0
-    for _, name, n, status, dev, fb, ms in rows:
+    for name, n, status, dev, fb, ms in rows:
         if status == "ok":
             ok += 1
         elif status.startswith("exception:"):
@@ -327,7 +310,7 @@ def cmd_batch(args) -> int:
         else:
             failures += 1
         ms_text = "-" if args.no_timing else str(ms)
-        print(f"{name}\t{n}\t{statement_key}\t{status}\t{dev}\t{fb}\t{ms_text}")
+        print(f"{name}\t{n}\t{args.statement_raw}\t{status}\t{dev}\t{fb}\t{ms_text}")
     print(
         f"# total={len(rows)} ok={ok} exceptions={exceptions}"
         f" parity-skipped={skipped} failures={failures}"
@@ -374,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--union", help="comma-separated catalog names")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("batch", help="decompose a graph6 corpus, TSV summary")
+    p = sub.add_parser("batch", help="decompose graphs, one TSV summary row each")
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--statement", "-s", dest="statement_raw", default="balanced")
     p.add_argument("--jobs", "-j", type=int, default=1)
@@ -383,17 +366,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit '-' in the ms column for byte-stable output",
     )
-    p.set_defaults(func=cmd_batch)
+    p.set_defaults(func=cmd_batch, named=None)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     except ExceptionGraph as exc:
         print(f"exception graph: {exc.kind.value}", file=sys.stderr)
         return EXIT_EXCEPTION
@@ -406,10 +389,7 @@ def main(argv=None) -> int:
     except (InternalStuck, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except DegbalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
+    except (ValueError, DegbalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

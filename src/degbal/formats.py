@@ -202,5 +202,5 @@ def parse_result_json(text: str) -> ResultDocument:
             branch_trace=tuple(doc["branch_trace"]),
             fallback_used=doc["fallback_used"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"result document missing/invalid field: {exc}") from None

@@ -20,7 +20,6 @@ from .connected import (
     ExceptionKind,
     Statement,
     decompose_connected_traced,
-    statement_modulus,
     target_profile,
 )
 from .errors import (
@@ -28,7 +27,6 @@ from .errors import (
     InternalStuck,
     NoSuchTuple,
     NotIsomorphicPair,
-    ParityMismatch,
 )
 from .graphs import (
     Component,
@@ -213,16 +211,12 @@ def decompose_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, list[str], boo
     each peeled component's entries prefixed "H:", in peel order.
     """
     require_regular(g, 3)
-    if g.n % 4 != statement_modulus(s):
-        raise ParityMismatch(
-            f"statement {s} needs n = 4t+{statement_modulus(s)}, got n={g.n}"
-        )
+    target = target_profile(g.n, s)
     comps = connected_components(g)
     classes = [classify_small(c.graph) for c in comps]
     kind = _exception_of(classes, s)
     if kind is not None:
         raise ExceptionGraph(kind)
-    target = target_profile(g.n, s)
     if g.n == 0:
         return EdgeSubset.empty(0), ["empty"], False
     if len(comps) == 1:

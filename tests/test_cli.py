@@ -64,6 +64,19 @@ class TestDecomposeCommand:
         assert code == 4
         assert message in err and str(path) in err
 
+    @pytest.mark.parametrize("command", ["decompose", "batch"])
+    def test_non_ascii_file_is_parse_error(self, capsys, tmp_path, monkeypatch, command):
+        data = "C~\nC\u00e9\n".encode("utf-8")
+        path = tmp_path / "bad.g6"
+        path.write_bytes(data)
+        code, _, err = run_cli(capsys, command, "--input", str(path))
+        assert code == 4
+        assert f"{path}:2: character 'é' out of graph6 range" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(data.decode("utf-8")))
+        code, _, err = run_cli(capsys, command, "--input", "-")
+        assert code == 4
+        assert "stdin:2: character 'é' out of graph6 range" in err
+
     def test_file_input_multiple_graphs(self, capsys, tmp_path):
         path = tmp_path / "two.g6"
         path.write_text(encode_graph6(named("CUBE")) + "\n" + encode_graph6(named("PETERSEN")) + "\n")
@@ -151,6 +164,15 @@ class TestVerifyCommand:
         path = self._decompose_to_file(capsys, tmp_path, "petersen", "iii")
         code, out, _ = run_cli(capsys, "verify", "--named", "desargues", "--result", str(path))
         assert code == 1
+
+    def test_zero_denominator_is_parse_error(self, capsys, tmp_path):
+        path = self._decompose_to_file(capsys, tmp_path, "petersen", "iii")
+        doc = json.loads(path.read_text())
+        doc["max_deviation"] = "1/0"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", "--named", "petersen", "--result", str(path))
+        assert code == 4
+        assert err.startswith("parse error: ")
 
     def test_every_decompose_output_verifies(self, capsys, tmp_path):
         for name in ("k4", "k33", "prism", "cube", "petersen", "heawood"):
@@ -314,7 +336,25 @@ class TestBatchCommand:
         path.write_text("C~\nC\x05\n")
         code, _, err = run_cli(capsys, "batch", "--input", str(path))
         assert code == 4
-        assert ":2" in err
+        assert err.startswith(f"parse error: {path}:2: ")
+
+    def test_edge_list_input_one_row(self, capsys, tmp_path):
+        path = tmp_path / "k4.txt"
+        path.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        code, out, _ = run_cli(capsys, "batch", "--input", str(path), "-s", "ii", "--no-timing")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            f"{path}\t4\tii\tok\t1\tfalse\t-",
+            "# total=1 ok=1 exceptions=0 parity-skipped=0 failures=0",
+        ]
+
+    def test_empty_input_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("\n  \n")
+        code, out, err = run_cli(capsys, "batch", "--input", str(path))
+        assert code == 4
+        assert out == ""
+        assert "parse error: empty input" in err
 
 
 # SHA-256 of `batch --no-timing` stdout over every fixture corpus in name
@@ -390,6 +430,17 @@ class TestBatchCorpus:
 
 
 class TestEntryPoint:
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import degbal.cli as cli_mod
+
+        def refuse():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(cli_mod, "build_parser", refuse)
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "decompose", "--named", "k4")
+            assert code == 0 and json.loads(out)["max_deviation"] == "1"
+
     def test_installed_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "degbal.cli", "decompose", "--named", "k4", "--statement", "balanced"],
