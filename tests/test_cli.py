@@ -77,6 +77,15 @@ class TestDecomposeCommand:
         assert code == 4
         assert "stdin:2: character 'é' out of graph6 range" in err
 
+    @pytest.mark.parametrize("command", ["decompose", "batch"])
+    def test_undecodable_stdin_is_parse_error(self, capsys, monkeypatch, command):
+        # A strict decoder on stdin must not turn a bad byte into exit 1.
+        stdin = io.TextIOWrapper(io.BytesIO(b"C~\nC\xff\n"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, _, err = run_cli(capsys, command, "--input", "-")
+        assert code == 4
+        assert "stdin:2: character '\ufffd' out of graph6 range" in err
+
     def test_file_input_multiple_graphs(self, capsys, tmp_path):
         path = tmp_path / "two.g6"
         path.write_text(encode_graph6(named("CUBE")) + "\n" + encode_graph6(named("PETERSEN")) + "\n")
@@ -219,6 +228,12 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", "--named", "k33", "--profile", "1,2,1,2")
         assert code == 0
         assert json.loads(out)["achievable"] is False
+
+    @pytest.mark.parametrize("profile", ["1,2", "1,x", "0,0,2,-2"])
+    def test_bad_profile_exit_4(self, capsys, profile):
+        code, out, err = run_cli(capsys, "oracle", "--named", "k4", "--profile", profile)
+        assert code == 4 and not out
+        assert "--profile" in err
 
     def test_k4_min_deviation(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--named", "k4", "--min-deviation")

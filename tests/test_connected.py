@@ -177,14 +177,21 @@ class TestStaged:
         # n3 = 2: V3 is two adjacent cycle vertices, hence one inner edge
         assert trace.stage1.e_v3 == 1
 
-    def test_deep_checks_path(self):
-        connected_mod.DEEP_CHECKS = True
-        try:
-            g = named("PETERSEN")
-            sub = decompose_connected(g, Statement.IV)
-            assert profile_of(g, sub).counts == (1, 2, 3, 4)
-        finally:
-            connected_mod.DEEP_CHECKS = False
+    def test_deep_checks_path(self, monkeypatch):
+        # Recount the whole state after every single recoloring.
+        color_edge = ColoringState.color_edge
+        colored = []
+
+        def checked(state, i):
+            color_edge(state, i)
+            state.assert_consistent()
+            colored.append(i)
+
+        monkeypatch.setattr(ColoringState, "color_edge", checked)
+        g = named("PETERSEN")
+        sub = decompose_connected(g, Statement.IV)
+        assert profile_of(g, sub).counts == (1, 2, 3, 4)
+        assert len(colored) == len(sub)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.sampled_from([8, 12, 16, 20]))

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import degbal.connected as connected_mod
+import degbal.general as general_mod
+import degbal.graphs as graphs_mod
 from degbal.connected import ExceptionKind, Statement, target_profile
 from degbal.errors import (
     ExceptionGraph,
@@ -14,7 +17,7 @@ from degbal.errors import (
     NotRegular,
     ParityMismatch,
 )
-from degbal.gen import cycles, disjoint_union, named
+from degbal.gen import cycles, disjoint_union, named, random_cubic
 from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
@@ -35,6 +38,7 @@ from degbal.graphs import (
     DegreeProfile,
     SmallClass,
     build_graph,
+    connected_components,
     profile_of,
 )
 from degbal.oracle import achievable_profiles, is_achievable
@@ -289,6 +293,31 @@ class TestDecomposeBalanced:
         res = decompose_balanced(disjoint_union([named("PRISM")] * k))
         assert res.max_deviation == 0
         assert len(res.branch_trace) <= 3 * k
+
+
+class TestOneSplit:
+    """decompose_balanced splits its input into components exactly once."""
+
+    def splits(self, monkeypatch, g):
+        calls = []
+
+        def counted(h):
+            calls.append(h.n)
+            return connected_components(h)
+
+        for module in (graphs_mod, connected_mod, general_mod):
+            monkeypatch.setattr(module, "connected_components", counted, raising=False)
+        decompose_balanced(g)
+        return len(calls)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_connected(self, monkeypatch, seed):
+        g = random_cubic(1000, seed)
+        assert len(connected_components(g)) == 1
+        assert self.splits(monkeypatch, g) == 1
+
+    def test_50_petersen(self, monkeypatch):
+        assert self.splits(monkeypatch, disjoint_union([named("PETERSEN")] * 50)) == 1
 
 
 class TestDecomposeTwoRegular:

@@ -21,6 +21,7 @@ from degbal.graphs import (
     classify_small,
     complement_within,
     connected_components,
+    inferred_degree,
     profile_of,
     shortest_cycle,
     validate_regular,
@@ -89,6 +90,16 @@ class TestValidateRegular:
 
     def test_c6_2_regular(self):
         assert validate_regular(cycles([6]), 2)
+
+    def test_empty_regular_of_every_degree(self):
+        g = build_graph(0, [])
+        assert all(validate_regular(g, d) for d in range(4))
+        assert inferred_degree(g) == 0
+
+    def test_irregular_has_no_degree(self):
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(NotRegular):
+            inferred_degree(g)
 
 
 class TestConnectedComponents:
