@@ -36,20 +36,16 @@ from .graphs import (
     EdgeSubset,
     Graph,
     SmallClass,
-    classify_small,
     connected_components,
     profile_of,
     require_regular,
     shortest_cycle,
+    small_class,
     subgraph_degrees,
 )
 from .oracle import find_witness
 
 log = logging.getLogger(__name__)
-
-# Per-step state consistency recomputation (O(m) after every recoloring).
-# Stage-boundary checks are always on; this flag is for deep debugging.
-DEEP_CHECKS = False
 
 
 class Statement(Enum):
@@ -187,8 +183,6 @@ class ColoringState:
                 for item in near_edges if on_edges else near:
                     if valid(self, item):
                         heapq.heappush(heap, item)
-        if DEEP_CHECKS:
-            self.assert_consistent()
 
     def color_vertex(self, v: int) -> None:
         """Color every uncolored edge at v (v becomes a 3-vertex)."""
@@ -497,13 +491,14 @@ def fallback_search(g: Graph, target: DegreeProfile) -> EdgeSubset | None:
 
 def decompose_connected(g: Graph, s: Statement) -> EdgeSubset:
     """Edge subset realizing target_profile(n, s) on a connected cubic g."""
+    if len(connected_components(g)) != 1:
+        raise NotConnected("decompose_connected expects one component")
     return decompose_connected_traced(g, s)[0]
 
 
 def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, ConnectedTrace]:
+    """decompose_connected plus its trace, for a g already known connected."""
     require_regular(g, 3)
-    if len(connected_components(g)) != 1:
-        raise NotConnected("decompose_connected expects one component")
     target = target_profile(g.n, s)
     trace = ConnectedTrace()
 
@@ -520,7 +515,7 @@ def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, Conn
 
 def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
     """t = 1 orders get the proof's explicit constructions."""
-    cls = classify_small(g)
+    cls = small_class(g)
     if cls is SmallClass.K4:
         if s is Statement.I:
             raise ExceptionGraph(ExceptionKind.K4_I, "K4 has no (1,1,1,1) subgraph")

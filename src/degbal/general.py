@@ -40,6 +40,7 @@ from .graphs import (
     connected_components,
     profile_of,
     require_regular,
+    small_class,
 )
 
 log = logging.getLogger(__name__)
@@ -109,7 +110,7 @@ def k33_table(p: DegreeProfile) -> EdgeSubset:
 def detect_exception(g: Graph, s: Statement) -> ExceptionKind | None:
     """Provably undecomposable (graph, statement) pairs, by component census."""
     require_regular(g, 3)
-    return _exception_of([classify_small(c.graph) for c in connected_components(g)], s)
+    return _exception_of([small_class(c.graph) for c in connected_components(g)], s)
 
 
 def _exception_of(classes: list[SmallClass], s: Statement) -> ExceptionKind | None:
@@ -213,7 +214,7 @@ def decompose_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, list[str], boo
     require_regular(g, 3)
     target = target_profile(g.n, s)
     comps = connected_components(g)
-    classes = [classify_small(c.graph) for c in comps]
+    classes = [small_class(c.graph) for c in comps]
     kind = _exception_of(classes, s)
     if kind is not None:
         raise ExceptionGraph(kind)

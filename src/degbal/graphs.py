@@ -39,6 +39,7 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False, default=())
     _edge_index: dict = field(compare=False, repr=False, default_factory=dict)
+    _degrees: frozenset = field(compare=False, repr=False, default=frozenset())
 
     def __post_init__(self):
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -49,6 +50,7 @@ class Graph:
             index[(u, v)] = i
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
         object.__setattr__(self, "_edge_index", index)
+        object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
 
     @property
     def m(self) -> int:
@@ -169,7 +171,7 @@ def build_graph(n: int, raw_edges) -> Graph:
 
 def validate_regular(g: Graph, d: int) -> bool:
     """True iff every vertex of g has degree exactly d."""
-    return all(len(a) == d for a in g.adjacency)
+    return g._degrees <= {d}
 
 
 def require_regular(g: Graph, d: int) -> None:
@@ -178,13 +180,10 @@ def require_regular(g: Graph, d: int) -> None:
 
 
 def inferred_degree(g: Graph) -> int:
-    """Common degree of a regular graph; NotRegular otherwise."""
-    if g.n == 0:
-        return 0
-    d = len(g.adjacency[0])
-    if not validate_regular(g, d):
+    """Common degree of a regular graph (0 if empty); NotRegular otherwise."""
+    if len(g._degrees) > 1:
         raise NotRegular("graph is not regular")
-    return d
+    return min(g._degrees, default=0)
 
 
 @dataclass(frozen=True)
@@ -361,6 +360,11 @@ def classify_small(g: Graph) -> SmallClass:
     # Cubic graphs on 4 or 6 vertices are connected; other orders need a look.
     if g.n not in (4, 6) and len(connected_components(g)) != 1:
         raise NotConnected("classify_small expects a connected graph")
+    return small_class(g)
+
+
+def small_class(g: Graph) -> SmallClass:
+    """classify_small without its checks, for a known connected cubic g."""
     if g.n == 4:
         return SmallClass.K4
     if g.n == 6:
