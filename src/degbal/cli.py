@@ -39,7 +39,14 @@ from .general import (
     decompose_result,
     decompose_two_regular,
 )
-from .graphs import DegreeProfile, EdgeSubset, Graph, connected_components, profile_of
+from .graphs import (
+    DegreeProfile,
+    EdgeSubset,
+    Graph,
+    connected_components,
+    inferred_degree,
+    profile_of,
+)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -72,9 +79,11 @@ def _resolve_edge_cap(flag_value: int | None) -> int | None:
 
 
 def _read_text(path: str) -> str:
-    """Text of a file or stdin.  A file is read as UTF-8, like stdin, and an
-    undecodable byte becomes U+FFFD, which no graph format accepts."""
+    """Text of a file or stdin, read as UTF-8; an undecodable byte becomes
+    U+FFFD, which no graph format accepts.  An in-memory stdin is text."""
     if path == "-":
+        if hasattr(sys.stdin, "buffer"):
+            return sys.stdin.buffer.read().decode("utf-8", errors="replace")
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return fh.read()
@@ -203,7 +212,10 @@ def cmd_oracle(args) -> int:
     name, g = _one_graph(args)
     cap = _resolve_edge_cap(args.edge_cap)
     if args.profile:
-        counts = tuple(int(x) for x in args.profile.split(","))
+        fields, size = args.profile.split(","), inferred_degree(g) + 1
+        if len(fields) != size or not all(x.strip().isdecimal() for x in fields):
+            raise ParseError(f"--profile needs {size} non-negative integers, got {args.profile!r}")
+        counts = tuple(map(int, fields))
         witness = oracle.find_witness(g, DegreeProfile(counts), cap)
         doc = {
             "input_name": name,
