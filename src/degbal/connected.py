@@ -432,7 +432,11 @@ def special_14_construction(g: Graph) -> EdgeSubset:
         raise PreconditionViolated(f"pattern needs n=14, got n={g.n}")
     if len(connected_components(g)) != 1:
         raise PreconditionViolated("pattern needs a connected graph")
+    return _special_14(g)
 
+
+def _special_14(g: Graph) -> EdgeSubset:
+    """special_14_construction on a g known to be connected, cubic, n = 14."""
     for block in itertools.combinations(range(g.n), 5):
         inside = set(block)
         deg_in = {x: sum(1 for y in g.adjacency[x] if y in inside) for x in block}
@@ -572,7 +576,7 @@ def _blocked_dispatch(
         )
     if s is Statement.III and g.n == 14:
         try:
-            subset = special_14_construction(g)
+            subset = _special_14(g)
             trace.special_used = True
             trace.branch.append("staged:blocked->special14")
             return subset

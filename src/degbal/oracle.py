@@ -1,10 +1,9 @@
-"""Ground truth by exhaustion over all 2^m spanning subgraphs.
+"""Ground truth over all 2^m spanning subgraphs, exact and in pure Python.
 
-Enumeration is in subset rank order over the canonical edge indexing and
-the witness for each profile is the first subset reaching it, so reports
-are deterministic and independent of chunking.  A single-profile query
-finds that same first subset by a pruned depth-first search instead of
-enumerating every subset.
+Subsets are ranked by their bitmask over the canonical edge indexing, and
+each profile's witness is the first subset reaching it, so reports are
+deterministic.  The full report is a dynamic program over the edges; a
+single-profile query is a pruned depth-first search.
 """
 
 from __future__ import annotations
@@ -12,13 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import CapExceeded
 from .graphs import DegreeProfile, EdgeSubset, Graph, inferred_degree, profile_of
 
 DEFAULT_EDGE_CAP = 26
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -40,41 +36,17 @@ def _check_cap(g: Graph, edge_cap: int | None) -> int:
     return cap
 
 
-def _incidence_masks(g: Graph) -> list[int]:
-    inc = [0] * g.n
-    for i, (u, v) in enumerate(g.edges):
-        inc[u] |= 1 << i
-        inc[v] |= 1 << i
-    return inc
-
-
-def _profile_codes(g: Graph, d: int, masks: np.ndarray) -> np.ndarray:
-    """Encode each mask's degree profile as one integer, base n+1."""
-    n = g.n
-    base = n + 1
-    inc = _incidence_masks(g)
-    counts = np.zeros((d + 1, len(masks)), dtype=np.int64)
-    for v in range(n):
-        deg = np.bitwise_count(masks & np.uint64(inc[v]))
-        for k in range(d + 1):
-            counts[k] += deg == k
-    codes = np.zeros(len(masks), dtype=np.int64)
-    for k in range(d, -1, -1):  # (n_d, ..., n_0) ordering
-        codes = codes * base + counts[k]
-    return codes
-
-
-def _decode(code: int, d: int, n: int) -> DegreeProfile:
-    base = n + 1
-    counts = []
-    for _ in range(d + 1):
-        counts.append(int(code % base))
-        code //= base
-    return DegreeProfile(tuple(reversed(counts)))  # back to (n_d, ..., n_0)
-
-
 def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityReport:
-    """Iterate all 2^m edge subsets; record every profile and its first witness."""
+    """Every achievable profile of g, each with its first witness in rank order.
+
+    A dynamic program over edges m-1 down to 0.  A state is one int: the
+    count of final vertices of each degree k (c bits at bit k*c) below the
+    degree of each vertex not yet final (b bits each).  Prefixes reaching
+    one state have the same completions, so a state keeps only its smallest
+    prefix mask, and each final state's mask is its profile's first subset.
+    A layer is built in increasing mask order, absent before present, so
+    the first mask to reach a state is the smallest.
+    """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
     n = g.n
@@ -89,27 +61,48 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
             witness={profile: EdgeSubset.empty(0)},
         )
 
-    first: dict[int, int] = {}
-    total = 1 << g.m
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        codes = _profile_codes(g, d, masks)
-        uniq, idx = np.unique(codes, return_index=True)
-        for code, i in zip(uniq.tolist(), idx.tolist()):
-            if code not in first:
-                first[code] = lo + i
+    b = d.bit_length()
+    c = n.bit_length()
+    low = (1 << b) - 1
+    base = (d + 1) * c
+    lowest = [min(g.edge_index(v, w) for w in g.adjacency[v]) for v in range(n)]
+    states = {0: 0}  # state -> smallest mask of the decided edges reaching it
+    for i in range(g.m - 1, -1, -1):
+        u, v = g.edges[i]
+        ou, ov = base + u * b, base + v * b
+        step, bit = (1 << ou) + (1 << ov), 1 << i
+        # The degrees of u and v index the change that moves those of them
+        # whose lowest edge is i into the counts.
+        end_u, end_v = lowest[u] == i, lowest[v] == i
+        change = [
+            end_u * ((1 << (x & low) * c) - ((x & low) << ou))
+            + end_v * ((1 << (x >> b) * c) - ((x >> b) << ov))
+            for x in range(1 << 2 * b)
+        ]
+        layer: dict[int, int] = {}
+        for s, mask in states.items():
+            t = s + change[s >> ou & low | (s >> ov & low) << b]
+            if t not in layer:
+                layer[t] = mask
+            t = s + step
+            t += change[t >> ou & low | (t >> ov & low) << b]
+            if t not in layer:
+                layer[t] = mask | bit
+        states = layer
 
-    profiles = {code: _decode(code, d, n) for code in first}
-    ordered = sorted(profiles.values(), key=lambda p: p.counts)
-    witness = {profiles[code]: EdgeSubset(g.m, mask) for code, mask in first.items()}
-    dev = min(p.max_deviation() for p in ordered)
+    # Every vertex is final: a state is its counts alone.
+    top = (1 << c) - 1
+    witness = {
+        DegreeProfile(tuple(s >> k * c & top for k in range(d, -1, -1))): EdgeSubset(g.m, mask)
+        for s, mask in states.items()
+    }
+    ordered = sorted(witness, key=lambda p: p.counts)
     return AchievabilityReport(
         graph_order=n,
         degree=d,
         edge_count=g.m,
         achievable=tuple(ordered),
-        min_max_deviation=dev,
+        min_max_deviation=min(p.max_deviation() for p in ordered),
         witness=witness,
     )
 

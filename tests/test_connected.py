@@ -280,6 +280,16 @@ class TestSpecial14:
         with pytest.raises(PreconditionViolated):
             special_14_construction(named("PETERSEN"))
 
+    def test_precondition_disconnected(self):
+        # The pattern on 10 vertices beside a K4: the search alone would
+        # colour it (3,4,3,4), but the entry point refuses two components.
+        ten = build_graph(10, [
+            (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (4, 5),
+            (5, 6), (5, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
+        ])
+        with pytest.raises(PreconditionViolated, match="connected"):
+            special_14_construction(disjoint_union([ten, named("K4")]))
+
     def test_precondition_pattern_absent(self):
         # girth 6 rules out the K4-with-subdivided-edge block
         with pytest.raises(PreconditionViolated):

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 import degbal.connected as connected_mod
 import degbal.general as general_mod
 import degbal.graphs as graphs_mod
-from degbal.connected import ExceptionKind, Statement, target_profile
+from degbal.connected import (
+    ExceptionKind,
+    Statement,
+    decompose_connected_traced,
+    target_profile,
+)
 from degbal.errors import (
     ExceptionGraph,
     NoSuchTuple,
     NotIsomorphicPair,
     NotRegular,
     ParityMismatch,
+    SpecialCaseNeeded,
 )
 from degbal.gen import cycles, disjoint_union, named, random_cubic
 from degbal.general import (
@@ -44,6 +50,7 @@ from degbal.graphs import (
 from degbal.oracle import achievable_profiles, is_achievable
 
 from test_acceptance import partitions_min3
+from test_connected import PATTERN_14
 from test_oracle import K33_BASE_TUPLES, K4_BASE_TUPLES
 
 
@@ -296,9 +303,10 @@ class TestDecomposeBalanced:
 
 
 class TestOneSplit:
-    """decompose_balanced splits its input into components exactly once."""
+    """decompose_balanced splits its input into components exactly once, and
+    decompose_connected_traced, given a connected graph, not at all."""
 
-    def splits(self, monkeypatch, g):
+    def splits(self, monkeypatch, g, run=decompose_balanced):
         calls = []
 
         def counted(h):
@@ -307,7 +315,7 @@ class TestOneSplit:
 
         for module in (graphs_mod, connected_mod, general_mod):
             monkeypatch.setattr(module, "connected_components", counted, raising=False)
-        decompose_balanced(g)
+        run(g)
         return len(calls)
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -318,6 +326,19 @@ class TestOneSplit:
 
     def test_50_petersen(self, monkeypatch):
         assert self.splits(monkeypatch, disjoint_union([named("PETERSEN")] * 50)) == 1
+
+    def test_special_14_block(self, monkeypatch):
+        def block(state):
+            raise SpecialCaseNeeded("forced")
+
+        monkeypatch.setattr(connected_mod, "stage2_fill_v2", block)
+        traces = []
+
+        def run(g):
+            traces.append(decompose_connected_traced(g, Statement.III)[1])
+
+        assert self.splits(monkeypatch, PATTERN_14, run) == 0
+        assert traces[0].special_used
 
 
 class TestDecomposeTwoRegular:

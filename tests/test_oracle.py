@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +13,7 @@ from degbal.graphs import (
     EdgeSubset,
     build_graph,
     connected_components,
+    inferred_degree,
     profile_of,
 )
 from degbal.oracle import (
@@ -31,13 +35,101 @@ K33_BASE_TUPLES = [
 
 
 def reference_first_witnesses(g):
-    """Plain-loop rank-order enumeration, independent of the numpy path."""
+    """Plain-loop rank-order enumeration, independent of the dynamic program."""
     first = {}
     for mask in range(1 << g.m):
         counts = profile_of(g, EdgeSubset(g.m, mask)).counts
         if counts not in first:
             first[counts] = mask
     return first
+
+
+def numpy_first_witnesses(g):
+    """Rank-order enumeration of all 2^m masks with numpy, in chunks of 2^20.
+
+    Each mask's profile is coded base n+1; np.unique gives each code's first
+    mask in a chunk, and earlier chunks win.
+    """
+    np = pytest.importorskip("numpy")
+    d = inferred_degree(g)
+    base = g.n + 1
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    first = {}
+    total = 1 << g.m
+    for lo in range(0, total, 1 << 20):
+        masks = np.arange(lo, min(lo + (1 << 20), total), dtype=np.uint64)
+        counts = np.zeros((d + 1, len(masks)), dtype=np.int64)
+        for v in range(g.n):
+            deg = np.bitwise_count(masks & np.uint64(inc[v]))
+            for k in range(d + 1):
+                counts[k] += deg == k
+        codes = np.zeros(len(masks), dtype=np.int64)
+        for k in range(d, -1, -1):
+            codes = codes * base + counts[k]
+        uniq, idx = np.unique(codes, return_index=True)
+        for code, i in zip(uniq.tolist(), idx.tolist()):
+            first.setdefault(code, lo + i)
+    report = {}
+    for code, mask in first.items():
+        counts = []
+        for _ in range(d + 1):
+            code, count = divmod(code, base)
+            counts.append(count)
+        report[tuple(reversed(counts))] = mask  # (n_d, ..., n_0)
+    return report
+
+
+def _complete(n):
+    return build_graph(n, list(itertools.combinations(range(n), 2)))
+
+
+# Every graph with m <= 21 the dynamic program is checked on against numpy.
+NUMPY_CHECKED = {
+    **{name: (lambda name=name: named(name))
+       for name in ["K4", "K33", "PRISM", "CUBE", "PETERSEN", "HEAWOOD"]},
+    **{f"random{n}:{s}": (lambda n=n, s=s: random_cubic(n, s))
+       for n in range(8, 15, 2) for s in (1, 2)},
+    "2K4": lambda: disjoint_union([named("K4")] * 2),
+    "3K4": lambda: disjoint_union([named("K4")] * 3),
+    "K4+K33": lambda: disjoint_union([named("K4"), named("K33")]),
+    "C6": lambda: cycles([6]),
+    "C3+C4+C5": lambda: cycles([3, 4, 5]),
+    "2K2": lambda: build_graph(4, [(0, 1), (2, 3)]),
+    "K5": lambda: _complete(5),
+    "K6": lambda: _complete(6),
+    "K7": lambda: _complete(7),
+}
+
+
+class TestAgainstNumpy:
+    """The dynamic program's report equals the numpy scan's, witness for witness."""
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_CHECKED))
+    def test_same_report(self, name):
+        g = NUMPY_CHECKED[name]()
+        if name.startswith("random"):
+            assert len(connected_components(g)) == 1
+        assert g.m <= 21
+        ref = numpy_first_witnesses(g)
+        rep = achievable_profiles(g)
+        assert (rep.graph_order, rep.degree, rep.edge_count) == (g.n, inferred_degree(g), g.m)
+        assert [p.counts for p in rep.achievable] == sorted(ref)
+        assert {p.counts: w.bits for p, w in rep.witness.items()} == ref
+        assert rep.min_max_deviation == min(DegreeProfile(c).max_deviation() for c in ref)
+
+
+def test_runtime_does_not_import_numpy():
+    code = (
+        "import sys, degbal\n"
+        "from degbal.gen import named\n"
+        "degbal.achievable_profiles(named('PETERSEN'))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestK4:
@@ -176,6 +268,17 @@ class TestGenericDegree:
     def test_not_regular(self):
         with pytest.raises(NotRegular):
             achievable_profiles(build_graph(3, [(0, 1)]))
+
+
+class TestLargestCubic:
+    def test_random_16_report_in_two_seconds(self):
+        g = random_cubic(16, 1)  # m = 24; the numpy scan took about 4 s
+        start = time.perf_counter()
+        rep = achievable_profiles(g)
+        assert time.perf_counter() - start < 2
+        for counts in ((4, 4, 4, 4), (g.n - 2, 0, 2, 0)):
+            p = DegreeProfile(counts)
+            assert rep.witness.get(p) == find_witness(g, p), counts
 
 
 class TestCap:
