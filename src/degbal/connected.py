@@ -9,10 +9,10 @@ where the tuple counts vertices of subgraph degree (3, 2, 1, 0).
 
 The construction 2-colors edges in three stages: grow a connected set of
 3-vertices from a shortest cycle, top up 2-vertices with three local
-recoloring rules, then pair up leftover 0-vertices into 1-vertices.  The
-one genuinely blocked configuration (n = 14, statement III) has its own
-explicit construction; the oracle's exhaustive search backstops anything
-unexpected on small orders.
+recoloring rules, then pair up leftover 0-vertices into 1-vertices.  A
+stage-2 block (the paper's one blocked configuration is n = 14, statement
+III; special_14_construction is its lemma) goes to the oracle's exact
+witness search, and over the oracle's edge cap it is an InternalStuck.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
+    CapExceeded,
     ExceptionGraph,
     InternalStuck,
     NotConnected,
@@ -109,7 +110,6 @@ class ConnectedTrace:
     branch: list[str] = field(default_factory=list)
     stage1: Stage1Stats | None = None
     rule_counts: dict = field(default_factory=lambda: {"R1": 0, "R2": 0, "R3": 0})
-    special_used: bool = False
     fallback_used: bool = False
 
 
@@ -432,11 +432,6 @@ def special_14_construction(g: Graph) -> EdgeSubset:
         raise PreconditionViolated(f"pattern needs n=14, got n={g.n}")
     if len(connected_components(g)) != 1:
         raise PreconditionViolated("pattern needs a connected graph")
-    return _special_14(g)
-
-
-def _special_14(g: Graph) -> EdgeSubset:
-    """special_14_construction on a g known to be connected, cubic, n = 14."""
     for block in itertools.combinations(range(g.n), 5):
         inside = set(block)
         deg_in = {x: sum(1 for y in g.adjacency[x] if y in inside) for x in block}
@@ -487,8 +482,8 @@ def _find_special_w(g: Graph, inside: set, u: int, u1: int) -> int | None:
 def fallback_search(g: Graph, target: DegreeProfile) -> EdgeSubset | None:
     """First subset in rank order realizing ``target``, or None.
 
-    The stage-2 backstop for n <= 16 (m <= 24, within the oracle's default
-    cap): the oracle's exhaustive single-profile search.
+    The stage-2 backstop: the oracle's exhaustive single-profile search,
+    which raises CapExceeded above its default edge cap.
     """
     return find_witness(g, target)
 
@@ -566,7 +561,7 @@ def _blocked_dispatch(
     state: ColoringState,
     trace: ConnectedTrace,
 ) -> EdgeSubset:
-    """Stage-2 block: try the 14-vertex construction, then exhaustive search."""
+    """Stage-2 block: the oracle's first witness, or InternalStuck over its edge cap."""
     e_v1 = state.e_within(1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means
@@ -574,22 +569,15 @@ def _blocked_dispatch(
         log.warning(
             "stage-2 block with e(V1)=%d on n=%d edges=%s", e_v1, g.n, g.edges
         )
-    if s is Statement.III and g.n == 14:
-        try:
-            subset = _special_14(g)
-            trace.special_used = True
-            trace.branch.append("staged:blocked->special14")
-            return subset
-        except PreconditionViolated:
-            pass
-    if g.n <= 16:
+    try:
         subset = fallback_search(g, target)
-        if subset is None:
-            raise InternalStuck(
-                f"stage 2 blocked and exhaustive search finds no {target.counts}"
-            )
-        trace.fallback_used = True
-        trace.branch.append("staged:blocked->fallback")
-        log.warning("fallback used on n=%d statement %s", g.n, s.value)
-        return subset
-    raise InternalStuck(f"stage 2 blocked on n={g.n} with no fallback available")
+    except CapExceeded:
+        raise InternalStuck(f"stage 2 blocked on n={g.n} with no fallback available") from None
+    if subset is None:
+        raise InternalStuck(
+            f"stage 2 blocked and exhaustive search finds no {target.counts}"
+        )
+    trace.fallback_used = True
+    trace.branch.append("staged:blocked->fallback")
+    log.warning("fallback used on n=%d statement %s", g.n, s.value)
+    return subset

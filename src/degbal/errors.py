@@ -60,7 +60,7 @@ class InternalStuck(DegbalError):
 
 
 class SpecialCaseNeeded(DegbalError):
-    """Stage 2 blocked; the 14-vertex special construction may apply."""
+    """Stage 2 blocked; the oracle's witness search for the target takes over."""
 
 
 class PreconditionViolated(DegbalError):
@@ -78,7 +78,7 @@ class NotIsomorphicPair(DegbalError):
 # -- oracle ------------------------------------------------------------------
 
 class CapExceeded(DegbalError):
-    """Edge count exceeds the exhaustive-enumeration cap."""
+    """Edge count, or the oracle's state count, exceeds its cap."""
 
 
 # -- generators --------------------------------------------------------------

@@ -15,6 +15,9 @@ from .errors import CapExceeded
 from .graphs import DegreeProfile, EdgeSubset, Graph, inferred_degree, profile_of
 
 DEFAULT_EDGE_CAP = 26
+# States in one layer of the report's DP.  The largest layer seen within the
+# edge cap held 151,304 (a 4-regular circulant on 13 vertices, m = 26).
+STATE_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     one state have the same completions, so a state keeps only its smallest
     prefix mask, and each final state's mask is its profile's first subset.
     A layer is built in increasing mask order, absent before present, so
-    the first mask to reach a state is the smallest.
+    the first mask to reach a state is the smallest.  A layer of more than
+    STATE_CAP states raises CapExceeded, as an edge count over the cap does.
     """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
@@ -88,6 +92,8 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
             t += change[t >> ou & low | (t >> ov & low) << b]
             if t not in layer:
                 layer[t] = mask | bit
+        if len(layer) > STATE_CAP:
+            raise CapExceeded(f"{len(layer)} states exceed the oracle's state cap {STATE_CAP}")
         states = layer
 
     # Every vertex is final: a state is its counts alone.

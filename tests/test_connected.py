@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,6 +275,14 @@ class TestSpecial14:
         sub = special_14_construction(PATTERN_14)
         assert profile_of(PATTERN_14, sub).counts == (3, 4, 3, 4)
 
+    def test_relabeled_pattern(self):
+        for seed in range(30):
+            perm = list(range(14))
+            random.Random(seed).shuffle(perm)
+            g = build_graph(14, [(perm[u], perm[v]) for u, v in PATTERN_14.edges])
+            sub = special_14_construction(g)
+            assert profile_of(g, sub).counts == (3, 4, 3, 4), seed
+
     def test_oracle_confirms_target_on_pattern(self):
         assert is_achievable(PATTERN_14, DegreeProfile((3, 4, 3, 4)))
 
@@ -305,17 +315,11 @@ class TestBlockedDispatch:
 
         monkeypatch.setattr(connected_mod, "stage2_fill_v2", boom)
 
-    def test_routes_to_special_on_14_iii(self, monkeypatch):
-        self._force_block(monkeypatch)
-        sub, trace = decompose_connected_traced(PATTERN_14, Statement.III)
-        assert trace.special_used and not trace.fallback_used
-        assert profile_of(PATTERN_14, sub).counts == (3, 4, 3, 4)
-
     def test_routes_to_fallback_when_pattern_absent(self, monkeypatch):
         self._force_block(monkeypatch)
         g = named("HEAWOOD")
         sub, trace = decompose_connected_traced(g, Statement.III)
-        assert trace.fallback_used and not trace.special_used
+        assert trace.fallback_used
         assert profile_of(g, sub) == target_profile(14, Statement.III)
 
     def test_routes_to_fallback_on_small_orders(self, monkeypatch):
@@ -325,12 +329,18 @@ class TestBlockedDispatch:
         assert trace.fallback_used
         assert profile_of(g, sub).counts == (2, 2, 2, 2)
 
-    @pytest.mark.parametrize("name, s", [("CUBE", Statement.I), ("HEAWOOD", Statement.III)])
+    @pytest.mark.parametrize(
+        "name, s",
+        [("CUBE", Statement.I), ("HEAWOOD", Statement.III), ("PATTERN_14", Statement.III)],
+    )
     def test_fallback_is_first_witness(self, monkeypatch, name, s):
+        # The paper's one blocked configuration, PATTERN_14 under III, takes
+        # the same path as any other block.
         self._force_block(monkeypatch)
-        g = named(name)
+        g = PATTERN_14 if name == "PATTERN_14" else named(name)
         sub, trace = decompose_connected_traced(g, s)
         assert trace.fallback_used
+        assert trace.branch == ["staged:blocked->fallback"]
         assert sub.bits == find_witness(g, target_profile(g.n, s)).bits
 
     @pytest.mark.parametrize("s", [Statement.I, Statement.II])

@@ -338,7 +338,7 @@ class TestOneSplit:
             traces.append(decompose_connected_traced(g, Statement.III)[1])
 
         assert self.splits(monkeypatch, PATTERN_14, run) == 0
-        assert traces[0].special_used
+        assert traces[0].fallback_used
 
 
 class TestDecomposeTwoRegular:

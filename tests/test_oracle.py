@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import degbal.oracle as oracle_mod
 from degbal.errors import CapExceeded, NotRegular
 from degbal.gen import cycles, disjoint_union, named, random_cubic
 from degbal.graphs import (
@@ -292,6 +293,16 @@ class TestCap:
         with pytest.raises(CapExceeded):
             achievable_profiles(g, edge_cap=5)
         assert achievable_profiles(g, edge_cap=6).edge_count == 6
+
+    def test_state_cap(self, monkeypatch):
+        # Petersen's largest DP layer holds 698 states.
+        g = named("PETERSEN")
+        report = achievable_profiles(g)
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", 698)
+        assert achievable_profiles(g) == report
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", 697)
+        with pytest.raises(CapExceeded, match="state cap 697"):
+            achievable_profiles(g)
 
     def test_raised_cap_no_recursion_limit(self):
         g = random_cubic(2000, 1)  # m = 3000 edges, deeper than the recursion limit
