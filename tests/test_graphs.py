@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,8 @@ from degbal.graphs import (
     shortest_cycle,
     validate_regular,
 )
+
+from conftest import FIXTURES, load_corpus_file
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -257,3 +260,36 @@ class TestClassifySmall:
     def test_not_cubic_rejected(self):
         with pytest.raises(NotRegular):
             classify_small(cycles([5]))
+
+
+# Exact shortest_cycle sequences, pinned: the staged construction starts
+# from this cycle, so any change to the search must return the same one.
+# The seeded cases cover girth 3, 4 and 5, with the girth attained first
+# at root 0 and at high roots.
+SHORTEST_CYCLE_SHA256 = "e1a6084aa3594b5e188ba71855a33dec304c4cf712d7fed9fd4397e234f72fec"
+
+SHORTEST_CYCLE_CASES = [
+    (12, 5), (16, 1), (100, 63), (402, 21), (402, 45),                # girth 4
+    (16, 58), (24, 33), (100, 17), (100, 39), (402, 67), (402, 76),  # girth 5
+    (12, 10), (100, 75), (402, 53), (1002, 1),                        # girth 3
+]
+
+
+def shortest_cycle_lines():
+    graphs = [pair for path in sorted(FIXTURES.glob("*.g6"))
+              for pair in load_corpus_file(path.name)]
+    graphs += [(name, named(name)) for name in ("PETERSEN", "HEAWOOD", "DESARGUES")]
+    graphs += [(f"random_cubic:{n}:{s}", random_cubic(n, s)) for n, s in SHORTEST_CYCLE_CASES]
+    graphs += [("cycles:9,6,4", cycles([9, 6, 4]))]
+    graphs += [("path:4", build_graph(4, [(0, 1), (1, 2), (2, 3)]))]
+    for name, g in graphs:
+        cycle = shortest_cycle(g)
+        yield f"{name}\t{'none' if cycle is None else ','.join(map(str, cycle))}"
+
+
+def test_shortest_cycle_sequences_match_digest():
+    lines = list(shortest_cycle_lines())
+    assert len(lines) == 54 + 3 + len(SHORTEST_CYCLE_CASES) + 2
+    assert lines[-1] == "path:4\tnone"
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode("ascii"))
+    assert digest.hexdigest() == SHORTEST_CYCLE_SHA256
