@@ -120,16 +120,16 @@ class ColoringState:
     packs it into a bitmask once.  deg1[v] is the number of color-1 edges at
     v; sizes[k] = |V_k|.
 
-    Each rule finder keeps a lazy min-heap of candidate vertex or edge
-    indices in heaps, built on its first call to lowest().  Every finder
-    predicate reads only the colors of the edges at its vertex or edge and
-    deg1 of that vertex or those endpoints and of their neighbors (R1 asks
-    whether a color-1 neighbor of an endpoint is in V2 or V3).  Coloring
-    edge xy changes one edge color at x and y and deg1 at x and y alone, so
-    a predicate can change only for the vertices within distance 1 of x or y
-    and for the edges at those vertices.  color_edge offers exactly these to
-    every heap, so each heap holds every valid index, plus stale ones that
-    lowest() discards when they reach the top.
+    Coloring only adds color-1 edges, so deg1 never decreases.  The R3 and
+    stage-3 predicates ask for deg1 == 0, so once false they stay false:
+    first() finds them with a forward cursor per predicate in cursors.  The
+    stage-1, R1 and R2 finders keep a lazy min-heap in heaps, built by a full
+    scan on their first lowest() call.  After edge ab is colored, color_edge
+    offers each heap only what its reach function names, the items whose
+    predicate that coloring can turn true: for stage 1 the neighbors of a or
+    b if it reached V3, for R1 the edges at a, b and their color-1
+    neighbors, for R2 the edges at a or b if it reached V1.  So each heap
+    holds every valid index, plus stale ones that lowest() pops at the top.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
@@ -140,16 +140,19 @@ class ColoringState:
             host.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
             for i in range(len(cycle))
         )
-        self.incident = [
-            tuple(host.edge_index(v, w) for w in host.adjacency[v]) for v in range(host.n)
-        ]
+        # Edges are sorted, so each list comes out aligned with adjacency[v].
+        self.incident: list[list[int]] = [[] for _ in range(host.n)]
+        for i, (u, v) in enumerate(host.edges):
+            self.incident[u].append(i)
+            self.incident[v].append(i)
         self.colored = bytearray(host.m)
         self.deg1 = [0] * host.n
         self.sizes = [host.n, 0, 0, 0]
         self.rule_counts = {"R1": 0, "R2": 0, "R3": 0}
         self.stage1: Stage1Stats | None = None
-        # (predicate, on_edges) -> lazy min-heap of indices
-        self.heaps: dict[tuple, list[int]] = {}
+        # predicate -> (lazy min-heap of indices, reach); predicate -> cursor
+        self.heaps: dict = {}
+        self.cursors: dict = {}
 
     # targets, highest subgraph degree first
     @property
@@ -175,14 +178,10 @@ class ColoringState:
             self.deg1[v] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (self.sizes[1] + self.sizes[3]) % 2 == 0
-        if self.heaps:
-            adj = self.host.adjacency
-            near = {x, y, *adj[x], *adj[y]}
-            near_edges = {e for v in near for e in self.incident[v]}
-            for (valid, on_edges), heap in self.heaps.items():
-                for item in near_edges if on_edges else near:
-                    if valid(self, item):
-                        heapq.heappush(heap, item)
+        for valid, (heap, reach) in self.heaps.items():
+            for item in reach(self, x, y):
+                if valid(self, item):
+                    heapq.heappush(heap, item)
 
     def color_vertex(self, v: int) -> None:
         """Color every uncolored edge at v (v becomes a 3-vertex)."""
@@ -190,22 +189,31 @@ class ColoringState:
             if not self.colored[i]:
                 self.color_edge(i)
 
-    def lowest(self, valid, on_edges: bool) -> int | None:
+    def lowest(self, valid, reach, on_edges: bool) -> int | None:
         """Lowest vertex (or edge) index i with valid(self, i), else None.
 
         Stale indices are popped from the top of the heap; the valid one
         found stays, since the caller may not color it.
         """
-        heap = self.heaps.get((valid, on_edges))
-        if heap is None:
+        if valid not in self.heaps:
             items = range(self.host.m if on_edges else self.host.n)
             # Ascending, so already a heap.
-            heap = self.heaps[valid, on_edges] = [i for i in items if valid(self, i)]
+            self.heaps[valid] = [i for i in items if valid(self, i)], reach
+        heap = self.heaps[valid][0]
         while heap:
             if valid(self, heap[0]):
                 return heap[0]
             heapq.heappop(heap)
         return None
+
+    def first(self, valid, on_edges: bool) -> int | None:
+        """lowest() for a predicate that never turns true again once false."""
+        end = self.host.m if on_edges else self.host.n
+        i = self.cursors.get(valid, 0)
+        while i < end and not valid(self, i):
+            i += 1
+        self.cursors[valid] = i
+        return i if i < end else None
 
     def colored_neighbor_degrees(self, v: int) -> list[int]:
         return [
@@ -280,9 +288,14 @@ def _is_stage1_candidate(state: ColoringState, v: int) -> bool:
     return has_v3
 
 
+def _reach_stage1(state: ColoringState, a: int, b: int) -> list[int]:
+    """Neighbors of a or b if it reached V3: only that adds a V3 or drops a V2 neighbor."""
+    return [w for v in (a, b) if state.deg1[v] == 3 for w in state.host.adjacency[v]]
+
+
 def _stage1_candidate(state: ColoringState) -> int | None:
     """Lowest vertex outside V3, adjacent to V3, with no neighbor in V2."""
-    return state.lowest(_is_stage1_candidate, on_edges=False)
+    return state.lowest(_is_stage1_candidate, _reach_stage1, on_edges=False)
 
 
 def _v3_connected(state: ColoringState) -> bool:
@@ -309,9 +322,17 @@ def _is_r1(state: ColoringState, i: int) -> bool:
     )
 
 
+def _reach_r1(state: ColoringState, a: int, b: int) -> set[int]:
+    """Edges at the color-1 neighbors of a and b, a and b among them: the only edges
+    whose color, endpoints' deg1 or endpoints' color-1 neighbors' deg1 changed."""
+    adjacency, incident, colored = state.host.adjacency, state.incident, state.colored
+    return {e for v in (a, b) for w, i in zip(adjacency[v], incident[v]) if colored[i]
+            for e in incident[w]}
+
+
 def _find_r1(state: ColoringState) -> int | None:
     """Lowest uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
-    return state.lowest(_is_r1, on_edges=True)
+    return state.lowest(_is_r1, _reach_r1, on_edges=True)
 
 
 def _is_r2(state: ColoringState, i: int) -> bool:
@@ -319,12 +340,17 @@ def _is_r2(state: ColoringState, i: int) -> bool:
     return state.deg1[u] + state.deg1[v] == 1
 
 
+def _reach_r2(state: ColoringState, a: int, b: int) -> list[int]:
+    """Edges at a or b if it entered V1: only an endpoint going 0 -> 1 makes a sum of 1."""
+    return [e for v in (a, b) if state.deg1[v] == 1 for e in state.incident[v]]
+
+
 def _find_r2(state: ColoringState) -> int | None:
     """Lowest V1-V0 edge of the stage-1 cycle, else lowest V1-V0 edge."""
     for i in state.cycle_edges:
         if _is_r2(state, i):
             return i
-    return state.lowest(_is_r2, on_edges=True)
+    return state.lowest(_is_r2, _reach_r2, on_edges=True)
 
 
 def _is_r3(state: ColoringState, v: int) -> bool:
@@ -334,7 +360,7 @@ def _is_r3(state: ColoringState, v: int) -> bool:
 
 def _find_r3(state: ColoringState) -> tuple[int, int, int] | None:
     """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
-    v = state.lowest(_is_r3, on_edges=False)
+    v = state.first(_is_r3, on_edges=False)
     if v is None:
         return None
     zeros = [w for w in state.host.adjacency[v] if state.deg1[w] == 0]
@@ -348,7 +374,7 @@ def _is_v0_v0(state: ColoringState, i: int) -> bool:
 
 def _find_v0_v0(state: ColoringState) -> int | None:
     """Lowest edge with both endpoints in V0."""
-    return state.lowest(_is_v0_v0, on_edges=True)
+    return state.first(_is_v0_v0, on_edges=True)
 
 
 def _run_rule(state: ColoringState, name: str, edge_indices: list[int],

@@ -240,23 +240,46 @@ def shortest_cycle(g: Graph) -> list[int] | None:
 
     Deterministic: the cycle comes from the breadth-first search rooted at
     the lowest vertex label that attains the girth, scanning neighbors in
-    ascending order.
+    ascending order.  Each search stops once its layers cannot beat the
+    best so far; all share one dist/parent pair, reset where they reached.
     """
+    adjacency = g.adjacency
+    dist = [-1] * g.n
+    parent = [-1] * g.n
     best = g.n + 1
     found = None
     for root in range(g.n):
-        val, parent, meet = _bfs_cycle_value(g, root, best)
-        if val < best:
-            best = val
-            found = parent, meet
-            if best == 3:
+        dist[root] = 0
+        parent[root] = -1
+        queue = [root]
+        meet = None
+        for u in queue:
+            du = dist[u]
+            if 2 * du + 1 >= best:
                 break
+            # A vertex found at du + 1 closes walks of length >= 2 * du + 2 only.
+            grow = 2 * du + 2 < best
+            for w in adjacency[u]:
+                dw = dist[w]
+                if dw < 0:
+                    if grow:
+                        dist[w] = du + 1
+                        parent[w] = u
+                        queue.append(w)
+                elif w != parent[u] and du + dw + 1 < best:
+                    best = du + dw + 1
+                    meet = u, w
+        if meet is not None:
+            # Paths u->root and w->root meet only at the root, else a
+            # strictly shorter cycle would exist.
+            found = _path_to_root(parent, meet[0]), _path_to_root(parent, meet[1])
+        for v in queue:
+            dist[v] = -1
+        if best == 3:
+            break
     if found is None:
         return None
-    parent, (u, w) = found
-    # Paths u->root and w->root meet only at the root, else a strictly
-    # shorter cycle would exist.
-    left, right = _path_to_root(parent, u), _path_to_root(parent, w)
+    left, right = found
     assert left[-1] == right[-1]
     cycle = left[::-1] + right[:-1]
     assert len(cycle) == best
@@ -264,38 +287,7 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     return cycle
 
 
-def _bfs_cycle_value(g: Graph, root: int, cutoff: int) -> tuple[int, dict, tuple | None]:
-    """Shortest closed-walk value min(dist[u]+dist[w]+1) found from root.
-
-    Returns the value, the BFS parent map and the first scanned (u, w)
-    pair that reaches it (None when nothing beats ``cutoff``).  Only values
-    strictly below ``cutoff`` matter to the caller, which lets the search
-    stop expanding once layers cannot improve on it.
-    """
-    dist = {root: 0}
-    parent = {root: -1}
-    queue = deque([root])
-    best = cutoff
-    meet = None
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if 2 * du + 1 >= best:
-            break
-        for w in g.adjacency[u]:
-            if w not in dist:
-                dist[w] = du + 1
-                parent[w] = u
-                queue.append(w)
-            elif w != parent[u]:
-                cand = du + dist[w] + 1
-                if cand < best:
-                    best = cand
-                    meet = u, w
-    return best, parent, meet
-
-
-def _path_to_root(parent: dict, x: int) -> list[int]:
+def _path_to_root(parent: list[int], x: int) -> list[int]:
     path = []
     while x != -1:
         path.append(x)

@@ -2,8 +2,10 @@
 
 The scans below are the straightforward definitions of each finder: walk
 every vertex or edge in canonical order and return the first that
-qualifies.  They are kept here only as a reference for the heap-based
-finders in ``degbal.connected``.
+qualifies.  They are kept here only as a reference for the incremental
+finders in ``degbal.connected``: the lazy heaps that color_edge offers
+only what each coloring can make valid (stage 1, R1, R2) and the forward
+cursors for the predicates that never turn true again (R3, stage 3).
 """
 
 from hypothesis import assume, given, settings
