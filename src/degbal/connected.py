@@ -140,9 +140,10 @@ class ColoringState:
             host.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
             for i in range(len(cycle))
         )
-        # Edges are sorted, so each list comes out aligned with adjacency[v].
+        # One pass in edge order, which is sorted, so each list comes out
+        # aligned with adjacency[v]; the index's ints are shared, not copied.
         self.incident: list[list[int]] = [[] for _ in range(host.n)]
-        for i, (u, v) in enumerate(host.edges):
+        for (u, v), i in host._edge_index.items():
             self.incident[u].append(i)
             self.incident[v].append(i)
         self.colored = bytearray(host.m)
