@@ -193,8 +193,9 @@ class ColoringState:
     def lowest(self, valid, reach, on_edges: bool) -> int | None:
         """Lowest vertex (or edge) index i with valid(self, i), else None.
 
-        Stale indices are popped from the top of the heap; the valid one
-        found stays, since the caller may not color it.
+        reach(self, a, b) names what coloring edge ab can make valid.  Stale
+        indices are popped from the top of the heap; the valid one found
+        stays, since the caller may not color it.
         """
         if valid not in self.heaps:
             items = range(self.host.m if on_edges else self.host.n)
