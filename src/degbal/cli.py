@@ -1,15 +1,14 @@
 """Batch front end: decompose, verify, oracle queries, fixture generation.
 
-Exit codes: 0 success, 1 generic failure (including verify/batch failures),
-2 exception graph, 3 parity mismatch, 4 parse error, 5 internal invariant
-failure.
+Exit codes: 0 success, 1 generic failure (including verify/batch failures
+and usage errors), 2 exception graph, 3 parity mismatch, 4 parse error,
+5 internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -55,8 +54,6 @@ EXIT_PARITY = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
-EDGE_CAP_ENV = "BALANCE_EDGE_CAP"
-
 
 def _statement_arg(value: str):
     """'i'..'iv' | 'balanced' | 'two-regular' -> dispatch key."""
@@ -69,13 +66,6 @@ def _statement_arg(value: str):
     raise argparse.ArgumentTypeError(
         f"statement must be i/ii/iii/iv/balanced/two-regular, got {value!r}"
     )
-
-
-def _resolve_edge_cap(flag_value: int | None) -> int | None:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(EDGE_CAP_ENV)
-    return int(env) if env else None
 
 
 def _read_text(path: str) -> str:
@@ -210,13 +200,12 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     name, g = _one_graph(args)
-    cap = _resolve_edge_cap(args.edge_cap)
     if args.profile:
         fields, size = args.profile.split(","), inferred_degree(g) + 1
         if len(fields) != size or not all(x.strip().isdecimal() for x in fields):
             raise ParseError(f"--profile needs {size} non-negative integers, got {args.profile!r}")
         counts = tuple(map(int, fields))
-        witness = oracle.find_witness(g, DegreeProfile(counts), cap)
+        witness = oracle.find_witness(g, DegreeProfile(counts), args.edge_cap)
         doc = {
             "input_name": name,
             "n": g.n,
@@ -228,10 +217,10 @@ def cmd_oracle(args) -> int:
         doc = {
             "input_name": name,
             "n": g.n,
-            "min_max_deviation": format_rational(oracle.min_max_deviation(g, cap)),
+            "min_max_deviation": format_rational(oracle.min_max_deviation(g, args.edge_cap)),
         }
     else:
-        report = oracle.achievable_profiles(g, cap)
+        report = oracle.achievable_profiles(g, args.edge_cap)
         doc = {
             "input_name": name,
             "n": report.graph_order,
@@ -386,7 +375,10 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_FAIL
     try:
         return args.func(args)
     except ExceptionGraph as exc:

@@ -120,16 +120,15 @@ class ColoringState:
     packs it into a bitmask once.  deg1[v] is the number of color-1 edges at
     v; sizes[k] = |V_k|.
 
-    Coloring only adds color-1 edges, so deg1 never decreases.  The R3 and
-    stage-3 predicates ask for deg1 == 0, so once false they stay false:
-    first() finds them with a forward cursor per predicate in cursors.  The
-    stage-1, R1 and R2 finders keep a lazy min-heap in heaps, built by a full
-    scan on their first lowest() call.  After edge ab is colored, color_edge
-    offers each heap only what its reach function names, the items whose
+    Each rule finder is one lowest() call: a cursor that tests indices in
+    order, with a min-heap behind it for indices the cursor has passed that
+    a later coloring made valid again.  After edge ab is colored, color_edge
+    offers each heap what its reach function names, the items whose
     predicate that coloring can turn true: for stage 1 the neighbors of a or
     b if it reached V3, for R1 the edges at a, b and their color-1
-    neighbors, for R2 the edges at a or b if it reached V1.  So each heap
-    holds every valid index, plus stale ones that lowest() pops at the top.
+    neighbors, for R2 the edges at a or b if it reached V1.  Coloring only
+    adds color-1 edges, so deg1 never decreases; the R3 and stage-3
+    predicates ask for deg1 == 0, never turn true again, and pass no reach.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
@@ -151,9 +150,8 @@ class ColoringState:
         self.sizes = [host.n, 0, 0, 0]
         self.rule_counts = {"R1": 0, "R2": 0, "R3": 0}
         self.stage1: Stage1Stats | None = None
-        # predicate -> (lazy min-heap of indices, reach); predicate -> cursor
-        self.heaps: dict = {}
-        self.cursors: dict = {}
+        # predicate -> [cursor, min-heap of valid-again indices below it, reach]
+        self.finders: dict = {}
 
     # targets, highest subgraph degree first
     @property
@@ -179,10 +177,11 @@ class ColoringState:
             self.deg1[v] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (self.sizes[1] + self.sizes[3]) % 2 == 0
-        for valid, (heap, reach) in self.heaps.items():
-            for item in reach(self, x, y):
-                if valid(self, item):
-                    heapq.heappush(heap, item)
+        for valid, (cursor, heap, reach) in self.finders.items():
+            if reach is not None:
+                for item in reach(self, x, y):
+                    if item < cursor and valid(self, item):
+                        heapq.heappush(heap, item)
 
     def color_vertex(self, v: int) -> None:
         """Color every uncolored edge at v (v becomes a 3-vertex)."""
@@ -193,28 +192,27 @@ class ColoringState:
     def lowest(self, valid, reach, on_edges: bool) -> int | None:
         """Lowest vertex (or edge) index i with valid(self, i), else None.
 
-        reach(self, a, b) names what coloring edge ab can make valid.  Stale
-        indices are popped from the top of the heap; the valid one found
-        stays, since the caller may not color it.
+        reach(self, a, b) names what coloring edge ab can make valid; None
+        means nothing can turn valid again.  Each index below the cursor was
+        invalid when the cursor passed it, and one that turns valid later is
+        in the reach of the coloring that turned it, so color_edge pushed it.
+        So every valid index below the cursor is in the heap, and once stale
+        indices are popped off its top, that top is the lowest valid index.
+        The valid one found stays, since the caller may not color it.
         """
-        if valid not in self.heaps:
-            items = range(self.host.m if on_edges else self.host.n)
-            # Ascending, so already a heap.
-            self.heaps[valid] = [i for i in items if valid(self, i)], reach
-        heap = self.heaps[valid][0]
+        finder = self.finders.get(valid)
+        if finder is None:
+            finder = self.finders[valid] = [0, [], reach]
+        heap = finder[1]
         while heap:
             if valid(self, heap[0]):
                 return heap[0]
             heapq.heappop(heap)
-        return None
-
-    def first(self, valid, on_edges: bool) -> int | None:
-        """lowest() for a predicate that never turns true again once false."""
         end = self.host.m if on_edges else self.host.n
-        i = self.cursors.get(valid, 0)
+        i = finder[0]
         while i < end and not valid(self, i):
             i += 1
-        self.cursors[valid] = i
+        finder[0] = i
         return i if i < end else None
 
     def colored_neighbor_degrees(self, v: int) -> list[int]:
@@ -273,7 +271,7 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
     assert state.sizes[1] <= n3 + 2
     assert _v3_connected(state)
     state.stage1 = Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
-    state.heaps.clear()  # this stage's finders are done; stop offering to them
+    state.finders.clear()  # this stage's finders are done; stop offering to them
     return state
 
 
@@ -362,7 +360,7 @@ def _is_r3(state: ColoringState, v: int) -> bool:
 
 def _find_r3(state: ColoringState) -> tuple[int, int, int] | None:
     """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
-    v = state.first(_is_r3, on_edges=False)
+    v = state.lowest(_is_r3, None, on_edges=False)
     if v is None:
         return None
     zeros = [w for w in state.host.adjacency[v] if state.deg1[w] == 0]
@@ -376,7 +374,7 @@ def _is_v0_v0(state: ColoringState, i: int) -> bool:
 
 def _find_v0_v0(state: ColoringState) -> int | None:
     """Lowest edge with both endpoints in V0."""
-    return state.first(_is_v0_v0, on_edges=True)
+    return state.lowest(_is_v0_v0, None, on_edges=True)
 
 
 def _run_rule(state: ColoringState, name: str, edge_indices: list[int],
@@ -425,7 +423,7 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
         )
     state.assert_consistent()
     assert state.sizes[1] <= state.n1, "stage 2 must finish with |V1| <= n1"
-    state.heaps.clear()  # this stage's finders are done; stop offering to them
+    state.finders.clear()  # this stage's finders are done; stop offering to them
     return state
 
 

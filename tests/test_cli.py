@@ -41,6 +41,12 @@ class TestDecomposeCommand:
         code, _, err = run_cli(capsys, "decompose", "--named", "cube", "--statement", "iii")
         assert code == 3
 
+    def test_bad_statement_is_usage_error_exit_1(self, capsys):
+        # 2 means an exception graph; a usage error is a generic failure.
+        code, out, err = run_cli(capsys, "decompose", "--named", "k4", "--statement", "v")
+        assert code == 1 and not out
+        assert "statement must be" in err
+
     def test_parse_error_exit_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.g6"
         bad.write_text("C~\n\x05bad\n")
@@ -244,13 +250,10 @@ class TestOracleCommand:
         assert code == 1
         assert "cap" in err
 
-    def test_edge_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BALANCE_EDGE_CAP", "3")
-        code, _, err = run_cli(capsys, "oracle", "--named", "k4")
-        assert code == 1
-        monkeypatch.setenv("BALANCE_EDGE_CAP", "9")
-        code, out, _ = run_cli(capsys, "oracle", "--named", "k4")
-        assert code == 0
+    def test_bad_edge_cap_is_usage_error_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--named", "k4", "--edge-cap", "x")
+        assert code == 1 and not out
+        assert "--edge-cap" in err
 
 
 class TestGenCommand:
@@ -455,6 +458,11 @@ class TestEntryPoint:
         for _ in range(2):
             code, out, _ = run_cli(capsys, "decompose", "--named", "k4")
             assert code == 0 and json.loads(out)["max_deviation"] == "1"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage:")
 
     def test_installed_script(self):
         proc = subprocess.run(

@@ -2,10 +2,12 @@
 
 The scans below are the straightforward definitions of each finder: walk
 every vertex or edge in canonical order and return the first that
-qualifies.  They are kept here only as a reference for the incremental
-finders in ``degbal.connected``: the lazy heaps that color_edge offers
-only what each coloring can make valid (stage 1, R1, R2) and the forward
-cursors for the predicates that never turn true again (R3, stage 3).
+qualifies.  They are kept here only as a reference for the one
+incremental finder in ``degbal.connected``, ColoringState.lowest: a cursor
+that tests indices in order, with a heap behind it that color_edge offers
+only the indices below the cursor that a coloring can make valid again,
+named by each finder's reach (stage 1, R1, R2).  R3 and stage 3 pass no
+reach, since their predicates never turn true again.
 """
 
 from hypothesis import assume, given, settings
