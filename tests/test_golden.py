@@ -194,3 +194,56 @@ def test_case2_unions_match_golden_digest():
             digest.update(line.encode("ascii") + b"\n")
     assert labels == CASE2_LABELS
     assert digest.hexdigest() == CASE2_SHA256
+
+
+# Unions of k equal components, k = 2-60, of each of four catalog shapes and
+# one seeded random shape, plus mixes and unions holding one relabeled copy,
+# whose components are isomorphic but not equal.  Each graph runs under both
+# statements of its parity; the digest covers subsets, traces and fallback
+# flags.
+REPEATED_UNION_SHA256 = "bb2595a83e453e4a3f2f203448c70d755fd6d3cb84a1c8af185a520cd8292700"
+REPEATED_SHAPES = ("PETERSEN", "PRISM", "CUBE", "HEAWOOD", "random")
+
+
+def _relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def repeated_unions():
+    rng = random.Random("repeated-union")
+    shapes = {p: named(p) for p in REPEATED_SHAPES[:-1]}
+    shapes["random"] = _connected_random(20, rng)
+    for p in REPEATED_SHAPES:
+        for k in range(2, 61):
+            yield f"{k}x{p}", disjoint_union([shapes[p]] * k)
+    petersen, prism, cube = shapes["PETERSEN"], shapes["PRISM"], shapes["CUBE"]
+    mixes = {
+        "60xPETERSEN+40xPRISM": [petersen] * 60 + [prism] * 40,
+        "(PETERSEN+PRISM)x30": [petersen, prism] * 30,
+        "(CUBE+random)x17+2xK4": [cube, shapes["random"]] * 17 + [named("K4")] * 2,
+        "12xHEAWOOD+3xK4+2xK33": [shapes["HEAWOOD"]] * 12 + [named("K4")] * 3 + [named("K33")] * 2,
+        "9xPRISM+9xCUBE+K33": [prism] * 9 + [cube] * 9 + [named("K33")],
+    }
+    yield from ((name, disjoint_union(parts)) for name, parts in mixes.items())
+    for p in REPEATED_SHAPES:
+        for k in (2, 7, 30):
+            parts = [shapes[p]] * k
+            parts[k // 2] = _relabeled(shapes[p], rng)
+            assert parts[k // 2] != shapes[p]
+            yield f"{k}x{p}:relabeled-{k // 2}", disjoint_union(parts)
+
+
+def test_repeated_unions_match_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for name, g in repeated_unions():
+        statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
+        for s in statements:
+            sub, trace, fallback = decompose_traced(g, s)
+            count += 1
+            line = f"{name}\t{s.value}\t{sub.bits:x}\t{' '.join(trace)}\t{fallback}"
+            digest.update(line.encode("ascii") + b"\n")
+    assert count == 2 * (5 * 59 + 5 + 5 * 3)
+    assert digest.hexdigest() == REPEATED_UNION_SHA256
