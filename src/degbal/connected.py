@@ -396,7 +396,9 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
       R2 colors a V1-V0 edge        -> (-1, 0, +1, 0), cycle edges preferred
       R3 colors two V0-V0 edges     -> (-3, +2, +1, 0), only while |V1| < n1
     """
-    host = state.host
+    host, deg1 = state.host, state.deg1
+    # deg1 never decreases, so a cycle edge with both ends out of V0 is never R2's again.
+    state.cycle_edges = [i for i in state.cycle_edges if min(deg1[x] for x in host.edges[i]) == 0]
     while state.sizes[2] < state.n2:
         if state.sizes[2] < state.n2 - 1:
             i = _find_r1(state)

@@ -3,11 +3,12 @@
 A multi-component graph is split once and composed in one pass over its
 components in label order.  While more than one component is left, each
 component bigger than K4/K3,3 is peeled off in turn, its statement and the
-statement of what is left read from a parity table (the paper's case 1).
-What is left at the end is one connected component, two K4s, or components
-that are all K4 or K3,3; the last combine entries of fixed per-component
-decomposition tables, pairing isomorphic components into "perfectly
-balanced" (tuple, complemented tuple) couples (case 2).
+statement of what is left read from a parity table (the paper's case 1);
+each (shape, statement) pair is decomposed once per call.  What is left at
+the end is one connected component, two K4s, or components that are all K4
+or K3,3; the last combine entries of fixed per-component decomposition
+tables, pairing isomorphic components into "perfectly balanced" (tuple,
+complemented tuple) couples (case 2).
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ def _bipartition(g: Graph) -> tuple[list[int], list[int]]:
             if w not in color:
                 color[w] = 1 - color[u]
                 stack.append(w)
-    sides = [v for v in range(g.n) if color[v] == 0], [v for v in range(g.n) if color[v] == 1]
-    return sides
+    return [v for v in range(g.n) if color[v] == 0], [v for v in range(g.n) if color[v] == 1]
 
 
 def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> EdgeSubset:
@@ -149,11 +149,8 @@ def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> E
     canon = k33_table(DegreeProfile(counts))
     side0, side1 = _bipartition(comp)
     assert len(side0) == 3 and len(side1) == 3, "K3,3 must be 3+3 bipartite"
-    relabel = {i: side0[i] for i in range(3)}
-    relabel.update({3 + j: side1[j] for j in range(3)})
-    pairs = [
-        (relabel[u], relabel[v]) for (u, v) in canon.edges(CANONICAL_K33)
-    ]
+    relabel = side0 + side1  # canonical vertex i < 3 to side0[i], 3 + j to side1[j]
+    pairs = [(relabel[u], relabel[v]) for u, v in canon.edges(CANONICAL_K33)]
     return EdgeSubset.from_edges(comp, pairs)
 
 
@@ -251,7 +248,8 @@ def _compose(
     the peeled component's statement and the statement of the rest.  A
     "complement whole" flag complements the rest and everything peeled
     from it on, so a peeled part is complemented by its own flag XOR the
-    running XOR of those flags, and the tail by that running XOR.
+    running XOR of those flags, and the tail by that running XOR.  Each
+    (shape, statement) pair is decomposed once per call, lifted per component.
     """
     big = [i for i, cls in enumerate(classes) if cls in (SmallClass.PRISM, SmallClass.OTHER)]
     peels = big[: len(comps) - 1]
@@ -262,8 +260,15 @@ def _compose(
     labels: list[str] = []
     h_trace: list[str] = []
     bits = 0
-    fallback = flip = rest_is_2k4 = False
+    flip = rest_is_2k4 = False
     n_left, stmt = g.n, s
+    runs: dict = {}  # (graph, statement) -> its decompose_connected_traced result
+
+    def run(graph: Graph, statement: Statement):
+        if (graph, statement) not in runs:
+            runs[graph, statement] = decompose_connected_traced(graph, statement)
+        return runs[graph, statement]
+
     for i in peels:
         comp = comps[i]
         key = (n_left % 4, comp.graph.n % 4, stmt)
@@ -282,15 +287,13 @@ def _compose(
                 + ("|whole~c" if compl_whole else "")
             )
         flip ^= compl_whole
-        h_sub, trace = decompose_connected_traced(comp.graph, h_stmt)
-        fallback |= trace.fallback_used
+        h_sub, trace = run(comp.graph, h_stmt)
         h_trace.extend(f"H:{t}" for t in trace.branch)
         bits |= _lift(g, comp, h_sub, compl_h ^ flip)
 
     if len(tail) == 1:
         comp = comps[tail[0]]
-        sub, trace = decompose_connected_traced(comp.graph, stmt)
-        fallback |= trace.fallback_used
+        sub, trace = run(comp.graph, stmt)
         tail_trace = trace.branch
         bits |= _lift(g, comp, sub, flip)
     else:
@@ -302,7 +305,7 @@ def _compose(
             bits |= _lift(g, comp, realize_tuple_on(comp.graph, cls, counts), flip)
 
     trace = labels + [f"rest:{t}" for t in tail_trace] + h_trace if peels else tail_trace
-    return EdgeSubset(g.m, bits), trace, fallback
+    return EdgeSubset(g.m, bits), trace, any(t.fallback_used for _, t in runs.values())
 
 
 # Case-2 dispatch: (#K4 mod 2, #K3,3 mod 2, statement) -> rows of

@@ -196,9 +196,13 @@ class Component:
 
 
 def connected_components(g: Graph) -> list[Component]:
-    """Maximal connected vertex sets, ordered by smallest original label."""
+    """Maximal connected vertex sets, ordered by smallest original label.
+
+    Components of equal shape may share one Graph, built once per call.
+    """
     seen = [False] * g.n
     out: list[Component] = []
+    shapes: dict = {}
     for start in range(g.n):
         if seen[start]:
             continue
@@ -216,23 +220,27 @@ def connected_components(g: Graph) -> list[Component]:
             # Connected: the host is its own component, so skip the rebuild.
             everything = tuple(range(g.n))
             return [Component(everything, g, everything)]
-        graph, to_host = induced_on(g, verts)
+        graph, to_host = induced_on(g, verts, shapes)
         out.append(Component(to_host, graph, to_host))
     return out
 
 
-def induced_on(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+def induced_on(g: Graph, vertices, shapes: dict) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the given host vertices plus a local->host map.
 
     Reads only the adjacency of those vertices.  Relabeling in ascending
     host order keeps the host's edge order, so the edges come out sorted.
+    ``shapes`` maps each (order, edges) shape built so far to its one Graph.
     """
     verts = sorted(vertices)
     local = {v: i for i, v in enumerate(verts)}
     sub_edges = [
         (i, local[w]) for i, v in enumerate(verts) for w in g.adjacency[v] if w > v and w in local
     ]
-    return Graph(len(verts), tuple(sub_edges)), tuple(verts)
+    shape = len(verts), tuple(sub_edges)
+    if shape not in shapes:
+        shapes[shape] = Graph(*shape)
+    return shapes[shape], tuple(verts)
 
 
 def shortest_cycle(g: Graph) -> list[int] | None:

@@ -103,12 +103,14 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
         for s, mask in states.items()
     }
     ordered = sorted(witness, key=lambda p: p.counts)
+    # max_deviation() is max_k |(d + 1) * n_k - n| / (d + 1): divide once.
+    spread = min(max(abs((d + 1) * x - n) for x in p.counts) for p in ordered)
     return AchievabilityReport(
         graph_order=n,
         degree=d,
         edge_count=g.m,
         achievable=tuple(ordered),
-        min_max_deviation=min(p.max_deviation() for p in ordered),
+        min_max_deviation=Fraction(spread, d + 1),
         witness=witness,
     )
 

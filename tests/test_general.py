@@ -302,6 +302,53 @@ class TestDecomposeBalanced:
         assert len(res.branch_trace) <= 3 * k
 
 
+class TestOneRunPerShape:
+    """Within one call, case 1 decomposes each (shape, statement) pair once;
+    nothing carries over to the next call."""
+
+    def runs(self, monkeypatch):
+        calls = []
+
+        def counted(h, s):
+            calls.append((h, s))
+            return decompose_connected_traced(h, s)
+
+        monkeypatch.setattr(general_mod, "decompose_connected_traced", counted)
+        return calls
+
+    @pytest.mark.parametrize("s", [Statement.I, Statement.II])
+    def test_50_petersen(self, monkeypatch, s):
+        calls = self.runs(monkeypatch)
+        g = disjoint_union([named("PETERSEN")] * 50)
+        first = decompose_traced(g, s)
+        statements = {t for _, t in calls}
+        assert len(calls) == len(statements) >= 2
+        assert len({id(h) for h, _ in calls}) == 1
+        assert decompose_traced(g, s) == first
+        assert len(calls) == 2 * len(statements)
+
+    def test_relabeled_copy_runs_apart(self, monkeypatch):
+        calls = self.runs(monkeypatch)
+        p = named("PETERSEN")
+        copy = build_graph(10, [(9 - u, 9 - v) for u, v in p.edges])
+        assert copy != p
+        decompose_traced(disjoint_union([p, p, copy, p]), Statement.I)
+        assert len({(h.edges, t) for h, t in calls}) == len(calls)
+        assert {h.edges for h, _ in calls} == {p.edges, copy.edges}
+
+    def test_forced_block_warns_once_per_shape(self, monkeypatch, caplog):
+        def block(state):
+            raise SpecialCaseNeeded("forced")
+
+        monkeypatch.setattr(connected_mod, "stage2_fill_v2", block)
+        calls = self.runs(monkeypatch)
+        g = disjoint_union([named("CUBE")] * 6)
+        sub, trace, fallback = decompose_traced(g, Statement.I)
+        assert fallback and profile_of(g, sub) == target_profile(g.n, Statement.I)
+        warned = [r for r in caplog.records if r.getMessage().startswith("fallback used")]
+        assert len(warned) == len(calls) < 6
+
+
 class TestOneSplit:
     """decompose_balanced splits its input into components exactly once, and
     decompose_connected_traced, given a connected graph, not at all."""

@@ -124,6 +124,21 @@ class TestConnectedComponents:
     def test_empty(self):
         assert connected_components(build_graph(0, [])) == []
 
+    def test_equal_shapes_share_one_graph(self):
+        p = named("PETERSEN")
+        comps = connected_components(disjoint_union([p] * 3))
+        assert comps[0].graph is comps[1].graph is comps[2].graph
+        assert comps[0].graph == p
+        assert [c.to_host[0] for c in comps] == [0, 10, 20]
+
+    def test_relabeled_copy_has_its_own_graph(self):
+        p = named("PETERSEN")
+        copy = build_graph(10, [(9 - u, 9 - v) for u, v in p.edges])
+        comps = connected_components(disjoint_union([p, copy, p]))
+        assert comps[0].graph is comps[2].graph
+        assert comps[1].graph is not comps[0].graph
+        assert comps[1].graph == copy != p
+
     def test_partition(self, full_corpus):
         for _, g in full_corpus:
             comps = connected_components(g)
