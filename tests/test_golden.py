@@ -247,3 +247,40 @@ def test_repeated_unions_match_golden_digest():
             digest.update(line.encode("ascii") + b"\n")
     assert count == 2 * (5 * 59 + 5 + 5 * 3)
     assert digest.hexdigest() == REPEATED_UNION_SHA256
+
+
+# Unions of 2-30 K4s and 2-30 K3,3s in a seeded order, where each K3,3 is one
+# of three seeded relabelings: case 2 then realizes its tuples through
+# different bipartitions of one shared shape.  Seeds cover both parities of
+# n and each graph runs under both statements of its parity; the digest
+# covers subsets, traces and fallback flags.
+CASE2_RELABELED_SHA256 = "cab350d8544a038deb915dcbe3138d2892314a7c100ec042823b6c44d56b1b63"
+CASE2_RELABELED_SEEDS = range(40)
+
+
+def relabeled_case2_unions():
+    for seed in CASE2_RELABELED_SEEDS:
+        rng = random.Random(f"case2-relabeled:{seed}")
+        k33s = [_relabeled(named("K33"), rng) for _ in range(3)]
+        parts = [named("K4")] * rng.randint(2, 30)
+        parts += [rng.choice(k33s) for _ in range(rng.randint(2, 30))]
+        rng.shuffle(parts)
+        yield f"case2-relabeled:{seed}", disjoint_union(parts)
+
+
+def test_relabeled_case2_unions_match_golden_digest():
+    digest = hashlib.sha256()
+    parities, labels = set(), set()
+    for name, g in relabeled_case2_unions():
+        parities.add(g.n % 4)
+        statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
+        for s in statements:
+            sub, trace, fallback = decompose_traced(g, s)
+            assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
+            labels.update(trace)
+            line = f"{name}\t{s.value}\t{sub.bits:x}\t{' '.join(trace)}\t{fallback}"
+            digest.update(line.encode("ascii") + b"\n")
+    assert parities == {0, 2}
+    # The other three rows need a single K3,3.
+    assert labels == CASE2_LABELS - {"case2(a):II:4xK4", "case2(c):III:2xK4+K33", "case2(d):I:5xK4"}
+    assert digest.hexdigest() == CASE2_RELABELED_SHA256
