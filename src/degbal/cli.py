@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -293,8 +294,10 @@ def cmd_batch(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_FAIL
     tasks = [(name, g, statement) for name, g in _load_graphs(args)]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool may start every worker at once, so ask for no idle ones.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_worker, tasks, chunksize=8))
     else:
         rows = [_batch_worker(t) for t in tasks]

@@ -234,10 +234,7 @@ class ColoringState:
             assert self.sizes[k] == deg.count(k)
 
     def subset(self) -> EdgeSubset:
-        return EdgeSubset(self.host.m, int(b"0" + self.colored[::-1].translate(_BIT_DIGITS), 2))
-
-
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+        return EdgeSubset.from_member(self.colored)
 
 
 def stage1_grow_v3(state: ColoringState) -> ColoringState:

@@ -71,10 +71,6 @@ class NoSuchTuple(DegbalError):
     """Requested profile is not in the stored decomposition table."""
 
 
-class NotIsomorphicPair(DegbalError):
-    """Perfectly balanced pairing needs two copies of the same small graph."""
-
-
 # -- oracle ------------------------------------------------------------------
 
 class CapExceeded(DegbalError):

@@ -7,8 +7,9 @@ statement of what is left read from a parity table (the paper's case 1);
 each (shape, statement) pair is decomposed once per call.  What is left at
 the end is one connected component, two K4s, or components that are all K4
 or K3,3; the last combine entries of fixed per-component decomposition
-tables, pairing isomorphic components into "perfectly balanced" (tuple,
-complemented tuple) couples (case 2).
+tables, pairing same-kind components into "perfectly balanced" (tuple,
+reversed tuple) couples (case 2), each (shape, tuple) realized once per
+call.  Every component's subset goes onto the host through its edge map.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ from .connected import (
     decompose_connected_traced,
     target_profile,
 )
-from .errors import (
-    ExceptionGraph,
-    InternalStuck,
-    NoSuchTuple,
-    NotIsomorphicPair,
-)
+from .errors import ExceptionGraph, InternalStuck, NoSuchTuple
 from .graphs import (
     Component,
     DegreeProfile,
@@ -36,7 +32,6 @@ from .graphs import (
     Graph,
     SmallClass,
     build_graph,
-    classify_small,
     complement_within,
     connected_components,
     profile_of,
@@ -154,24 +149,6 @@ def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> E
     return EdgeSubset.from_edges(comp, pairs)
 
 
-def pair_perfectly_balanced(h1: Graph, h2: Graph, s: Statement) -> EdgeSubset:
-    """(t',t',t',t') subset on h1 u h2 from a tuple and its complement.
-
-    ``s`` names the statement whose target tuple (for the component order)
-    goes on h1; its reversal, realized by complementing, goes on h2.
-    """
-    cls1, cls2 = classify_small(h1), classify_small(h2)
-    if cls1 is not cls2 or cls1 not in (SmallClass.K4, SmallClass.K33):
-        raise NotIsomorphicPair(f"cannot pair {cls1.value} with {cls2.value}")
-    counts = target_profile(h1.n, s).counts
-    a, b, c, d = counts
-    if a + d != b + c:
-        raise NoSuchTuple(f"{counts} is not balanceable (a+d != b+c)")
-    sub1 = realize_tuple_on(h1, cls1, counts)
-    sub2 = realize_tuple_on(h2, cls2, tuple(reversed(counts)))
-    return EdgeSubset(h1.m + h2.m, sub1.bits | (sub2.bits << h1.m))
-
-
 # Case-1 dispatch: (n mod 4, |H| mod 4, statement) ->
 #   (statement for G-H, statement for H, complement H's subset, complement whole)
 _CASE1 = {
@@ -228,14 +205,13 @@ def decompose_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, list[str], boo
     return sub, trace, fallback
 
 
-def _lift(host: Graph, comp: Component, subset: EdgeSubset, complemented: bool) -> int:
-    """Host bits of a component's subset, complemented within it if asked."""
+def _lift(member: bytearray, comp: Component, subset: EdgeSubset, complemented: bool) -> None:
+    """Mark a component's subset, complemented within it if asked, on the host."""
     if complemented:
         subset = complement_within(comp.graph, subset)
-    bits = 0
-    for u, v in subset.edges(comp.graph):
-        bits |= 1 << host.edge_index(comp.to_host[u], comp.to_host[v])
-    return bits
+    edges = comp.edges
+    for i in subset.indices():
+        member[edges[i]] = 1
 
 
 def _compose(
@@ -249,7 +225,8 @@ def _compose(
     "complement whole" flag complements the rest and everything peeled
     from it on, so a peeled part is complemented by its own flag XOR the
     running XOR of those flags, and the tail by that running XOR.  Each
-    (shape, statement) pair is decomposed once per call, lifted per component.
+    (shape, statement) pair is decomposed, and each case-2 (shape, tuple)
+    pair realized, once per call; every component is lifted on its own.
     """
     big = [i for i, cls in enumerate(classes) if cls in (SmallClass.PRISM, SmallClass.OTHER)]
     peels = big[: len(comps) - 1]
@@ -259,7 +236,7 @@ def _compose(
 
     labels: list[str] = []
     h_trace: list[str] = []
-    bits = 0
+    member = bytearray(g.m)
     flip = rest_is_2k4 = False
     n_left, stmt = g.n, s
     runs: dict = {}  # (graph, statement) -> its decompose_connected_traced result
@@ -277,7 +254,7 @@ def _compose(
         rest_is_2k4 = n_left == 8 and tail_is_2k4
         if rest_is_2k4:
             # The rest's statement-I pairs, (0,0,2,2) and its reversal, are
-            # the perfectly balanced ones of pair_perfectly_balanced.
+            # the perfectly balanced K4 pair of _PAIR.
             stmt, h_stmt, compl_h, compl_whole = Statement.I, _CASE1_2K4[key], False, False
             labels.append(f"case1:rest=2K4-balanced,H={h_stmt.value}")
         else:
@@ -289,23 +266,26 @@ def _compose(
         flip ^= compl_whole
         h_sub, trace = run(comp.graph, h_stmt)
         h_trace.extend(f"H:{t}" for t in trace.branch)
-        bits |= _lift(g, comp, h_sub, compl_h ^ flip)
+        _lift(member, comp, h_sub, compl_h ^ flip)
 
     if len(tail) == 1:
         comp = comps[tail[0]]
         sub, trace = run(comp.graph, stmt)
         tail_trace = trace.branch
-        bits |= _lift(g, comp, sub, flip)
+        _lift(member, comp, sub, flip)
     else:
         k4s = [comps[i] for i in tail if classes[i] is SmallClass.K4]
         k33s = [comps[i] for i in tail if classes[i] is SmallClass.K33]
         label, assignments = _case2_assignments(stmt, k4s, k33s)
         tail_trace = [] if rest_is_2k4 else [label]
+        realized: dict = {}  # (graph, tuple) -> its realize_tuple_on subset
         for comp, cls, counts in assignments:
-            bits |= _lift(g, comp, realize_tuple_on(comp.graph, cls, counts), flip)
+            if (comp.graph, counts) not in realized:
+                realized[comp.graph, counts] = realize_tuple_on(comp.graph, cls, counts)
+            _lift(member, comp, realized[comp.graph, counts], flip)
 
     trace = labels + [f"rest:{t}" for t in tail_trace] + h_trace if peels else tail_trace
-    return EdgeSubset(g.m, bits), trace, any(t.fallback_used for _, t in runs.values())
+    return EdgeSubset.from_member(member), trace, any(t.fallback_used for _, t in runs.values())
 
 
 # Case-2 dispatch: (#K4 mod 2, #K3,3 mod 2, statement) -> rows of

@@ -7,7 +7,7 @@ canonical edge order, so all downstream colorings are reproducible.
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -87,11 +87,16 @@ class EdgeSubset:
         return cls(m, (1 << m) - 1)
 
     @classmethod
+    def from_member(cls, member: bytearray) -> "EdgeSubset":
+        """Subset of len(member) edges holding edge i iff member[i] is 1; flags are 0 or 1."""
+        return cls(len(member), int(b"0" + member[::-1].translate(_BIT_DIGITS), 2))
+
+    @classmethod
     def from_edges(cls, g: Graph, pairs) -> "EdgeSubset":
-        bits = 0
+        member = bytearray(g.m)
         for u, v in pairs:
-            bits |= 1 << g.edge_index(u, v)
-        return cls(g.m, bits)
+            member[g.edge_index(u, v)] = 1
+        return cls.from_member(member)
 
     def __contains__(self, index: int) -> bool:
         return bool(self.bits >> index & 1)
@@ -108,6 +113,9 @@ class EdgeSubset:
         if g.m != self.m:
             raise SizeMismatch(f"subset over {self.m} edges, host has {g.m}")
         return [g.edges[i] for i in self.indices()]
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 @dataclass(frozen=True)
@@ -188,11 +196,11 @@ def inferred_degree(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class Component:
-    """One connected component: original vertices, induced graph, label map."""
+    """One connected component: host vertices, induced graph, host edges."""
 
     vertices: tuple[int, ...]          # host labels, ascending
     graph: Graph                       # relabeled 0..k-1 in that order
-    to_host: tuple[int, ...]           # local label -> host label
+    edges: Sequence[int]               # local edge i -> host edge index, ascending
 
 
 def connected_components(g: Graph) -> list[Component]:
@@ -200,47 +208,42 @@ def connected_components(g: Graph) -> list[Component]:
 
     Components of equal shape may share one Graph, built once per call.
     """
-    seen = [False] * g.n
-    out: list[Component] = []
-    shapes: dict = {}
+    label = [-1] * g.n
+    members: list[list[int]] = []
     for start in range(g.n):
-        if seen[start]:
+        if label[start] >= 0:
             continue
-        seen[start] = True
-        queue = deque([start])
-        verts = [start]
-        while queue:
-            u = queue.popleft()
+        c = label[start] = len(members)
+        queue = [start]
+        for u in queue:
             for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    verts.append(w)
+                if label[w] < 0:
+                    label[w] = c
                     queue.append(w)
-        if len(verts) == g.n:
+        if len(queue) == g.n:
             # Connected: the host is its own component, so skip the rebuild.
-            everything = tuple(range(g.n))
-            return [Component(everything, g, everything)]
-        graph, to_host = induced_on(g, verts, shapes)
-        out.append(Component(to_host, graph, to_host))
-    return out
+            return [Component(tuple(range(g.n)), g, range(g.m))]
+        members.append(queue)
+    edge_ids: list[list[int]] = [[] for _ in members]
+    for i, (u, _) in enumerate(g.edges):
+        edge_ids[label[u]].append(i)
+    shapes: dict = {}
+    return [induced_on(g, verts, ids, shapes) for verts, ids in zip(members, edge_ids)]
 
 
-def induced_on(g: Graph, vertices, shapes: dict) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the given host vertices plus a local->host map.
+def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict) -> Component:
+    """The component on the given host vertices with these host edges, ascending.
 
-    Reads only the adjacency of those vertices.  Relabeling in ascending
-    host order keeps the host's edge order, so the edges come out sorted.
+    Relabeling in ascending host order keeps the host's edge order, so local
+    edge i is host edge edge_ids[i] and the edges come out sorted.
     ``shapes`` maps each (order, edges) shape built so far to its one Graph.
     """
-    verts = sorted(vertices)
+    verts = tuple(sorted(vertices))
     local = {v: i for i, v in enumerate(verts)}
-    sub_edges = [
-        (i, local[w]) for i, v in enumerate(verts) for w in g.adjacency[v] if w > v and w in local
-    ]
-    shape = len(verts), tuple(sub_edges)
+    shape = len(verts), tuple((local[u], local[v]) for u, v in map(g.edges.__getitem__, edge_ids))
     if shape not in shapes:
         shapes[shape] = Graph(*shape)
-    return shapes[shape], tuple(verts)
+    return Component(verts, shapes[shape], tuple(edge_ids))
 
 
 def shortest_cycle(g: Graph) -> list[int] | None:

@@ -333,6 +333,40 @@ class TestBatchCommand:
         )
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "records, cpus, want",
+        [(2, 64, 2), (6, 3, 3), (6, None, None), (6, 1, None), (1, 64, None)],
+    )
+    def test_pool_capped_by_tasks_and_cpus(
+        self, capsys, tmp_path, monkeypatch, records, cpus, want
+    ):
+        # -j 5000 must not ask for 5000 workers; a cap of 1 runs serially.
+        import degbal.cli as cli_mod
+
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+        path = tmp_path / "corpus.g6"
+        path.write_text((encode_graph6(named("PETERSEN")) + "\n") * records)
+        code, out, _ = run_cli(capsys, "batch", "--input", str(path), "--no-timing", "-j", "5000")
+        assert code == 0
+        assert out.splitlines()[-1].startswith(f"# total={records} ok={records}")
+        assert pools == ([] if want is None else [want])
+
     def test_each_record_parsed_once(self, capsys, tmp_path, monkeypatch):
         import degbal.cli as cli_mod
 

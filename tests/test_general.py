@@ -18,7 +18,6 @@ from degbal.connected import (
 from degbal.errors import (
     ExceptionGraph,
     NoSuchTuple,
-    NotIsomorphicPair,
     NotRegular,
     ParityMismatch,
     SpecialCaseNeeded,
@@ -37,7 +36,6 @@ from degbal.general import (
     detect_exception,
     k33_table,
     k4_table,
-    pair_perfectly_balanced,
     realize_tuple_on,
 )
 from degbal.graphs import (
@@ -149,33 +147,6 @@ class TestTupleTables:
         for counts in K33_TUPLES:
             sub = realize_tuple_on(g, SmallClass.K33, counts)
             assert profile_of(g, sub).counts == counts
-
-
-class TestPairPerfectlyBalanced:
-    def test_2k4(self):
-        k4 = named("K4")
-        sub = pair_perfectly_balanced(k4, k4, Statement.II)
-        union = disjoint_union([k4, k4])
-        assert profile_of(union, sub).counts == (2, 2, 2, 2)
-
-    def test_2k33(self):
-        k33 = named("K33")
-        sub = pair_perfectly_balanced(k33, k33, Statement.IV)
-        union = disjoint_union([k33, k33])
-        assert profile_of(union, sub).counts == (3, 3, 3, 3)
-
-    def test_second_part_is_reversed_profile(self):
-        k33 = named("K33")
-        sub = pair_perfectly_balanced(k33, k33, Statement.IV)
-        first = profile_of(k33, type(sub)(k33.m, sub.bits & ((1 << k33.m) - 1)))
-        second = profile_of(k33, type(sub)(k33.m, sub.bits >> k33.m))
-        assert second == first.reversed()
-
-    def test_not_isomorphic(self):
-        with pytest.raises(NotIsomorphicPair):
-            pair_perfectly_balanced(named("K4"), named("K33"), Statement.II)
-        with pytest.raises(NotIsomorphicPair):
-            pair_perfectly_balanced(named("PRISM"), named("PRISM"), Statement.III)
 
 
 class TestDecompose:
@@ -303,8 +274,9 @@ class TestDecomposeBalanced:
 
 
 class TestOneRunPerShape:
-    """Within one call, case 1 decomposes each (shape, statement) pair once;
-    nothing carries over to the next call."""
+    """Within one call, case 1 decomposes each (shape, statement) pair once
+    and case 2 realizes each (shape, tuple) pair once; nothing carries over
+    to the next call."""
 
     def runs(self, monkeypatch):
         calls = []
@@ -335,6 +307,27 @@ class TestOneRunPerShape:
         decompose_traced(disjoint_union([p, p, copy, p]), Statement.I)
         assert len({(h.edges, t) for h, t in calls}) == len(calls)
         assert {h.edges for h, _ in calls} == {p.edges, copy.edges}
+
+    def test_case2_realizes_each_shape_and_tuple_once(self, monkeypatch):
+        calls = []
+
+        def counted(h, cls, counts):
+            calls.append((h.edges, counts))
+            return realize_tuple_on(h, cls, counts)
+
+        monkeypatch.setattr(general_mod, "realize_tuple_on", counted)
+        k4, k33 = named("K4"), named("K33")
+        copy = build_graph(6, [(i, j) for i in (0, 2, 4) for j in (1, 3, 5)])
+        assert copy != k33
+        g = disjoint_union([k4] * 30 + [k33] * 30 + [copy, k33, copy])
+        for s in (Statement.III, Statement.IV):
+            del calls[:]
+            first = decompose_traced(g, s)
+            distinct = set(calls)
+            assert len(calls) == len(distinct) < 8
+            assert {h for h, _ in calls} == {k4.edges, k33.edges, copy.edges}
+            assert decompose_traced(g, s) == first
+            assert sorted(calls) == sorted(2 * list(distinct))
 
     def test_forced_block_warns_once_per_shape(self, monkeypatch, caplog):
         def block(state):

@@ -282,5 +282,6 @@ def test_relabeled_case2_unions_match_golden_digest():
             digest.update(line.encode("ascii") + b"\n")
     assert parities == {0, 2}
     # The other three rows need a single K3,3.
-    assert labels == CASE2_LABELS - {"case2(a):II:4xK4", "case2(c):III:2xK4+K33", "case2(d):I:5xK4"}
+    single_k33 = {"case2(a):II:4xK4", "case2(c):III:2xK4+K33", "case2(d):I:5xK4"}
+    assert labels == CASE2_LABELS - single_k33
     assert digest.hexdigest() == CASE2_RELABELED_SHA256

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -119,7 +120,8 @@ class TestConnectedComponents:
         assert len(comps) == 1 and comps[0].graph.n == 10
         # A connected host is its own component, labels unchanged.
         assert comps[0].graph is g
-        assert comps[0].vertices == comps[0].to_host == tuple(range(10))
+        assert comps[0].vertices == tuple(range(10))
+        assert comps[0].edges == range(g.m)
 
     def test_empty(self):
         assert connected_components(build_graph(0, [])) == []
@@ -129,7 +131,7 @@ class TestConnectedComponents:
         comps = connected_components(disjoint_union([p] * 3))
         assert comps[0].graph is comps[1].graph is comps[2].graph
         assert comps[0].graph == p
-        assert [c.to_host[0] for c in comps] == [0, 10, 20]
+        assert [c.vertices[0] for c in comps] == [0, 10, 20]
 
     def test_relabeled_copy_has_its_own_graph(self):
         p = named("PETERSEN")
@@ -144,6 +146,26 @@ class TestConnectedComponents:
             comps = connected_components(g)
             seen = sorted(v for c in comps for v in c.vertices)
             assert seen == list(range(g.n))
+
+    def test_edge_maps_cover_the_host(self, full_corpus):
+        p = named("PETERSEN")
+        copy = build_graph(10, [(9 - u, 9 - v) for u, v in p.edges])
+        mix = disjoint_union([named("K33"), p, named("K4"), copy, named("PRISM")] * 3)
+        perm = list(range(mix.n))
+        random.Random(7).shuffle(perm)
+        unions = [
+            disjoint_union([p, copy, named("K4"), p]),
+            mix,
+            build_graph(mix.n, [(perm[u], perm[v]) for u, v in mix.edges]),
+            cycles([3, 5, 4, 7]),
+        ]
+        for g in [g for _, g in full_corpus] + unions:
+            comps = connected_components(g)
+            for c in comps:
+                assert len(c.edges) == c.graph.m
+                for i, (u, v) in enumerate(c.graph.edges):
+                    assert g.edges[c.edges[i]] == (c.vertices[u], c.vertices[v])
+            assert sorted(i for c in comps for i in c.edges) == list(range(g.m))
 
 
 class TestShortestCycle:
@@ -211,6 +233,23 @@ class TestComplement:
         g = random_cubic(10, seed)
         s = EdgeSubset(g.m, bits)
         assert profile_of(g, complement_within(g, s)) == profile_of(g, s).reversed()
+
+
+class TestFromMember:
+    @pytest.mark.parametrize("m", [0, 1, 64, 1000])
+    def test_round_trip_with_indices(self, m):
+        rng = random.Random(m)
+        for _ in range(5):
+            member = bytearray(rng.getrandbits(1) for _ in range(m))
+            sub = EdgeSubset.from_member(member)
+            assert sub.m == m
+            assert sub.indices() == [i for i in range(m) if member[i]]
+            again = bytearray(m)
+            for i in sub.indices():
+                again[i] = 1
+            assert again == member
+        assert EdgeSubset.from_member(bytearray(m)) == EdgeSubset.empty(m)
+        assert EdgeSubset.from_member(bytearray([1]) * m) == EdgeSubset.full(m)
 
 
 class TestProfileOf:
