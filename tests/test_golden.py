@@ -9,20 +9,24 @@ digest too, as the kind of exception raised.
 """
 
 import hashlib
+import itertools
 import random
 
 from degbal.cli import _document
-from degbal.connected import Statement, target_profile
+from degbal.connected import Statement, decompose_connected_traced, target_profile
 from degbal.errors import ExceptionGraph
 from degbal.formats import render_result
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import (
+    K4_TUPLES,
+    K33_TUPLES,
     decompose_balanced,
     decompose_result,
     decompose_traced,
     decompose_two_regular,
+    realize_tuple_on,
 )
-from degbal.graphs import build_graph, connected_components, profile_of
+from degbal.graphs import SmallClass, build_graph, connected_components, profile_of, small_class
 
 from conftest import FIXTURES, load_corpus_file
 
@@ -285,3 +289,44 @@ def test_relabeled_case2_unions_match_golden_digest():
     single_k33 = {"case2(a):II:4xK4", "case2(c):III:2xK4+K33", "case2(d):I:5xK4"}
     assert labels == CASE2_LABELS - single_k33
     assert digest.hexdigest() == CASE2_RELABELED_SHA256
+
+
+# Every labeled K4 (1), K3,3 (10) and prism (60) on vertices 0..n-1: its small
+# class, its base-case subset and branch (or refusal) under each statement of
+# its parity, and the realized bits of every K4 / K3,3 table tuple.  The
+# digest fixes how each labeling is read, whatever the route to the answer.
+SMALL_LABELINGS_SHA256 = "c7638e51f460c59802f19112590683ece4b756c902d7c08fa4886f249d173352"
+
+
+def small_labelings():
+    for name in ("K4", "K33", "PRISM"):
+        g = named(name)
+        seen = set()
+        for perm in itertools.permutations(range(g.n)):
+            h = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            if h.edges not in seen:
+                seen.add(h.edges)
+                yield name, h
+
+
+def test_small_labelings_match_golden_digest():
+    digest = hashlib.sha256()
+    counts = {}
+    for name, g in small_labelings():
+        counts[name] = counts.get(name, 0) + 1
+        cls = small_class(g)
+        lines = [f"{name}\t{g.edges}\t{cls.value}"]
+        statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
+        for s in statements:
+            try:
+                sub, trace = decompose_connected_traced(g, s)
+            except ExceptionGraph as exc:
+                lines.append(f"{s.value}\texception:{exc.kind.value}")
+            else:
+                lines.append(f"{s.value}\t{sub.bits:x}\t{' '.join(trace.branch)}")
+        tuples = {SmallClass.K4: K4_TUPLES, SmallClass.K33: K33_TUPLES}.get(cls, ())
+        lines.extend(f"{t}\t{realize_tuple_on(g, cls, t).bits:x}" for t in tuples)
+        for line in lines:
+            digest.update(line.encode("ascii") + b"\n")
+    assert counts == {"K4": 1, "K33": 10, "PRISM": 60}
+    assert digest.hexdigest() == SMALL_LABELINGS_SHA256
