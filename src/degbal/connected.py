@@ -43,6 +43,7 @@ from .graphs import (
     shortest_cycle,
     small_class,
     subgraph_degrees,
+    triangle_at_zero,
 )
 from .oracle import find_witness
 
@@ -133,7 +134,7 @@ class ColoringState:
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
         self.host = host
-        self.targets = targets
+        self.n3, self.n2, self.n1 = targets.counts[:3]  # highest subgraph degree first
         self.cycle = cycle
         self.cycle_edges = sorted(
             host.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
@@ -152,19 +153,6 @@ class ColoringState:
         self.stage1: Stage1Stats | None = None
         # predicate -> [cursor, min-heap of valid-again indices below it, reach]
         self.finders: dict = {}
-
-    # targets, highest subgraph degree first
-    @property
-    def n3(self) -> int:
-        return self.targets.counts[0]
-
-    @property
-    def n2(self) -> int:
-        return self.targets.counts[1]
-
-    @property
-    def n1(self) -> int:
-        return self.targets.counts[2]
 
     def color_edge(self, i: int) -> None:
         assert not self.colored[i]
@@ -552,15 +540,10 @@ def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
         a, b = g.adjacency[0][:2]
         trace.branch.append(f"base:{cls.value}:P3")
         return EdgeSubset.from_edges(g, [(0, a), (0, b)])
-    # prism, statement III: triangle plus one pendant edge.
+    # prism, statement III: the triangle at vertex 0 plus its third edge there.
     assert cls is SmallClass.PRISM and s is Statement.III
-    tri = shortest_cycle(g)
-    assert tri is not None and len(tri) == 3
-    x = min(tri)
-    outside = next(w for w in g.adjacency[x] if w not in tri)
-    edges = [(tri[i], tri[(i + 1) % 3]) for i in range(3)] + [(x, outside)]
     trace.branch.append("base:PRISM:triangle+pendant")
-    return EdgeSubset.from_edges(g, edges)
+    return EdgeSubset.from_edges(g, [(0, w) for w in g.adjacency[0]] + [triangle_at_zero(g)])
 
 
 def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace) -> EdgeSubset:

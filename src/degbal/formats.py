@@ -185,6 +185,13 @@ def render_result(r: ResultDocument, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
+def _int(x) -> int:
+    """A JSON integer as is; a float or boolean in its place is a TypeError."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
 def parse_result_json(text: str) -> ResultDocument:
     try:
         doc = json.loads(text)
@@ -193,11 +200,11 @@ def parse_result_json(text: str) -> ResultDocument:
     try:
         return ResultDocument(
             input_name=doc["input_name"],
-            n=doc["n"],
+            n=_int(doc["n"]),
             statement=doc["statement"],
-            target_profile=DegreeProfile(tuple(doc["target_profile"])),
-            achieved_profile=DegreeProfile(tuple(doc["achieved_profile"])),
-            subgraph_edges=tuple((u, v) for u, v in doc["subgraph_edges"]),
+            target_profile=DegreeProfile(tuple(map(_int, doc["target_profile"]))),
+            achieved_profile=DegreeProfile(tuple(map(_int, doc["achieved_profile"]))),
+            subgraph_edges=tuple((_int(u), _int(v)) for u, v in doc["subgraph_edges"]),
             max_deviation=parse_rational(doc["max_deviation"]),
             branch_trace=tuple(doc["branch_trace"]),
             fallback_used=doc["fallback_used"],

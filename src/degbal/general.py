@@ -123,28 +123,16 @@ def _exception_of(classes: list[SmallClass], s: Statement) -> ExceptionKind | No
     return None
 
 
-def _bipartition(g: Graph) -> tuple[list[int], list[int]]:
-    """2-coloring of a connected bipartite graph, side of vertex 0 first."""
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-    return [v for v in range(g.n) if color[v] == 0], [v for v in range(g.n) if color[v] == 1]
-
-
 def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> EdgeSubset:
     """Map a table entry onto a concretely labeled K4 / K3,3 component."""
     if cls is SmallClass.K4:
         return k4_table(DegreeProfile(counts))  # any K4 labeling is canonical
     assert cls is SmallClass.K33
     canon = k33_table(DegreeProfile(counts))
-    side0, side1 = _bipartition(comp)
-    assert len(side0) == 3 and len(side1) == 3, "K3,3 must be 3+3 bipartite"
-    relabel = side0 + side1  # canonical vertex i < 3 to side0[i], 3 + j to side1[j]
+    # Canonical vertices 0-2 go to vertex 0's side, ascending, and 3-5 to its
+    # neighbours, the far side.
+    far = comp.adjacency[0]
+    relabel = [v for v in range(comp.n) if v not in far] + list(far)
     pairs = [(relabel[u], relabel[v]) for u, v in canon.edges(CANONICAL_K33)]
     return EdgeSubset.from_edges(comp, pairs)
 

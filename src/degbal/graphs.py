@@ -11,6 +11,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     DuplicateEdge,
@@ -228,19 +229,21 @@ def connected_components(g: Graph) -> list[Component]:
     for i, (u, _) in enumerate(g.edges):
         edge_ids[label[u]].append(i)
     shapes: dict = {}
-    return [induced_on(g, verts, ids, shapes) for verts, ids in zip(members, edge_ids)]
+    return [induced_on(g, verts, ids, shapes, label) for verts, ids in zip(members, edge_ids)]
 
 
-def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict) -> Component:
+def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict, label: list) -> Component:
     """The component on the given host vertices with these host edges, ascending.
 
     Relabeling in ascending host order keeps the host's edge order, so local
     edge i is host edge edge_ids[i] and the edges come out sorted.
-    ``shapes`` maps each (order, edges) shape built so far to its one Graph.
+    ``shapes`` maps each (order, edges) shape built so far to its one Graph;
+    the host-sized ``label`` list is overwritten with each vertex's local index.
     """
     verts = tuple(sorted(vertices))
-    local = {v: i for i, v in enumerate(verts)}
-    shape = len(verts), tuple((local[u], local[v]) for u, v in map(g.edges.__getitem__, edge_ids))
+    for i, v in enumerate(verts):
+        label[v] = i
+    shape = len(verts), tuple((label[u], label[v]) for u, v in map(g.edges.__getitem__, edge_ids))
     if shape not in shapes:
         shapes[shape] = Graph(*shape)
     return Component(verts, shapes[shape], tuple(edge_ids))
@@ -371,12 +374,14 @@ def small_class(g: Graph) -> SmallClass:
     if g.n == 4:
         return SmallClass.K4
     if g.n == 6:
-        return SmallClass.K33 if not _has_triangle(g) else SmallClass.PRISM
+        return SmallClass.PRISM if triangle_at_zero(g) else SmallClass.K33
     return SmallClass.OTHER
 
 
-def _has_triangle(g: Graph) -> bool:
-    for u, v in g.edges:
-        if set(g.adjacency[u]) & set(g.adjacency[v]):
-            return True
-    return False
+def triangle_at_zero(g: Graph) -> tuple[int, int] | None:
+    """The lowest adjacent pair among vertex 0's neighbours, or None.
+
+    On 6 vertices this tells the prism from K3,3: every prism vertex lies on
+    a triangle, and K3,3 has none.
+    """
+    return next((p for p in combinations(g.adjacency[0], 2) if g.has_edge(*p)), None)

@@ -189,6 +189,19 @@ class TestVerifyCommand:
         assert code == 4
         assert err.startswith("parse error: ")
 
+    def test_non_integer_fields_are_parse_errors(self, capsys, tmp_path):
+        # Each value compares equal to the integer it replaces, so only a
+        # type check tells this document from the real one.
+        path = self._decompose_to_file(capsys, tmp_path, "k4", "ii")
+        doc = json.loads(path.read_text())
+        doc["n"] = 4.0
+        doc["target_profile"][0] = 0.0
+        doc["subgraph_edges"] = [[0.0, True]]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--named", "k4", "--result", str(path))
+        assert code == 4 and not out
+        assert err.startswith("parse error: ")
+
     def test_every_decompose_output_verifies(self, capsys, tmp_path):
         for name in ("k4", "k33", "prism", "cube", "petersen", "heawood"):
             code, out, _ = run_cli(capsys, "decompose", "--named", name, "--statement", "balanced")

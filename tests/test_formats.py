@@ -1,4 +1,5 @@
 import hashlib
+import json
 import time
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degbal.connected import Statement
 from degbal.errors import LoopEdge, ParseError, UnsupportedOrder
 from degbal.formats import (
     ResultDocument,
@@ -228,6 +230,24 @@ class TestRenderResult:
         assert len(set(rendered)) == len(rendered)
         rendered_tsv = [render_result(d, "tsv") for d in docs]
         assert len(set(rendered_tsv)) == len(rendered_tsv)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 4.0),
+            ("n", True),
+            ("target_profile", [0.0, 0, 2, 2]),
+            ("achieved_profile", [0, False, 2, 2]),
+            ("subgraph_edges", [[0.0, 1]]),
+            ("subgraph_edges", [[0, True]]),
+        ],
+    )
+    def test_non_integer_field_rejected(self, field, value):
+        g = named("K4")
+        doc = json.loads(render_result(self._doc(g, "k4", decompose_result(g, Statement.II)), "json"))
+        doc[field] = value
+        with pytest.raises(ParseError):
+            parse_result_json(json.dumps(doc))
 
     def test_bad_json_rejected(self):
         with pytest.raises(ParseError):

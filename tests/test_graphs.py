@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from degbal.graphs import (
     inferred_degree,
     profile_of,
     shortest_cycle,
+    triangle_at_zero,
     validate_regular,
 )
 
@@ -303,6 +304,19 @@ class TestClassifySmall:
 
     def test_k33_triangle_free(self):
         assert classify_small(named("K33")) is SmallClass.K33
+
+    @pytest.mark.parametrize("name", ["PRISM", "K33"])
+    def test_triangle_at_zero_on_every_labeling(self, name):
+        # The prism's pair closes the triangle at vertex 0, the one the
+        # shortest-cycle search finds first; K3,3 has no triangle.
+        g = named(name)
+        for perm in permutations(range(6)):
+            h = build_graph(6, [(perm[u], perm[v]) for u, v in g.edges])
+            pair = triangle_at_zero(h)
+            if name == "K33":
+                assert pair is None
+            else:
+                assert pair[0] < pair[1] and sorted(shortest_cycle(h)) == [0, *pair]
 
     def test_heawood_other(self):
         assert classify_small(named("HEAWOOD")) is SmallClass.OTHER
