@@ -202,6 +202,16 @@ class TestVerifyCommand:
         assert code == 4 and not out
         assert err.startswith("parse error: ")
 
+    def test_negative_endpoint_not_present(self, capsys, tmp_path):
+        path = self._decompose_to_file(capsys, tmp_path, "k4", "ii")
+        doc = json.loads(path.read_text())
+        assert doc["subgraph_edges"] == [[0, 1]]
+        doc["subgraph_edges"] = [[-1, 2]]
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", "--named", "k4", "--result", str(path))
+        assert code == 1
+        assert out.startswith("FAIL: subgraph edge not present in host graph")
+
     def test_every_decompose_output_verifies(self, capsys, tmp_path):
         for name in ("k4", "k33", "prism", "cube", "petersen", "heawood"):
             code, out, _ = run_cli(capsys, "decompose", "--named", name, "--statement", "balanced")

@@ -14,7 +14,7 @@ from degbal.errors import (
     SizeMismatch,
     VertexOutOfRange,
 )
-from degbal.gen import cycles, disjoint_union, named, random_cubic
+from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.graphs import (
     DegreeProfile,
     EdgeSubset,
@@ -84,6 +84,41 @@ class TestBuildGraph:
     def test_canonical_order(self):
         g = build_graph(4, [(3, 2), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (2, 3))
+
+
+class TestEdgeLookup:
+    """edge_index and has_edge against the sorted edge list, over every pair."""
+
+    def _graphs(self, catalog_graphs):
+        regular = list(catalog_graphs)
+        regular += [(name, named(name)) for name in CATALOG_NAMES]
+        regular += [(f"random_cubic:60:{s}", random_cubic(60, s)) for s in (1, 2, 3)]
+        regular += [("cycles:3,4,5", cycles([3, 4, 5]))]
+        star = ("star:5", build_graph(5, [(0, i) for i in range(1, 5)]))
+        return regular, star
+
+    def test_every_pair_in_and_out_of_range(self, catalog_graphs):
+        regular, star = self._graphs(catalog_graphs)
+        for name, g in regular + [star]:
+            edges = set(g.edges)
+            for u in range(-2, g.n + 2):
+                for v in range(-2, g.n + 2):
+                    pair = (min(u, v), max(u, v))
+                    assert g.has_edge(u, v) == (pair in edges), (name, u, v)
+                    if pair in edges:
+                        i = g.edges.index(pair)
+                        assert g.edge_index(u, v) == g.edge_index(v, u) == i, (name, u, v)
+                    else:
+                        for a, b in ((u, v), (v, u)):
+                            with pytest.raises(KeyError):
+                                g.edge_index(a, b)
+
+    def test_lowest_neighbour_gives_lowest_edge(self, catalog_graphs):
+        regular, _ = self._graphs(catalog_graphs)
+        for name, g in regular:
+            for v in range(g.n):
+                lowest = min(g.edge_index(v, w) for w in g.adjacency[v])
+                assert g.edge_index(v, g.adjacency[v][0]) == lowest, (name, v)
 
 
 class TestValidateRegular:
