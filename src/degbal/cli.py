@@ -170,14 +170,14 @@ def cmd_verify(args) -> int:
     if doc.n != g.n:
         problems.append(f"order mismatch: document n={doc.n}, graph n={g.n}")
     try:
-        indices = [g.edge_index(u, v) for u, v in doc.subgraph_edges]
+        subset = EdgeSubset.from_edges(g, doc.subgraph_edges)
     except KeyError:
         problems.append("subgraph edge not present in host graph (SizeMismatch)")
     else:
-        if len(set(indices)) != len(indices):
+        if len(subset) != len(doc.subgraph_edges):
             problems.append("subgraph edge listed more than once")
     if not problems:
-        achieved = profile_of(g, EdgeSubset.from_edges(g, doc.subgraph_edges))
+        achieved = profile_of(g, subset)
         diffs = _profile_diffs(doc.achieved_profile, achieved)
         if diffs:
             problems.append("achieved profile mismatch: " + "; ".join(diffs))

@@ -141,9 +141,9 @@ class ColoringState:
             for i in range(len(cycle))
         )
         # One pass in edge order, which is sorted, so each list comes out
-        # aligned with adjacency[v]; the index's ints are shared, not copied.
+        # aligned with adjacency[v].
         self.incident: list[list[int]] = [[] for _ in range(host.n)]
-        for (u, v), i in host._edge_index.items():
+        for i, (u, v) in enumerate(host.edges):
             self.incident[u].append(i)
             self.incident[v].append(i)
         self.colored = bytearray(host.m)

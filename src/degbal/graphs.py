@@ -7,6 +7,7 @@ canonical edge order, so all downstream colorings are reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,18 +40,14 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False, default=())
-    _edge_index: dict = field(compare=False, repr=False, default_factory=dict)
     _degrees: frozenset = field(compare=False, repr=False, default=frozenset())
 
     def __post_init__(self):
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        index: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(self.edges):
+        for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-            index[(u, v)] = i
         object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
-        object.__setattr__(self, "_edge_index", index)
         object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
 
     @property
@@ -58,11 +55,15 @@ class Graph:
         return len(self.edges)
 
     def edge_index(self, u: int, v: int) -> int:
-        """Canonical index of edge {u, v}; KeyError if absent."""
-        return self._edge_index[(u, v) if u < v else (v, u)]
+        """Canonical index of edge {u, v}, by bisection; KeyError if absent."""
+        e = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, e)
+        if i == len(self.edges) or self.edges[i] != e:
+            raise KeyError(e)
+        return i
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_index
+        return 0 <= u < self.n and v in self.adjacency[u]
 
     def degrees(self) -> list[int]:
         return [len(a) for a in self.adjacency]

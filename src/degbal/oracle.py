@@ -69,7 +69,7 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     c = n.bit_length()
     low = (1 << b) - 1
     base = (d + 1) * c
-    lowest = [min(g.edge_index(v, w) for w in g.adjacency[v]) for v in range(n)]
+    lowest = [g.edge_index(v, g.adjacency[v][0]) for v in range(n)]  # edge to lowest neighbour
     states = {0: 0}  # state -> smallest mask of the decided edges reaching it
     for i in range(g.m - 1, -1, -1):
         u, v = g.edges[i]
@@ -144,7 +144,7 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     edges = g.edges
     final_at: list[list[int]] = [[] for _ in range(m)]
     for v in range(g.n):
-        final_at[min(g.edge_index(v, w) for w in g.adjacency[v])].append(v)
+        final_at[g.edge_index(v, g.adjacency[v][0])].append(v)
 
     deg = [0] * g.n
     final = [0] * (d + 1)
