@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import gen, oracle
-from .connected import Statement
+from .connected import Statement, target_profile
 from .errors import (
     DegbalError,
     ExceptionGraph,
@@ -191,6 +191,10 @@ def cmd_verify(args) -> int:
                 f"deviation mismatch: document {format_rational(doc.max_deviation)},"
                 f" recomputed {format_rational(true_dev)}"
             )
+        if not problems and doc.statement in Statement.__members__:
+            expected = target_profile(g.n, Statement[doc.statement])  # ParityMismatch if n misfits
+            if expected != doc.target_profile:
+                problems.append(f"target is not statement {doc.statement}'s {expected.counts}")
     if problems:
         for p in problems:
             print(f"FAIL: {p}")

@@ -17,6 +17,7 @@ from .errors import ParseError, UnsupportedOrder
 from .graphs import DegreeProfile, Graph, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
+STATEMENTS = ("I", "II", "III", "IV", "BALANCED", "TWO_REGULAR")
 _MAX_ORDER = 258047
 # str.translate table: each graph6 data character to its six bits, MSB first.
 _SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
@@ -131,7 +132,7 @@ class ResultDocument:
 
     input_name: str
     n: int
-    statement: str                    # I / II / III / IV / BALANCED / TWO_REGULAR
+    statement: str                    # one of STATEMENTS
     target_profile: DegreeProfile
     achieved_profile: DegreeProfile
     subgraph_edges: tuple[tuple[int, int], ...]
@@ -185,10 +186,10 @@ def render_result(r: ResultDocument, format: str = "json") -> str:
     raise ValueError(f"unknown format {format!r}")
 
 
-def _int(x) -> int:
-    """A JSON integer as is; a float or boolean in its place is a TypeError."""
-    if type(x) is not int:
-        raise TypeError(f"{x!r} is not an integer")
+def _typed(x, t: type = int):
+    """x as is if its type is exactly t; a float or boolean for an int is a TypeError."""
+    if type(x) is not t:
+        raise TypeError(f"{x!r} is not of type {t.__name__}")
     return x
 
 
@@ -198,16 +199,18 @@ def parse_result_json(text: str) -> ResultDocument:
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad result JSON: {exc}") from None
     try:
+        if doc["statement"] not in STATEMENTS:
+            raise ValueError(f"unknown statement {doc['statement']!r}")
         return ResultDocument(
-            input_name=doc["input_name"],
-            n=_int(doc["n"]),
+            input_name=_typed(doc["input_name"], str),
+            n=_typed(doc["n"]),
             statement=doc["statement"],
-            target_profile=DegreeProfile(tuple(map(_int, doc["target_profile"]))),
-            achieved_profile=DegreeProfile(tuple(map(_int, doc["achieved_profile"]))),
-            subgraph_edges=tuple((_int(u), _int(v)) for u, v in doc["subgraph_edges"]),
+            target_profile=DegreeProfile(tuple(map(_typed, doc["target_profile"]))),
+            achieved_profile=DegreeProfile(tuple(map(_typed, doc["achieved_profile"]))),
+            subgraph_edges=tuple((_typed(u), _typed(v)) for u, v in doc["subgraph_edges"]),
             max_deviation=parse_rational(doc["max_deviation"]),
-            branch_trace=tuple(doc["branch_trace"]),
-            fallback_used=doc["fallback_used"],
+            branch_trace=tuple(_typed(b, str) for b in _typed(doc["branch_trace"], list)),
+            fallback_used=_typed(doc["fallback_used"], bool),
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"result document missing/invalid field: {exc}") from None

@@ -12,6 +12,7 @@ from .errors import OddOrder, PartTooSmall, RetriesExhausted, UnknownName
 from .graphs import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
+_MAX_RETRIES = 10000  # configuration-model attempts before random_cubic gives up
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -99,7 +100,7 @@ def named(name: str) -> Graph:
     return _CATALOG[key]()
 
 
-def random_cubic(n: int, seed: int, max_retries: int = 10000) -> Graph:
+def random_cubic(n: int, seed: int) -> Graph:
     """Random simple cubic graph via the configuration model.
 
     Each attempt stable-sorts the 3n half-edges by fresh splitmix64 keys and
@@ -112,7 +113,7 @@ def random_cubic(n: int, seed: int, max_retries: int = 10000) -> Graph:
     stubs = [v for v in range(n) for _ in range(3)]
     k = len(stubs)
     state = seed & _MASK64
-    for _attempt in range(max_retries):
+    for _attempt in range(_MAX_RETRIES):
         keys = [0] * k
         for i in range(k):
             state, keys[i] = splitmix64(state)
@@ -132,7 +133,7 @@ def random_cubic(n: int, seed: int, max_retries: int = 10000) -> Graph:
             edges.add(e)
         if ok:
             return build_graph(n, sorted(edges))
-    raise RetriesExhausted(f"no simple matching after {max_retries} attempts")
+    raise RetriesExhausted(f"no simple matching after {_MAX_RETRIES} attempts")
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:

@@ -212,6 +212,22 @@ class TestVerifyCommand:
         assert code == 1
         assert out.startswith("FAIL: subgraph edge not present in host graph")
 
+    def test_statement_relabeled_fails(self, capsys, tmp_path):
+        # K4 has no statement-I decomposition; the II document is consistent
+        # in itself, so only its target against statement I's tells.
+        path = self._decompose_to_file(capsys, tmp_path, "k4", "ii")
+        path.write_text(path.read_text().replace('"statement":"II"', '"statement":"I"'))
+        code, out, _ = run_cli(capsys, "verify", "--named", "k4", "--result", str(path))
+        assert code == 1
+        assert out == "FAIL: target is not statement I's (1, 1, 1, 1)\n"
+
+    def test_statement_not_fitting_n_is_parity_mismatch(self, capsys, tmp_path):
+        path = self._decompose_to_file(capsys, tmp_path, "petersen", "iv")
+        path.write_text(path.read_text().replace('"statement":"IV"', '"statement":"I"'))
+        code, out, err = run_cli(capsys, "verify", "--named", "petersen", "--result", str(path))
+        assert code == 3 and not out
+        assert err.startswith("parity mismatch: ")
+
     def test_every_decompose_output_verifies(self, capsys, tmp_path):
         for name in ("k4", "k33", "prism", "cube", "petersen", "heawood"):
             code, out, _ = run_cli(capsys, "decompose", "--named", name, "--statement", "balanced")

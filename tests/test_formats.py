@@ -249,6 +249,23 @@ class TestRenderResult:
         with pytest.raises(ParseError):
             parse_result_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("input_name", 7),
+            ("statement", "IX"),
+            ("branch_trace", "xyz"),
+            ("branch_trace", ["base:K4:single-edge", 1]),
+            ("fallback_used", "no"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, field, value):
+        g = named("K4")
+        doc = json.loads(render_result(self._doc(g, "k4", decompose_result(g, Statement.II)), "json"))
+        doc[field] = value
+        with pytest.raises(ParseError):
+            parse_result_json(json.dumps(doc))
+
     def test_bad_json_rejected(self):
         with pytest.raises(ParseError):
             parse_result_json("{not json")
