@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from degbal.formats import parse_graph6
-from degbal.graphs import Graph
+from degbal.graphs import Graph, build_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,3 +45,9 @@ def connected_corpus(catalog_graphs) -> list[tuple[str, Graph]]:
 def full_corpus(connected_corpus) -> list[tuple[str, Graph]]:
     """Everything with n <= 12, including the disconnected unions."""
     return connected_corpus + load_corpus_file("unions_n_le_12.g6")
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    """The circulant C_n(jumps): vertex i adjacent to i ± j mod n for each jump j."""
+    edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}
+    return build_graph(n, sorted(edges))

@@ -26,9 +26,18 @@ from degbal.general import (
     decompose_two_regular,
     realize_tuple_on,
 )
-from degbal.graphs import SmallClass, build_graph, connected_components, profile_of, small_class
+from degbal.graphs import (
+    DegreeProfile,
+    SmallClass,
+    build_graph,
+    connected_components,
+    inferred_degree,
+    profile_of,
+    small_class,
+)
+from degbal.oracle import achievable_profiles, find_witness
 
-from conftest import FIXTURES, load_corpus_file
+from conftest import FIXTURES, circulant, load_corpus_file
 
 GOLDEN_SHA256 = "37fef6abfee445724f6e499e957e7984e2b635ed054445cafc126365e36ea7a3"
 
@@ -330,3 +339,58 @@ def test_small_labelings_match_golden_digest():
             digest.update(line.encode("ascii") + b"\n")
     assert counts == {"K4": 1, "K33": 10, "PRISM": 60}
     assert digest.hexdigest() == SMALL_LABELINGS_SHA256
+
+
+# The oracle's full reports (achievable profiles with their first witness
+# bits, and the exact min-max deviation) plus the single-profile search for
+# a balanced profile and for (n-2, 0, 2, 0), over catalog graphs, seeded
+# random cubic graphs and relabelings of them, unions, cycles and 4-regular
+# graphs.  The digest fixes the rank-order witnesses, whatever order the
+# report's dynamic program walks the edges in.
+ORACLE_SHA256 = "90934f057d116ec2c76676098c2fc023d203ed422f80c6716b19ae43e6964481"
+
+
+def oracle_inputs():
+    for name in ("K4", "K33", "PRISM", "CUBE", "PETERSEN", "HEAWOOD", "MOEBIUS_KANTOR"):
+        yield name, named(name)
+    for n in range(8, 17, 2):
+        for seed in (1, 2, 3):
+            yield f"random_cubic:{n}:{seed}", random_cubic(n, seed)
+    for name, g in (("HEAWOOD", named("HEAWOOD")), ("random_cubic:16:1", random_cubic(16, 1))):
+        rng = random.Random(f"oracle-relabeled:{name}")
+        for i in range(3):
+            yield f"{name}:relabeled-{i}", _relabeled(g, rng)
+    k4, k33 = named("K4"), named("K33")
+    yield "2K4", disjoint_union([k4] * 2)
+    yield "3K4", disjoint_union([k4] * 3)
+    yield "K4+K33", disjoint_union([k4, k33])
+    yield "C3+C4+C5", cycles([3, 4, 5])
+    yield "K5", build_graph(5, list(itertools.combinations(range(5), 2)))
+    yield "C11(1,2)", circulant(11, (1, 2))
+    yield "C11(2,5)", circulant(11, (2, 5))
+
+
+def _balanced(n, d):
+    """Statement I or III's target for a cubic order, else the most even split."""
+    if d == 3:
+        return target_profile(n, Statement.I if n % 4 == 0 else Statement.III)
+    return DegreeProfile(tuple(n // (d + 1) + (k < n % (d + 1)) for k in range(d + 1)))
+
+
+def test_oracle_reports_match_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for name, g in oracle_inputs():
+        rep = achievable_profiles(g)
+        d = inferred_degree(g)
+        lines = [f"{name}\t{g.edges}\t{rep.degree}\t{rep.edge_count}\t{len(rep.achievable)}"]
+        lines += [f"{p.counts}\t{rep.witness[p].bits:x}" for p in rep.achievable]
+        lines.append(f"min_max_deviation\t{rep.min_max_deviation}")
+        for p in (_balanced(g.n, d), DegreeProfile((g.n - 2, 0, 2, 0))):
+            w = find_witness(g, p)
+            lines.append(f"find_witness\t{p.counts}\t{'none' if w is None else f'{w.bits:x}'}")
+        for line in lines:
+            digest.update(line.encode("ascii") + b"\n")
+        count += 1
+    assert count == 7 + 15 + 6 + 4 + 3
+    assert digest.hexdigest() == ORACLE_SHA256
