@@ -2,8 +2,9 @@
 
 Subsets are ranked by their bitmask over the canonical edge indexing, and
 each profile's witness is the first subset reaching it, so reports are
-deterministic.  The full report is a dynamic program over the edges; a
-single-profile query is a pruned depth-first search.
+deterministic.  The full report is a dynamic program over the edges in an
+order that keeps few vertices open; a single-profile query is a pruned
+depth-first search in rank order.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .errors import CapExceeded
 from .graphs import DegreeProfile, EdgeSubset, Graph, inferred_degree, profile_of
 
 DEFAULT_EDGE_CAP = 26
-# States in one layer of the report's DP.  The largest layer seen within the
-# edge cap held 151,304 (a 4-regular circulant on 13 vertices, m = 26).
+# States in one layer of the report's DP.  The largest layer within the edge
+# cap over every 4-regular circulant on 13 vertices (m = 26) is 75,386, C13(2,3).
 STATE_CAP = 1 << 20
 
 
@@ -39,17 +40,33 @@ def _check_cap(g: Graph, edge_cap: int | None) -> int:
     return cap
 
 
+def _frontier_order(g: Graph) -> list[int]:
+    """Edges by the positions of their later, then earlier endpoint in a
+    vertex order grown from vertex 0: next, the unplaced vertex with the most
+    placed neighbours (lowest label on ties).  Few vertices stay open at once.
+    """
+    placed, pos = [0] * g.n, [-1] * g.n  # placed neighbours; position
+    for k in range(g.n):
+        v = min((u for u in range(g.n) if pos[u] < 0), key=lambda u: (-placed[u], u))
+        pos[v] = k
+        for w in g.adjacency[v]:
+            placed[w] += 1
+    return sorted(range(g.m), key=lambda i: sorted((pos[x] for x in g.edges[i]), reverse=True))
+
+
 def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityReport:
     """Every achievable profile of g, each with its first witness in rank order.
 
-    A dynamic program over edges m-1 down to 0.  A state is one int: the
-    count of final vertices of each degree k (c bits at bit k*c) below the
-    degree of each vertex not yet final (b bits each).  Prefixes reaching
-    one state have the same completions, so a state keeps only its smallest
-    prefix mask, and each final state's mask is its profile's first subset.
-    A layer is built in increasing mask order, absent before present, so
-    the first mask to reach a state is the smallest.  A layer of more than
-    STATE_CAP states raises CapExceeded, as an edge count over the cap does.
+    A dynamic program over the edges in _frontier_order.  A state is one
+    int: the count of final vertices of each degree k (c bits at bit k*c)
+    below the degree of each open vertex (b bits each); a vertex is final
+    once its last edge in that order is decided.  Prefixes over the same
+    decided edges reaching one state have the same completions, which set
+    bits disjoint from the prefix, so in any order the smaller prefix gives
+    the smaller full mask: a state keeps its smallest mask by comparison,
+    and each final state's is its profile's first subset in rank order.
+    A layer of more than STATE_CAP states raises CapExceeded, as an edge
+    count over the cap does.
     """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
@@ -69,29 +86,33 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     c = n.bit_length()
     low = (1 << b) - 1
     base = (d + 1) * c
-    lowest = [g.edge_index(v, g.adjacency[v][0]) for v in range(n)]  # edge to lowest neighbour
+    order = _frontier_order(g)
+    last = {v: k for k, i in enumerate(order) for v in g.edges[i]}  # final at step k
+    above = 1 << g.m  # larger than every mask
     states = {0: 0}  # state -> smallest mask of the decided edges reaching it
-    for i in range(g.m - 1, -1, -1):
+    for k, i in enumerate(order):
         u, v = g.edges[i]
         ou, ov = base + u * b, base + v * b
         step, bit = (1 << ou) + (1 << ov), 1 << i
         # The degrees of u and v index the change that moves those of them
-        # whose lowest edge is i into the counts.
-        end_u, end_v = lowest[u] == i, lowest[v] == i
+        # whose last edge this is into the counts.
+        end_u, end_v = last[u] == k, last[v] == k
         change = [
             end_u * ((1 << (x & low) * c) - ((x & low) << ou))
             + end_v * ((1 << (x >> b) * c) - ((x >> b) << ov))
             for x in range(1 << 2 * b)
         ]
         layer: dict[int, int] = {}
+        get = layer.get
         for s, mask in states.items():
             t = s + change[s >> ou & low | (s >> ov & low) << b]
-            if t not in layer:
+            if mask < get(t, above):
                 layer[t] = mask
             t = s + step
             t += change[t >> ou & low | (t >> ov & low) << b]
-            if t not in layer:
-                layer[t] = mask | bit
+            mask |= bit
+            if mask < get(t, above):
+                layer[t] = mask
         if len(layer) > STATE_CAP:
             raise CapExceeded(f"{len(layer)} states exceed the oracle's state cap {STATE_CAP}")
         states = layer

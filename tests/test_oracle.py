@@ -24,6 +24,8 @@ from degbal.oracle import (
     min_max_deviation,
 )
 
+from conftest import circulant
+
 K4_BASE_TUPLES = [
     (0, 0, 0, 4), (0, 0, 2, 2), (0, 0, 4, 0),
     (0, 1, 2, 1), (0, 2, 2, 0), (0, 3, 0, 1),
@@ -303,6 +305,16 @@ class TestCap:
         monkeypatch.setattr(oracle_mod, "STATE_CAP", 697)
         with pytest.raises(CapExceeded, match="state cap 697"):
             achievable_profiles(g)
+
+    # Walking the edges in canonical order, the largest layers held 48,218
+    # states on random_cubic(16, 1) and 151,304 on C13(3,5); the small-frontier
+    # order needs 6,494 and 28,940.
+    @pytest.mark.parametrize("name, cap", [("random16:1", 12_000), ("C13(3,5)", 100_000)])
+    def test_frontier_order_fits_a_smaller_state_cap(self, monkeypatch, name, cap):
+        g = random_cubic(16, 1) if name == "random16:1" else circulant(13, (3, 5))
+        report = achievable_profiles(g)
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", cap)
+        assert achievable_profiles(g) == report
 
     def test_raised_cap_no_recursion_limit(self):
         g = random_cubic(2000, 1)  # m = 3000 edges, deeper than the recursion limit
