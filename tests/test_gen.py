@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbal.errors import OddOrder, PartTooSmall, UnknownName
+from degbal import gen
+from degbal.errors import OddOrder, PartTooSmall, RetriesExhausted, UnknownName
 from degbal.gen import (
     CATALOG_NAMES,
     cycles,
@@ -76,6 +77,21 @@ class TestSplitmix64:
         state, out = splitmix64(42)
         assert splitmix64_stream(42, 1) == [out]
 
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+    def test_stream_matches_scalar_steps(self, seed):
+        # Counts straddle the stream's lane width, 1024 outputs per chunk.
+        width = 1024
+        counts = (0, 1, 3, width - 1, width, width + 1, 3 * width + 5)
+        offsets = (0, 1, 7, 10**4)
+        state, reference = seed & (2**64 - 1), []
+        for _ in range(max(offsets) + max(counts)):
+            state, z = splitmix64(state)
+            reference.append(z)
+        for count in counts:
+            for offset in offsets:
+                got = splitmix64_stream(seed, count, offset)
+                assert got == reference[offset : offset + count], (count, offset)
+
 
 class TestRandomCubic:
     def test_regular_and_simple(self):
@@ -104,6 +120,25 @@ class TestRandomCubic:
             if len(connected_components(random_cubic(10, seed))) == 1
         )
         assert connected / 1000 > 0.9
+
+    def test_no_attempts_raises(self, monkeypatch):
+        monkeypatch.setattr(gen, "_MAX_RETRIES", 0)
+        with pytest.raises(RetriesExhausted, match="^no simple matching after 0 attempts$"):
+            random_cubic(10, 5)
+
+    # First attempts of (10, 6) pair a loop, (6, 5) one edge twice in the
+    # same orientation, (6, 4) one edge in both; (10, 5) is simple.
+    @pytest.mark.parametrize("n,seed", [(10, 6), (6, 5), (6, 4)])
+    def test_rejected_first_attempt_raises_at_one_retry(self, monkeypatch, n, seed):
+        assert validate_regular(random_cubic(n, seed), 3)
+        monkeypatch.setattr(gen, "_MAX_RETRIES", 1)
+        with pytest.raises(RetriesExhausted, match="^no simple matching after 1 attempts$"):
+            random_cubic(n, seed)
+
+    def test_accepted_first_attempt_returns_at_one_retry(self, monkeypatch):
+        expected = random_cubic(10, 5).edges
+        monkeypatch.setattr(gen, "_MAX_RETRIES", 1)
+        assert random_cubic(10, 5).edges == expected
 
     @settings(max_examples=30)
     @given(n=st.sampled_from([4, 6, 10, 16]), seed=st.integers(0, 1 << 40))

@@ -394,3 +394,32 @@ def test_oracle_reports_match_golden_digest():
         count += 1
     assert count == 7 + 15 + 6 + 4 + 3
     assert digest.hexdigest() == ORACLE_SHA256
+
+
+# The edge lists random_cubic draws, seed for seed.  Every bench input and
+# most test inputs come from it, so a faster key stream or pairing check
+# must leave each (n, seed) on the same graph.  Seeds outside [0, 2^64)
+# reduce modulo 2^64, so -1 and 2^64 - 1 draw the same graph.
+RANDOM_CUBIC_SHA256 = "3913cfe11f54ed0f2d12bf9a99c7eee542809afe9eace99c60c0009261f92d7f"
+
+
+def random_cubic_cases():
+    for n in range(4, 41, 2):
+        for seed in range(30):
+            yield n, seed
+    for n in (1002, 1400, 3002):
+        for seed in (1, 2, 3):
+            yield n, seed
+    for seed in (-1, 2**64 - 1, 2**64 + 5, 2**80 + 3):
+        yield 20, seed
+
+
+def test_random_cubic_edges_match_golden_digest():
+    digest = hashlib.sha256()
+    count = 0
+    for n, seed in random_cubic_cases():
+        digest.update(f"{n}\t{seed}\t{random_cubic(n, seed).edges}\n".encode("ascii"))
+        count += 1
+    assert count == 19 * 30 + 9 + 4
+    assert random_cubic(20, -1).edges == random_cubic(20, 2**64 - 1).edges
+    assert digest.hexdigest() == RANDOM_CUBIC_SHA256
