@@ -252,6 +252,9 @@ def cmd_gen(args) -> int:
     elif args.union:
         graphs.append(gen.disjoint_union([gen.named(p) for p in args.union.split(",")]))
     elif args.random is not None:
+        if args.count < 1:
+            print("error: count must be >= 1", file=sys.stderr)
+            return EXIT_FAIL
         seed = args.seed
         produced = 0
         attempt = 0

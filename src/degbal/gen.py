@@ -3,21 +3,31 @@
 Randomness is a fixed, portable algorithm so seeds reproduce anywhere:
 every random draw comes from the splitmix64 stream of the seed, and the
 half-edge shuffle is "stable-sort stubs by their 64-bit stream keys"
-(attempt a uses stream positions [a*3n, (a+1)*3n)).
+(attempt a uses stream positions [a*3n, (a+1)*3n)).  Position j's state is
+seed + (j+1)*gamma mod 2^64: outputs are mixed lane-parallel, values unchanged.
 """
 
 from __future__ import annotations
+
+import struct
+from operator import eq
 
 from .errors import OddOrder, PartTooSmall, RetriesExhausted, UnknownName
 from .graphs import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_LANES = 1024  # stream positions mixed per big-int chunk
+_LANE_FORMAT = "Q8x"  # a lane: 64 value bits, then 64 spare bits
+_ONES = int.from_bytes(struct.pack("<" + _LANE_FORMAT * _LANES, *[1] * _LANES), "little")
+_LOW = _MASK64 * _ONES
+_RAMP = _GAMMA * int.from_bytes(struct.pack("<" + _LANE_FORMAT * _LANES, *range(_LANES)), "little")
 _MAX_RETRIES = 10000  # configuration-model attempts before random_cubic gives up
 
 
 def splitmix64(state: int) -> tuple[int, int]:
     """One splitmix64 step: returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    state = (state + _GAMMA) & _MASK64
     z = state
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -25,13 +35,22 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 def splitmix64_stream(seed: int, count: int, offset: int = 0) -> list[int]:
-    """First ``count`` outputs of the seed's stream starting at ``offset``."""
-    state = seed & _MASK64
-    out = []
-    for i in range(offset + count):
-        state, z = splitmix64(state)
-        if i >= offset:
-            out.append(z)
+    """``count`` outputs of the seed's stream from position ``offset`` on.
+
+    Position j's state is seed + (j+1)*gamma mod 2^64, so up to ``_LANES``
+    positions are mixed at once, lane i of one int at bit 128*i: the 64 spare
+    bits above a lane keep its products and shifted-in bits out of the next.
+    """
+    out: list[int] = []
+    for start in range(offset, offset + count, _LANES):
+        lanes = min(_LANES, offset + count - start)
+        mask = (1 << 128 * lanes) - 1
+        low = _LOW & mask
+        z = (((seed + (start + 1) * _GAMMA) & _MASK64) * (_ONES & mask) + (_RAMP & mask)) & low
+        z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+        z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+        raw = (z ^ (z >> 31)).to_bytes(16 * lanes, "little")
+        out += struct.unpack("<" + _LANE_FORMAT * lanes, raw)
     return out
 
 
@@ -112,27 +131,16 @@ def random_cubic(n: int, seed: int) -> Graph:
         raise OddOrder(f"order must be an even integer >= 4, got {n}")
     stubs = [v for v in range(n) for _ in range(3)]
     k = len(stubs)
-    state = seed & _MASK64
-    for _attempt in range(_MAX_RETRIES):
-        keys = [0] * k
-        for i in range(k):
-            state, keys[i] = splitmix64(state)
+    for attempt in range(_MAX_RETRIES):
+        keys = splitmix64_stream(seed, k, attempt * k)
         # Stable sort = deterministic tie-break by stub index.
-        order = sorted(range(k), key=keys.__getitem__)
-        edges = set()
-        ok = True
-        for t in range(0, k, 2):
-            u, v = stubs[order[t]], stubs[order[t + 1]]
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return build_graph(n, sorted(edges))
+        ends = list(map(stubs.__getitem__, sorted(range(k), key=keys.__getitem__)))
+        us, vs = ends[0::2], ends[1::2]
+        if any(map(eq, us, vs)):
+            continue  # a loop
+        pairs = set(zip(us, vs))
+        if len(pairs) == len(us) and pairs.isdisjoint(zip(vs, us)):
+            return build_graph(n, pairs)  # no pair repeats, in either orientation
     raise RetriesExhausted(f"no simple matching after {_MAX_RETRIES} attempts")
 
 

@@ -325,6 +325,13 @@ class TestGenCommand:
         for line in out.strip().splitlines():
             assert len(connected_components(parse_graph6(line))) == 1
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_random_count_below_one_rejected(self, capsys, count):
+        code, out, err = run_cli(capsys, "gen", "--random", "8", "--count", count)
+        assert code == 1
+        assert "count must be >= 1" in err
+        assert out == ""
+
 
 class TestBatchCommand:
     def _write_corpus(self, tmp_path):

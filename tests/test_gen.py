@@ -79,8 +79,8 @@ class TestSplitmix64:
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
     def test_stream_matches_scalar_steps(self, seed):
-        # Counts straddle the stream's lane width, 1024 outputs per chunk.
-        width = 1024
+        # Counts straddle the stream's lane width, the outputs per chunk.
+        width = gen._LANES
         counts = (0, 1, 3, width - 1, width, width + 1, 3 * width + 5)
         offsets = (0, 1, 7, 10**4)
         state, reference = seed & (2**64 - 1), []
