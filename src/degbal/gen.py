@@ -18,10 +18,9 @@ from .graphs import Graph, build_graph
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _LANES = 1024  # stream positions mixed per big-int chunk
-_LANE_FORMAT = "Q8x"  # a lane: 64 value bits, then 64 spare bits
-_ONES = int.from_bytes(struct.pack("<" + _LANE_FORMAT * _LANES, *[1] * _LANES), "little")
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _LANES, "little")  # 1 in every 128-bit lane
 _LOW = _MASK64 * _ONES
-_RAMP = _GAMMA * int.from_bytes(struct.pack("<" + _LANE_FORMAT * _LANES, *range(_LANES)), "little")
+_RAMP = _GAMMA * int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_LANES)), "little")
 _MAX_RETRIES = 10000  # configuration-model attempts before random_cubic gives up
 
 
@@ -49,8 +48,8 @@ def splitmix64_stream(seed: int, count: int, offset: int = 0) -> list[int]:
         z = (((seed + (start + 1) * _GAMMA) & _MASK64) * (_ONES & mask) + (_RAMP & mask)) & low
         z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
         z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
-        raw = (z ^ (z >> 31)).to_bytes(16 * lanes, "little")
-        out += struct.unpack("<" + _LANE_FORMAT * lanes, raw)
+        z = (z ^ (z >> 31)) & low  # spare words unpack to 0, which allocates nothing
+        out += struct.unpack(f"<{2 * lanes}Q", z.to_bytes(16 * lanes, "little"))[::2]
     return out
 
 
