@@ -4,7 +4,8 @@ Randomness is a fixed, portable algorithm so seeds reproduce anywhere:
 every random draw comes from the splitmix64 stream of the seed, and the
 half-edge shuffle is "stable-sort stubs by their 64-bit stream keys"
 (attempt a uses stream positions [a*3n, (a+1)*3n)).  Position j's state is
-seed + (j+1)*gamma mod 2^64: outputs are mixed lane-parallel, values unchanged.
+seed + (j+1)*gamma mod 2^64, so outputs are mixed lane-parallel in big ints;
+they equal the scalar ``splitmix64`` steps.
 """
 
 from __future__ import annotations
