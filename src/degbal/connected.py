@@ -17,11 +17,12 @@ witness search, and over the oracle's edge cap it is an InternalStuck.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heappop, heappush
+from operator import sub
 
 from .errors import (
     CapExceeded,
@@ -38,6 +39,7 @@ from .graphs import (
     Graph,
     SmallClass,
     connected_components,
+    incident_edges,
     profile_of,
     require_regular,
     shortest_cycle,
@@ -126,26 +128,18 @@ class ColoringState:
     a later coloring made valid again.  After edge ab is colored, color_edge
     offers each heap what its reach function names, the items whose
     predicate that coloring can turn true: for stage 1 the neighbors of a or
-    b if it reached V3, for R1 the edges at a, b and their color-1
+    b if it reached V3, for R1 the uncolored edges at a, b and their color-1
     neighbors, for R2 the edges at a or b if it reached V1.  Coloring only
-    adds color-1 edges, so deg1 never decreases; the R3 and stage-3
-    predicates ask for deg1 == 0, never turn true again, and pass no reach.
+    adds color-1 edges, so deg1 never decreases; the R3 predicate asks for
+    deg1 == 0, never turns true again, and passes no reach.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
         self.host = host
         self.n3, self.n2, self.n1 = targets.counts[:3]  # highest subgraph degree first
         self.cycle = cycle
-        self.cycle_edges = sorted(
-            host.edge_index(cycle[i], cycle[(i + 1) % len(cycle)])
-            for i in range(len(cycle))
-        )
-        # One pass in edge order, which is sorted, so each list comes out
-        # aligned with adjacency[v].
-        self.incident: list[list[int]] = [[] for _ in range(host.n)]
-        for i, (u, v) in enumerate(host.edges):
-            self.incident[u].append(i)
-            self.incident[v].append(i)
+        self.cycle_edges = sorted(map(host.edge_index, cycle, cycle[1:] + cycle[:1]))
+        self.incident = incident_edges(host)
         self.colored = bytearray(host.m)
         self.deg1 = [0] * host.n
         self.sizes = [host.n, 0, 0, 0]
@@ -155,21 +149,25 @@ class ColoringState:
         self.finders: dict = {}
 
     def color_edge(self, i: int) -> None:
-        assert not self.colored[i]
-        self.colored[i] = 1
+        colored, deg1, sizes = self.colored, self.deg1, self.sizes
+        assert not colored[i]
+        colored[i] = 1
         x, y = self.host.edges[i]
-        for v in (x, y):
-            d = self.deg1[v]
-            self.sizes[d] -= 1
-            self.sizes[d + 1] += 1
-            self.deg1[v] = d + 1
+        d = deg1[x]
+        sizes[d] -= 1
+        sizes[d + 1] += 1
+        deg1[x] = d + 1
+        d = deg1[y]
+        sizes[d] -= 1
+        sizes[d + 1] += 1
+        deg1[y] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
-        assert (self.sizes[1] + self.sizes[3]) % 2 == 0
+        assert (sizes[1] + sizes[3]) % 2 == 0
         for valid, (cursor, heap, reach) in self.finders.items():
             if reach is not None:
                 for item in reach(self, x, y):
                     if item < cursor and valid(self, item):
-                        heapq.heappush(heap, item)
+                        heappush(heap, item)
 
     def color_vertex(self, v: int) -> None:
         """Color every uncolored edge at v (v becomes a 3-vertex)."""
@@ -193,22 +191,16 @@ class ColoringState:
             finder = self.finders[valid] = [0, [], reach]
         heap = finder[1]
         while heap:
-            if valid(self, heap[0]):
-                return heap[0]
-            heapq.heappop(heap)
+            top = heap[0]
+            if valid(self, top):
+                return top
+            heappop(heap)
         end = self.host.m if on_edges else self.host.n
         i = finder[0]
         while i < end and not valid(self, i):
             i += 1
         finder[0] = i
         return i if i < end else None
-
-    def colored_neighbor_degrees(self, v: int) -> list[int]:
-        return [
-            self.deg1[w]
-            for w, i in zip(self.host.adjacency[v], self.incident[v])
-            if self.colored[i]
-        ]
 
     def e_within(self, k: int) -> int:
         """Number of host edges with both endpoints currently in V_k."""
@@ -273,9 +265,10 @@ def _is_stage1_candidate(state: ColoringState, v: int) -> bool:
     return has_v3
 
 
-def _reach_stage1(state: ColoringState, a: int, b: int) -> list[int]:
+def _reach_stage1(state: ColoringState, a: int, b: int) -> tuple[int, ...]:
     """Neighbors of a or b if it reached V3: only that adds a V3 or drops a V2 neighbor."""
-    return [w for v in (a, b) if state.deg1[v] == 3 for w in state.host.adjacency[v]]
+    deg1, adjacency = state.deg1, state.host.adjacency
+    return (adjacency[a] if deg1[a] == 3 else ()) + (adjacency[b] if deg1[b] == 3 else ())
 
 
 def _stage1_candidate(state: ColoringState) -> int | None:
@@ -299,20 +292,26 @@ def _v3_connected(state: ColoringState) -> bool:
 
 
 def _is_r1(state: ColoringState, i: int) -> bool:
+    colored, deg1 = state.colored, state.deg1
+    if colored[i]:
+        return False
     u, v = state.host.edges[i]
-    return (
-        not state.colored[i]
-        and state.deg1[u] == state.deg1[v] == 1
-        and any(d >= 2 for x in (u, v) for d in state.colored_neighbor_degrees(x))
-    )
+    if deg1[u] != 1 or deg1[v] != 1:
+        return False
+    adjacency, incident = state.host.adjacency, state.incident
+    for x in (u, v):
+        for w, e in zip(adjacency[x], incident[x]):
+            if colored[e] and deg1[w] >= 2:
+                return True
+    return False
 
 
 def _reach_r1(state: ColoringState, a: int, b: int) -> set[int]:
-    """Edges at the color-1 neighbors of a and b, a and b among them: the only edges
-    whose color, endpoints' deg1 or endpoints' color-1 neighbors' deg1 changed."""
+    """Uncolored edges at the color-1 neighbors of a and b, a and b among them: the only
+    uncolored edges whose endpoints' deg1 or their color-1 neighbors' deg1 changed."""
     adjacency, incident, colored = state.host.adjacency, state.incident, state.colored
     return {e for v in (a, b) for w, i in zip(adjacency[v], incident[v]) if colored[i]
-            for e in incident[w]}
+            for e in incident[w] if not colored[e]}
 
 
 def _find_r1(state: ColoringState) -> int | None:
@@ -352,23 +351,13 @@ def _find_r3(state: ColoringState) -> tuple[int, int, int] | None:
     return v, zeros[0], zeros[1]
 
 
-def _is_v0_v0(state: ColoringState, i: int) -> bool:
-    u, v = state.host.edges[i]
-    return state.deg1[u] == 0 and state.deg1[v] == 0
-
-
-def _find_v0_v0(state: ColoringState) -> int | None:
-    """Lowest edge with both endpoints in V0."""
-    return state.lowest(_is_v0_v0, None, on_edges=True)
-
-
 def _run_rule(state: ColoringState, name: str, edge_indices: list[int],
               deltas: tuple[int, int, int, int]) -> None:
     """Color the rule's edges and check its advertised effect on |V_k|."""
-    before = tuple(state.sizes)
+    before = state.sizes[:]
     for i in edge_indices:
         state.color_edge(i)
-    change = tuple(a - b for a, b in zip(state.sizes, before))
+    change = tuple(map(sub, state.sizes, before))
     assert change == deltas, f"{name}: sizes changed by {change}, expected {deltas}"
     state.rule_counts[name] += 1
 
@@ -398,16 +387,10 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
             found = _find_r3(state)
             if found is not None:
                 v, u, w = found
-                _run_rule(
-                    state,
-                    "R3",
-                    [host.edge_index(v, u), host.edge_index(v, w)],
-                    (-3, 2, 1, 0),
-                )
+                edges = [host.edge_index(v, u), host.edge_index(v, w)]
+                _run_rule(state, "R3", edges, (-3, 2, 1, 0))
                 continue
-        raise SpecialCaseNeeded(
-            f"stage 2 blocked at |V2|={state.sizes[2]} of {state.n2}"
-        )
+        raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={state.sizes[2]} of {state.n2}")
     state.assert_consistent()
     assert state.sizes[1] <= state.n1, "stage 2 must finish with |V1| <= n1"
     state.finders.clear()  # this stage's finders are done; stop offering to them
@@ -415,18 +398,26 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
 
 
 def stage3_fill_v1(state: ColoringState) -> ColoringState:
-    """Raise |V1| to n1 two at a time by coloring V0-V0 edges."""
-    if state.sizes[1] > state.n1:
+    """Raise |V1| to n1 two at a time by coloring the lowest V0-V0 edge.
+
+    One forward pass finds each in turn: coloring only raises deg1, so an
+    edge passed over is never V0-V0 again.
+    """
+    sizes, n1, deg1 = state.sizes, state.n1, state.deg1
+    if sizes[1] > n1:
         raise InternalStuck("stage 3 entered with |V1| > n1")
-    assert (state.n1 - state.sizes[1]) % 2 == 0, "V1 deficit must be even"
-    while state.sizes[1] < state.n1:
-        edge = _find_v0_v0(state)
-        if edge is None:
+    assert (n1 - sizes[1]) % 2 == 0, "V1 deficit must be even"
+    # Each coloring moves two 0-vertices to V1 and leaves V2 and V3 alone.
+    expected = [sizes[0] + sizes[1] - n1, n1, sizes[2], sizes[3]]
+    if sizes[1] < n1:
+        for i, (u, v) in enumerate(state.host.edges):
+            if deg1[u] == 0 and deg1[v] == 0:
+                state.color_edge(i)
+                if sizes[1] == n1:
+                    break
+        else:
             raise InternalStuck("stage 3: no V0-V0 edge (should be impossible)")
-        before = tuple(state.sizes)
-        state.color_edge(edge)
-        change = tuple(a - b for a, b in zip(state.sizes, before))
-        assert change == (-2, 2, 0, 0)
+    assert sizes == expected, f"stage 3: sizes {sizes}, expected {expected}"
     state.assert_consistent()
     return state
 
@@ -562,29 +553,20 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
     return state.subset()
 
 
-def _blocked_dispatch(
-    g: Graph,
-    s: Statement,
-    target: DegreeProfile,
-    state: ColoringState,
-    trace: ConnectedTrace,
-) -> EdgeSubset:
+def _blocked_dispatch(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,
+                      trace: ConnectedTrace) -> EdgeSubset:
     """Stage-2 block: the oracle's first witness, or InternalStuck over its edge cap."""
     e_v1 = state.e_within(1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means
         # an unmodeled configuration worth recording, not guessing about.
-        log.warning(
-            "stage-2 block with e(V1)=%d on n=%d edges=%s", e_v1, g.n, g.edges
-        )
+        log.warning("stage-2 block with e(V1)=%d on n=%d edges=%s", e_v1, g.n, g.edges)
     try:
         subset = fallback_search(g, target)
     except CapExceeded:
         raise InternalStuck(f"stage 2 blocked on n={g.n} with no fallback available") from None
     if subset is None:
-        raise InternalStuck(
-            f"stage 2 blocked and exhaustive search finds no {target.counts}"
-        )
+        raise InternalStuck(f"stage 2 blocked and exhaustive search finds no {target.counts}")
     trace.fallback_used = True
     trace.branch.append("staged:blocked->fallback")
     log.warning("fallback used on n=%d statement %s", g.n, s.value)

@@ -114,9 +114,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_rational(x: Fraction) -> str:
     """Exact rational as 'p/q', or just 'p' for integers."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(x)
 
 
 def parse_rational(s: str) -> Fraction:
@@ -141,19 +139,6 @@ class ResultDocument:
     fallback_used: bool
 
 
-_TSV_COLUMNS = (
-    "input_name",
-    "n",
-    "statement",
-    "target_profile",
-    "achieved_profile",
-    "max_deviation",
-    "fallback_used",
-    "branch_trace",
-    "subgraph_edges",
-)
-
-
 def render_result(r: ResultDocument, format: str = "json") -> str:
     """Deterministic serialization; JSON keys in fixed order."""
     if format == "json":
@@ -170,7 +155,7 @@ def render_result(r: ResultDocument, format: str = "json") -> str:
         }
         return json.dumps(doc, separators=(",", ":"))
     if format == "tsv":
-        row = {
+        row = {  # the header lists these keys in this order
             "input_name": r.input_name,
             "n": str(r.n),
             "statement": r.statement,
@@ -181,8 +166,7 @@ def render_result(r: ResultDocument, format: str = "json") -> str:
             "branch_trace": ";".join(r.branch_trace),
             "subgraph_edges": " ".join(f"{u}-{v}" for u, v in r.subgraph_edges),
         }
-        header = "\t".join(_TSV_COLUMNS)
-        return header + "\n" + "\t".join(row[c] for c in _TSV_COLUMNS)
+        return "\t".join(row) + "\n" + "\t".join(row.values())
     raise ValueError(f"unknown format {format!r}")
 
 

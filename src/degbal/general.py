@@ -34,6 +34,7 @@ from .graphs import (
     build_graph,
     complement_within,
     connected_components,
+    incident_edges,
     profile_of,
     require_regular,
     small_class,
@@ -295,11 +296,8 @@ _CASE2 = {
     (0, 1, Statement.IV): [("case2(c):IV", (), ((0, 1, 2, 3),))],
     (1, 0, Statement.I): [
         ("case2(d):I:K4+2xK33", ((0, 0, 0, 4),), ((2, 2, 2, 0), (2, 2, 2, 0))),
-        (
-            "case2(d):I:5xK4",
-            ((0, 0, 0, 4), (0, 1, 2, 1), (1, 0, 3, 0), (2, 2, 0, 0), (2, 2, 0, 0)),
-            (),
-        ),
+        ("case2(d):I:5xK4",
+         ((0, 0, 0, 4), (0, 1, 2, 1), (1, 0, 3, 0), (2, 2, 0, 0), (2, 2, 0, 0)), ()),
     ],
     (1, 0, Statement.II): [("case2(d):II", ((0, 0, 2, 2),), ())],
 }
@@ -319,10 +317,8 @@ def _case2_assignments(
     else:
         raise InternalStuck(f"no case-2 assignment for k={k}, l={ell}, s={s}")
     out: list[tuple[Component, SmallClass, tuple[int, ...]]] = []
-    for comps, cls, specials in (
-        (k4s, SmallClass.K4, k4_specials),
-        (k33s, SmallClass.K33, k33_specials),
-    ):
+    for comps, cls, specials in ((k4s, SmallClass.K4, k4_specials),
+                                 (k33s, SmallClass.K33, k33_specials)):
         paired = len(comps) - len(specials)
         for i, comp in enumerate(comps):
             out.append((comp, cls, _PAIR[cls][i % 2] if i < paired else specials[i - paired]))
@@ -391,8 +387,8 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
     two graphs 2C3 and 2C4 provably miss it and are rejected.
     """
     require_regular(g, 2)
-    orders = _cycle_orders(g)
-    lengths = [len(order) for order in orders]
+    cycles = _cycle_edges(g)
+    lengths = [len(steps) for steps in cycles]
     if sorted(lengths) == [3, 3]:
         raise ExceptionGraph(ExceptionKind.TWO_C3)
     if sorted(lengths) == [4, 4]:
@@ -417,7 +413,7 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
         raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
 
     counts, (full, hosts) = chosen
-    subset = _build_two_regular(g, orders, full, hosts)
+    subset = _build_two_regular(g, cycles, full, hosts)
     achieved = profile_of(g, subset)
     target = DegreeProfile(counts)
     if achieved != target or achieved.max_deviation() > bound:
@@ -493,43 +489,43 @@ def _plan_two_regular(lengths: list[int], n2: int, n1: int):
     return sorted(order[:f]), sorted(hosts)
 
 
-def _cycle_orders(g: Graph) -> list[list[int]]:
-    """Vertices of each cycle of a 2-regular g, in traversal order.
+def _cycle_edges(g: Graph) -> list[list[int]]:
+    """Host edges of each cycle of a 2-regular g, in traversal order.
 
     Cycles come in order of their lowest vertex; each starts there and
-    heads first to that vertex's lower neighbour.
+    heads first to that vertex's lower neighbour, along its lower edge.
     """
+    incident = incident_edges(g)
     seen = [False] * g.n
-    orders = []
+    cycles = []
     for start in range(g.n):
         if seen[start]:
             continue
-        order = [start]
-        prev, v = start, g.adjacency[start][0]
+        steps, v = [incident[start][0]], g.adjacency[start][0]
         while v != start:
-            order.append(v)
             seen[v] = True
-            a, b = g.adjacency[v]
-            prev, v = v, b if a == prev else a
-        orders.append(order)
-    return orders
+            i, j = incident[v]
+            e = j if i == steps[-1] else i
+            steps.append(e)
+            x, y = g.edges[e]
+            v = y if x == v else x
+        cycles.append(steps)
+    return cycles
 
 
-def _build_two_regular(g: Graph, orders, full, hosts) -> EdgeSubset:
+def _build_two_regular(g: Graph, cycles, full, hosts) -> EdgeSubset:
     """Materialize the plan into host edges.
 
     A full cycle takes every edge.  A host's paths lie back to back from
     the start of its traversal, one skipped edge apart: the first has
     interior + 1 edges, each other one a single edge.
     """
-    pairs: list[tuple[int, int]] = []
+    member = bytearray(g.m)
     for i in full:
-        order = orders[i]
-        pairs.extend(zip(order, order[1:] + order[:1]))
+        for e in cycles[i]:
+            member[e] = 1
     for i, paths, interior in hosts:
-        order = orders[i]
-        pairs.extend(zip(order[: interior + 1], order[1 : interior + 2]))
-        pairs.extend(
-            (order[t], order[t + 1]) for t in range(interior + 2, interior + 2 * paths, 2)
-        )
-    return EdgeSubset.from_edges(g, pairs)
+        steps = cycles[i]
+        for t in [*range(interior + 1), *range(interior + 2, interior + 2 * paths, 2)]:
+            member[steps[t]] = 1
+    return EdgeSubset.from_member(member)

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count
 
 from .errors import (
     DuplicateEdge,
@@ -108,7 +108,7 @@ class EdgeSubset:
 
     def indices(self) -> list[int]:
         """Member edge indices, ascending, from one pass over the bits."""
-        return [i for i, bit in enumerate(bin(self.bits)[:1:-1]) if bit == "1"]
+        return list(compress(count(), bin(self.bits)[:1:-1].encode().translate(_BIT_FLAGS)))
 
     def edges(self, g: Graph) -> list[tuple[int, int]]:
         """Materialize the member edges of this subset within its host."""
@@ -118,6 +118,7 @@ class EdgeSubset:
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -205,6 +206,16 @@ class Component:
     edges: Sequence[int]               # local edge i -> host edge index, ascending
 
 
+def incident_edges(g: Graph) -> list[list[int]]:
+    """Edge indices at each vertex; one pass in the sorted edge order aligns them
+    with adjacency[v]."""
+    incident: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    return incident
+
+
 def connected_components(g: Graph) -> list[Component]:
     """Maximal connected vertex sets, ordered by smallest original label.
 
@@ -257,6 +268,20 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     the lowest vertex label that attains the girth, scanning neighbors in
     ascending order.  Each search stops once its layers cannot beat the
     best so far; all share one dist/parent pair, reset where they reached.
+    Root r's search skips vertices below r and still finds the cycle a
+    search of all of g finds (Itai and Rodeh's minimum-vertex argument).
+    Let L be the girth.  A tree walk root ~> u, uw, w ~> root of length L
+    is a cycle through the root (paths that split lower close a shorter
+    one), and a search from any vertex of a girth cycle meets at length L,
+    so the lowest root r attaining L is the lowest vertex on a girth cycle:
+    no earlier root reaches L, and each girth cycle through r lies on
+    vertices >= r.  Below depth L/2 shortest paths from r are unique, else
+    they close a shorter cycle, so both searches give each vertex there
+    whose path avoids lower vertices the same depth, parent and relative
+    queue order.  The length-L meeting pairs are the edges closing girth
+    cycles through r in both, so both keep the same first pair; for even
+    L its far end's parent is its first neighbour one layer up in that
+    order, on the cycle.
     """
     adjacency = g.adjacency
     dist = [-1] * g.n
@@ -264,6 +289,12 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     best = g.n + 1
     found = None
     for root in range(g.n):
+        if best == 4:
+            # Only a triangle can beat a 4-cycle now, so no search is needed.
+            triangle = _lowest_triangle(adjacency, root)
+            if triangle:
+                best, found = 3, triangle
+            break
         dist[root] = 0
         parent[root] = -1
         queue = [root]
@@ -290,6 +321,9 @@ def shortest_cycle(g: Graph) -> list[int] | None:
             found = _path_to_root(parent, meet[0]), _path_to_root(parent, meet[1])
         for v in queue:
             dist[v] = -1
+        # Later roots skip this one: at distance n it is never queued and
+        # closes no walk shorter than best <= n + 1.
+        dist[root] = g.n
         if best == 3:
             break
     if found is None:
@@ -302,6 +336,19 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     return cycle
 
 
+def _lowest_triangle(adjacency, start: int) -> tuple[list[int], list[int]] | None:
+    """Paths u->r, w->r where the first root r >= start meets a triangle: with
+    best at 4 its search queues r's neighbours above r in order and meets at
+    the first such u's first neighbour w among them."""
+    for r in range(start, len(adjacency)):
+        up = [w for w in adjacency[r] if w > r]
+        for u in up:
+            for w in adjacency[u]:
+                if w in up:
+                    return [u, r], [w, r]
+    return None
+
+
 def _path_to_root(parent: list[int], x: int) -> list[int]:
     path = []
     while x != -1:
@@ -311,19 +358,11 @@ def _path_to_root(parent: list[int], x: int) -> list[int]:
 
 
 def _is_chordless_cycle(g: Graph, cycle: list[int]) -> bool:
-    k = len(cycle)
-    if len(set(cycle)) != k:
-        return False
-    on_cycle = set(cycle)
-    for i, u in enumerate(cycle):
-        succ = cycle[(i + 1) % k]
-        pred = cycle[i - 1]
-        if not g.has_edge(u, succ):
-            return False
-        for w in g.adjacency[u]:
-            if w in on_cycle and w not in (succ, pred):
-                return False
-    return True
+    """Distinct vertices, each adjacent to the next and to only two on the cycle."""
+    k, on_cycle = len(cycle), set(cycle)
+    return len(on_cycle) == k and all(
+        g.has_edge(u, cycle[(i + 1) % k]) and sum(w in on_cycle for w in g.adjacency[u]) == 2
+        for i, u in enumerate(cycle))
 
 
 def complement_within(g: Graph, s: EdgeSubset) -> EdgeSubset:
@@ -337,8 +376,7 @@ def subgraph_degrees(g: Graph, s: EdgeSubset) -> list[int]:
     if s.m != g.m:
         raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
     deg = [0] * g.n
-    for i in s.indices():
-        u, v = g.edges[i]
+    for u, v in compress(g.edges, bin(s.bits)[:1:-1].encode().translate(_BIT_FLAGS)):
         deg[u] += 1
         deg[v] += 1
     return deg

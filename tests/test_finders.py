@@ -6,8 +6,10 @@ qualifies.  They are kept here only as a reference for the one
 incremental finder in ``degbal.connected``, ColoringState.lowest: a cursor
 that tests indices in order, with a heap behind it that color_edge offers
 only the indices below the cursor that a coloring can make valid again,
-named by each finder's reach (stage 1, R1, R2).  R3 and stage 3 pass no
-reach, since their predicates never turn true again.
+named by each finder's reach (stage 1, R1, R2).  R3 passes no reach,
+since its predicate never turns true again.  Stage 3 needs no finder: it
+walks the edges once, and every edge it colors must be the scan's lowest
+V0-V0 edge at that step.
 """
 
 from hypothesis import assume, given, settings
@@ -19,7 +21,6 @@ from degbal.connected import (
     _find_r1,
     _find_r2,
     _find_r3,
-    _find_v0_v0,
     _stage1_candidate,
     stage1_grow_v3,
     stage2_fill_v2,
@@ -52,13 +53,18 @@ def scan_stage1_candidate(state):
     return None
 
 
+def colored_neighbor_degrees(state, v):
+    g = state.host
+    return [state.deg1[w] for w in g.adjacency[v] if state.colored[g.edge_index(v, w)]]
+
+
 def scan_r1(state):
     deg1 = state.deg1
     for i, (u, v) in enumerate(state.host.edges):
         if state.colored[i] or deg1[u] != 1 or deg1[v] != 1:
             continue
-        if any(d >= 2 for d in state.colored_neighbor_degrees(u)) or any(
-            d >= 2 for d in state.colored_neighbor_degrees(v)
+        if any(d >= 2 for d in colored_neighbor_degrees(state, u)) or any(
+            d >= 2 for d in colored_neighbor_degrees(state, v)
         ):
             return i
     return None
@@ -100,20 +106,27 @@ PAIRS = (
     (_find_r1, scan_r1),
     (_find_r2, scan_r2),
     (_find_r3, scan_r3),
-    (_find_v0_v0, scan_v0_v0),
 )
 
 
 class CheckedState(ColoringState):
-    """Compares every finder with its scan after each coloring from check_from on."""
+    """Compares every finder with its scan after each coloring from check_from on.
+
+    Once in_stage3 is set, each coloring must also be scan_v0_v0's edge.
+    """
 
     def __init__(self, *args, check_from=0):
         super().__init__(*args)
         self.check_from = check_from
         self.steps = 0
         self.checks = 0
+        self.in_stage3 = False
+        self.stage3_checks = 0
 
     def color_edge(self, i):
+        if self.in_stage3:
+            assert i == scan_v0_v0(self), (i, self.steps)
+            self.stage3_checks += 1
         super().color_edge(i)
         self.steps += 1
         if self.steps >= self.check_from:
@@ -131,7 +144,10 @@ def run_checked(g, s, check_from=0):
         stage2_fill_v2(state)
     except SpecialCaseNeeded:
         return None
+    state.in_stage3 = True
+    deficit = state.n1 - state.sizes[1]
     stage3_fill_v1(state)
+    assert state.stage3_checks == deficit // 2
     assert profile_of(g, state.subset()) == target
     return state
 
@@ -175,7 +191,7 @@ def test_finders_match_scans_under_any_coloring_order(n, seed, order, check_from
 
 
 def test_fixture_graphs_every_statement_from_the_first_step():
-    fired = {"R1": 0, "R2": 0, "R3": 0}
+    fired = {"R1": 0, "R2": 0, "R3": 0, "stage 3": 0}
     for path in sorted(FIXTURES.glob("*.g6")):
         for name, g in load_corpus_file(path.name):
             if g.n < 8 or len(connected_components(g)) != 1:
@@ -186,4 +202,5 @@ def test_fixture_graphs_every_statement_from_the_first_step():
                 assert state.checks == state.steps > 0, (name, s)
                 for rule, count in state.rule_counts.items():
                     fired[rule] += count
+                fired["stage 3"] += state.stage3_checks
     assert all(fired.values()), fired

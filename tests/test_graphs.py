@@ -28,6 +28,7 @@ from degbal.graphs import (
     shortest_cycle,
     triangle_at_zero,
     validate_regular,
+    _path_to_root,
 )
 
 from conftest import FIXTURES, load_corpus_file
@@ -396,3 +397,87 @@ def test_shortest_cycle_sequences_match_digest():
     assert lines[-1] == "path:4\tnone"
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode("ascii"))
     assert digest.hexdigest() == SHORTEST_CYCLE_SHA256
+
+
+def unrestricted_shortest_cycle(g):
+    """shortest_cycle as it was before root r's search skipped vertices below r.
+
+    Kept verbatim as the reference the restricted search must agree with.
+    """
+    adjacency = g.adjacency
+    dist = [-1] * g.n
+    parent = [-1] * g.n
+    best = g.n + 1
+    found = None
+    for root in range(g.n):
+        dist[root] = 0
+        parent[root] = -1
+        queue = [root]
+        meet = None
+        for u in queue:
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                break
+            # A vertex found at du + 1 closes walks of length >= 2 * du + 2 only.
+            grow = 2 * du + 2 < best
+            for w in adjacency[u]:
+                dw = dist[w]
+                if dw < 0:
+                    if grow:
+                        dist[w] = du + 1
+                        parent[w] = u
+                        queue.append(w)
+                elif w != parent[u] and du + dw + 1 < best:
+                    best = du + dw + 1
+                    meet = u, w
+        if meet is not None:
+            # Paths u->root and w->root meet only at the root, else a
+            # strictly shorter cycle would exist.
+            found = _path_to_root(parent, meet[0]), _path_to_root(parent, meet[1])
+        for v in queue:
+            dist[v] = -1
+        if best == 3:
+            break
+    if found is None:
+        return None
+    left, right = found
+    return left[::-1] + right[:-1]
+
+
+def generalized_petersen(n, k):
+    """GP(n, k): outer cycle 0..n-1, spokes i ~ n+i, inner edges n+i ~ n+(i+k) mod n."""
+    return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                       + [(i, n + i) for i in range(n)]
+                       + [(n + i, n + (i + k) % n) for i in range(n)])
+
+
+def test_shortest_cycle_matches_the_unrestricted_search_on_random_cubic_graphs():
+    girths = set()
+    for n in range(8, 401, 8):
+        for seed in range(6):
+            g = random_cubic(n, 1000 * n + seed)
+            cycle = shortest_cycle(g)
+            assert cycle == unrestricted_shortest_cycle(g), (n, seed)
+            girths.add(len(cycle))
+    assert girths >= {3, 4, 5}, girths
+
+
+GP_CASES = [(n, k) for n in range(5, 41) for k in range(1, (n + 1) // 2)]
+GP_CASES += [(n, 7) for n in range(100, 161, 3)] + [(211, 13), (300, 7), (301, 13)]
+
+
+def test_shortest_cycle_matches_the_unrestricted_search_on_generalized_petersen_graphs():
+    girth_8 = 0
+    rng = random.Random(7)
+    for n, k in GP_CASES:
+        g = generalized_petersen(n, k)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabeled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        for h in (g, relabeled):
+            cycle = shortest_cycle(h)
+            assert cycle == unrestricted_shortest_cycle(h), (n, k)
+        if k == 7 and n >= 100:
+            assert len(cycle) == 8, (n, k, cycle)
+            girth_8 += 1
+    assert girth_8 == 22
