@@ -106,8 +106,14 @@ def k33_table(p: DegreeProfile) -> EdgeSubset:
 
 def detect_exception(g: Graph, s: Statement) -> ExceptionKind | None:
     """Provably undecomposable (graph, statement) pairs, by component census."""
+    return _exception_of(_split(g)[1], s)
+
+
+def _split(g: Graph) -> tuple[list[Component], list[SmallClass]]:
+    """The components of a cubic g and their small classes."""
     require_regular(g, 3)
-    return _exception_of([small_class(c.graph) for c in connected_components(g)], s)
+    comps = connected_components(g)
+    return comps, [small_class(c.graph) for c in comps]
 
 
 def _exception_of(classes: list[SmallClass], s: Statement) -> ExceptionKind | None:
@@ -167,17 +173,15 @@ def decompose(g: Graph, s: Statement) -> EdgeSubset:
     return decompose_traced(g, s)[0]
 
 
-def decompose_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, list[str], bool]:
-    """decompose plus (branch trace, fallback_used).
+def decompose_traced(g: Graph, s: Statement, split=None) -> tuple[EdgeSubset, list[str], bool]:
+    """decompose plus (branch trace, fallback_used); split is g's _split, if known.
 
     The trace of a multi-component graph is flat: one label per peeled
     component, then the entries of what was left prefixed "rest:", then
     each peeled component's entries prefixed "H:", in peel order.
     """
-    require_regular(g, 3)
+    comps, classes = split or _split(g)
     target = target_profile(g.n, s)
-    comps = connected_components(g)
-    classes = [small_class(c.graph) for c in comps]
     kind = _exception_of(classes, s)
     if kind is not None:
         raise ExceptionGraph(kind)
@@ -338,9 +342,9 @@ class DecompositionResult:
     fallback_used: bool
 
 
-def decompose_result(g: Graph, s: Statement) -> DecompositionResult:
+def decompose_result(g: Graph, s: Statement, split=None) -> DecompositionResult:
     """decompose wrapped with profile and deviation bookkeeping."""
-    sub, trace, fallback = decompose_traced(g, s)
+    sub, trace, fallback = decompose_traced(g, s, split)
     target = target_profile(g.n, s)  # decompose_traced has checked sub against it
     return DecompositionResult(
         statement=s.value,
@@ -366,16 +370,16 @@ def decompose_balanced(g: Graph) -> DecompositionResult:
     The three exception graphs (K4, K3,3, 3K4) get their best achievable
     decomposition instead: deviation exactly 1, 3/2, and 1 respectively.
     """
+    split = _split(g)  # shared by the best-effort retry on an exception graph
     s = Statement.I if g.n % 4 == 0 else Statement.III
-    try:
-        inner = decompose_result(g, s)
-    except ExceptionGraph as exc:
-        best = _BEST_EFFORT[exc.kind]
-        inner = decompose_result(g, best)
-        label = f"exception:{exc.kind.value}:best-effort:{best.value}"
+    kind = _exception_of(split[1], s)
+    best = s if kind is None else _BEST_EFFORT[kind]
+    inner = decompose_result(g, best, split)
+    if kind is not None:
+        label = f"exception:{kind.value}:best-effort:{best.value}"
+    elif inner.max_deviation > Fraction(1, 2):
+        raise InternalStuck(f"balanced deviation {inner.max_deviation} > 1/2")
     else:
-        if inner.max_deviation > Fraction(1, 2):
-            raise InternalStuck(f"balanced deviation {inner.max_deviation} > 1/2")
         label = f"balanced:{s.value}"
     return replace(inner, statement="BALANCED", branch_trace=(label,) + inner.branch_trace)
 

@@ -57,71 +57,67 @@ def _frontier_order(g: Graph) -> list[int]:
 def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityReport:
     """Every achievable profile of g, each with its first witness in rank order.
 
-    A dynamic program over the edges in _frontier_order.  A state is one
-    int: the count of final vertices of each degree k (c bits at bit k*c)
-    below the degree of each open vertex (b bits each); a vertex is final
-    once its last edge in that order is decided.  Prefixes over the same
-    decided edges reaching one state have the same completions, which set
-    bits disjoint from the prefix, so in any order the smaller prefix gives
-    the smaller full mask: a state keeps its smallest mask by comparison,
-    and each final state's is its profile's first subset in rank order.
-    A layer of more than STATE_CAP states raises CapExceeded, as an edge
-    count over the cap does.
+    A dynamic program over the edges in _frontier_order.  A state is the
+    degree of each open vertex (b bits each) and the count of final vertices
+    of each degree k (c bits at bit k*c); a vertex is final once its last
+    edge in that order is decided.  A layer maps open-degree bits to a group
+    {count bits: smallest mask}, and a step moves whole groups: the absent
+    branch keeps a group's dict, the present one sets the edge's bit in
+    every mask, and an endpoint's last edge zeroes its field in the key and
+    shifts the counts.  Masks are compared only where two groups meet, the
+    smaller merged into the larger.  Prefixes over the same decided edges
+    reaching one state have the same completions, which set bits disjoint
+    from the prefix, so in any order the smaller prefix gives the smaller
+    full mask: a state keeps its smallest mask by comparison, and each final
+    state's is its profile's first subset in rank order.  A layer of more
+    than STATE_CAP states (counted over its groups: the states of one flat
+    dict) raises CapExceeded, as an edge count over the cap does.
     """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
     n = g.n
-    if g.m == 0:
-        profile = profile_of(g, EdgeSubset.empty(0))
-        return AchievabilityReport(
-            graph_order=n,
-            degree=d,
-            edge_count=0,
-            achievable=(profile,),
-            min_max_deviation=profile.max_deviation() if n else Fraction(0),
-            witness={profile: EdgeSubset.empty(0)},
-        )
-
     b = d.bit_length()
     c = n.bit_length()
     low = (1 << b) - 1
-    base = (d + 1) * c
     order = _frontier_order(g)
     last = {v: k for k, i in enumerate(order) for v in g.edges[i]}  # final at step k
     above = 1 << g.m  # larger than every mask
-    states = {0: 0}  # state -> smallest mask of the decided edges reaching it
+    # open-degree bits -> {count bits: smallest mask}; a vertex without edges
+    # (every vertex when m = 0) is final at degree 0 from the start.
+    groups = {0: {n - len(last): 0}}
     for k, i in enumerate(order):
         u, v = g.edges[i]
-        ou, ov = base + u * b, base + v * b
+        ou, ov = u * b, v * b
         step, bit = (1 << ou) + (1 << ov), 1 << i
-        # The degrees of u and v index the change that moves those of them
-        # whose last edge this is into the counts.
-        end_u, end_v = last[u] == k, last[v] == k
-        change = [
-            end_u * ((1 << (x & low) * c) - ((x & low) << ou))
-            + end_v * ((1 << (x >> b) * c) - ((x >> b) << ov))
-            for x in range(1 << 2 * b)
-        ]
-        layer: dict[int, int] = {}
-        get = layer.get
-        for s, mask in states.items():
-            t = s + change[s >> ou & low | (s >> ov & low) << b]
-            if mask < get(t, above):
-                layer[t] = mask
-            t = s + step
-            t += change[t >> ou & low | (t >> ov & low) << b]
-            mask |= bit
-            if mask < get(t, above):
-                layer[t] = mask
-        if len(layer) > STATE_CAP:
-            raise CapExceeded(f"{len(layer)} states exceed the oracle's state cap {STATE_CAP}")
-        states = layer
+        ends = [f for f, w in ((ou, u), (ov, v)) if last[w] == k]
+        layer: dict[int, dict[int, int]] = {}
+        for o, counts in groups.items():
+            p, shift_o, shift_p = o + step, 0, 0
+            for f in ends:  # the endpoint's degree moves into the counts
+                x, y = o >> f & low, p >> f & low
+                o, p = o - (x << f), p - (y << f)
+                shift_o, shift_p = shift_o + (1 << x * c), shift_p + (1 << y * c)
+            present = {t + shift_p: mask | bit for t, mask in counts.items()}
+            absent = {t + shift_o: mask for t, mask in counts.items()} if ends else counts
+            for key, new in ((o, absent), (p, present)):
+                old = layer.setdefault(key, new)
+                if old is not new:  # merge the smaller group into the larger
+                    if len(old) < len(new):
+                        layer[key], old, new = new, new, old
+                    get = old.get
+                    for t, mask in new.items():
+                        if mask < get(t, above):
+                            old[t] = mask
+        total = sum(map(len, layer.values()))
+        if total > STATE_CAP:
+            raise CapExceeded(f"{total} states exceed the oracle's state cap {STATE_CAP}")
+        groups = layer
 
-    # Every vertex is final: a state is its counts alone.
+    # Every vertex is final: one group, a state is its counts alone.
     top = (1 << c) - 1
     witness = {
         DegreeProfile(tuple(s >> k * c & top for k in range(d, -1, -1))): EdgeSubset(g.m, mask)
-        for s, mask in states.items()
+        for s, mask in groups[0].items()
     }
     ordered = sorted(witness, key=lambda p: p.counts)
     # max_deviation() is max_k |(d + 1) * n_k - n| / (d + 1): divide once.

@@ -367,6 +367,19 @@ class TestOneSplit:
     def test_50_petersen(self, monkeypatch):
         assert self.splits(monkeypatch, disjoint_union([named("PETERSEN")] * 50)) == 1
 
+    @pytest.mark.parametrize("name, label", [
+        ("K4", "exception:K4_I:best-effort:II"),
+        ("K33", "exception:K33_III:best-effort:IV"),
+        ("3K4", "exception:THREE_K4_I:best-effort:II"),
+        ("PETERSEN", "balanced:III"),
+    ])
+    def test_exception_retry_reuses_the_split(self, monkeypatch, name, label):
+        # The refused statement and the best-effort one share one split.
+        g = disjoint_union([named("K4")] * 3) if name == "3K4" else named(name)
+        results = []
+        assert self.splits(monkeypatch, g, lambda h: results.append(decompose_balanced(h))) == 1
+        assert results[0].branch_trace[0] == label
+
     def test_special_14_block(self, monkeypatch):
         def block(state):
             raise SpecialCaseNeeded("forced")

@@ -107,6 +107,94 @@ NUMPY_CHECKED = {
 }
 
 
+def flat_report(g):
+    """The report's DP with each layer one flat {state: smallest mask} dict.
+
+    The reference for achievable_profiles, which groups each layer by open
+    degrees over the same states, edge order and smallest-mask rule.
+    Returns ({counts: first mask}, largest layer).
+    """
+    d = inferred_degree(g)
+    n = g.n
+    if g.m == 0:
+        return {profile_of(g, EdgeSubset.empty(0)).counts: 0}, 1
+    b = d.bit_length()
+    c = n.bit_length()
+    low = (1 << b) - 1
+    base = (d + 1) * c
+    order = oracle_mod._frontier_order(g)
+    last = {v: k for k, i in enumerate(order) for v in g.edges[i]}  # final at step k
+    above = 1 << g.m  # larger than every mask
+    states = {0: 0}  # state -> smallest mask of the decided edges reaching it
+    largest = 1
+    for k, i in enumerate(order):
+        u, v = g.edges[i]
+        ou, ov = base + u * b, base + v * b
+        step, bit = (1 << ou) + (1 << ov), 1 << i
+        # The degrees of u and v index the change that moves those of them
+        # whose last edge this is into the counts.
+        end_u, end_v = last[u] == k, last[v] == k
+        change = [
+            end_u * ((1 << (x & low) * c) - ((x & low) << ou))
+            + end_v * ((1 << (x >> b) * c) - ((x >> b) << ov))
+            for x in range(1 << 2 * b)
+        ]
+        layer = {}
+        get = layer.get
+        for s, mask in states.items():
+            t = s + change[s >> ou & low | (s >> ov & low) << b]
+            if mask < get(t, above):
+                layer[t] = mask
+            t = s + step
+            t += change[t >> ou & low | (t >> ov & low) << b]
+            mask |= bit
+            if mask < get(t, above):
+                layer[t] = mask
+        largest = max(largest, len(layer))
+        states = layer
+
+    # Every vertex is final: a state is its counts alone.
+    top = (1 << c) - 1
+    report = {tuple(s >> k * c & top for k in range(d, -1, -1)): mask for s, mask in states.items()}
+    return report, largest
+
+
+# Graphs the grouped DP is checked on against the flat one, with edge caps.
+FLAT_CHECKED = {
+    **{f"random{n}:{s}": (lambda n=n, s=s: random_cubic(n, s), None)
+       for n in range(8, 17, 2) for s in (1, 2, 3)},
+    **{f"C{n}{jumps}": (lambda n=n, jumps=jumps: circulant(n, jumps), None)
+       for n, jumps in ((11, (1, 2)), (11, (2, 5)), (13, (3, 5)))},
+    **{f"K{n}": (lambda n=n: _complete(n), None) for n in (5, 6, 7)},
+    "C6": (lambda: cycles([6]), None),
+    "C3+C4+C5": (lambda: cycles([3, 4, 5]), None),
+    "2C3+C7": (lambda: cycles([3, 3, 7]), None),
+    "2K4": (lambda: disjoint_union([named("K4")] * 2), None),
+    "3K4": (lambda: disjoint_union([named("K4")] * 3), None),
+    "K4+K33": (lambda: disjoint_union([named("K4"), named("K33")]), None),
+    "5K1": (lambda: build_graph(5, []), None),
+    "random20:0": (lambda: random_cubic(20, 0), 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CHECKED))
+def test_grouped_layers_match_the_flat_dp(monkeypatch, name):
+    """Same profiles, witness bits, deviation and largest layer as one flat dict."""
+    build, edge_cap = FLAT_CHECKED[name]
+    g = build()
+    ref, largest = flat_report(g)
+    rep = achievable_profiles(g, edge_cap)
+    assert [p.counts for p in rep.achievable] == sorted(ref)
+    assert {p.counts: w.bits for p, w in rep.witness.items()} == ref
+    assert rep.min_max_deviation == min(DegreeProfile(c).max_deviation() for c in ref)
+    if g.m:
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", largest)
+        assert achievable_profiles(g, edge_cap) == rep
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", largest - 1)
+        with pytest.raises(CapExceeded, match=f"^{largest} states exceed"):
+            achievable_profiles(g, edge_cap)
+
+
 class TestAgainstNumpy:
     """The dynamic program's report equals the numpy scan's, witness for witness."""
 
@@ -315,6 +403,16 @@ class TestCap:
         report = achievable_profiles(g)
         monkeypatch.setattr(oracle_mod, "STATE_CAP", cap)
         assert achievable_profiles(g) == report
+
+    @pytest.mark.parametrize("name, largest", [("random16:1", 6_494), ("C13(3,5)", 28_940)])
+    def test_largest_layer_at_the_state_cap(self, monkeypatch, name, largest):
+        g = random_cubic(16, 1) if name == "random16:1" else circulant(13, (3, 5))
+        report = achievable_profiles(g)
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", largest)
+        assert achievable_profiles(g) == report
+        monkeypatch.setattr(oracle_mod, "STATE_CAP", largest - 1)
+        with pytest.raises(CapExceeded, match=f"^{largest} states exceed .* cap {largest - 1}$"):
+            achievable_profiles(g)
 
     def test_raised_cap_no_recursion_limit(self):
         g = random_cubic(2000, 1)  # m = 3000 edges, deeper than the recursion limit
