@@ -353,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive achievability report")
     add_input(p)
-    p.add_argument("--profile", help="single profile query, e.g. 1,2,1,2")
-    p.add_argument("--min-deviation", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--profile", help="single profile query, e.g. 1,2,1,2")
+    mode.add_argument("--min-deviation", action="store_true")
     p.add_argument("--edge-cap", type=int, default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -61,17 +61,18 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     degree of each open vertex (b bits each) and the count of final vertices
     of each degree k (c bits at bit k*c); a vertex is final once its last
     edge in that order is decided.  A layer maps open-degree bits to a group
-    {count bits: smallest mask}, and a step moves whole groups: the absent
-    branch keeps a group's dict, the present one sets the edge's bit in
-    every mask, and an endpoint's last edge zeroes its field in the key and
-    shifts the counts.  Masks are compared only where two groups meet, the
-    smaller merged into the larger.  Prefixes over the same decided edges
+    (count offset, mask offset, {t: mask}, owned) of the states t + count
+    offset, each with its smallest mask, mask + mask offset.  A step moves a
+    group in O(1): both branches share its dict and add their counts shift
+    (an endpoint's last edge zeroes its field in the key) to the count
+    offset, and the present one adds bit i, in no prefix mask, to the mask
+    offset.  Where two groups land on one key, the smaller is translated
+    into the larger's frame and merged by mask, the larger's dict copied
+    first unless this layer owns it.  Prefixes over the same decided edges
     reaching one state have the same completions, which set bits disjoint
-    from the prefix, so in any order the smaller prefix gives the smaller
-    full mask: a state keeps its smallest mask by comparison, and each final
-    state's is its profile's first subset in rank order.  A layer of more
-    than STATE_CAP states (counted over its groups: the states of one flat
-    dict) raises CapExceeded, as an edge count over the cap does.
+    from the prefix, so the smaller prefix gives the smaller full mask, and
+    each final state's is its profile's first subset in rank order.  A layer
+    of more than STATE_CAP states (one flat dict's) raises CapExceeded.
     """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
@@ -81,54 +82,52 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     low = (1 << b) - 1
     order = _frontier_order(g)
     last = {v: k for k, i in enumerate(order) for v in g.edges[i]}  # final at step k
-    above = 1 << g.m  # larger than every mask
-    # open-degree bits -> {count bits: smallest mask}; a vertex without edges
-    # (every vertex when m = 0) is final at degree 0 from the start.
-    groups = {0: {n - len(last): 0}}
+    above = 1 << g.m  # larger than every mask in any frame
+    # A vertex without edges (every vertex when m = 0) is final at degree 0.
+    groups = {0: (0, 0, {n - len(last): 0}, False)}
     for k, i in enumerate(order):
         u, v = g.edges[i]
         ou, ov = u * b, v * b
         step, bit = (1 << ou) + (1 << ov), 1 << i
         ends = [f for f, w in ((ou, u), (ov, v)) if last[w] == k]
-        layer: dict[int, dict[int, int]] = {}
-        for o, counts in groups.items():
-            p, shift_o, shift_p = o + step, 0, 0
+        layer: dict[int, tuple[int, int, dict[int, int], bool]] = {}
+        for o, (co, mo, counts, _) in groups.items():
+            p, shift_o, shift_p = o + step, co, co
             for f in ends:  # the endpoint's degree moves into the counts
                 x, y = o >> f & low, p >> f & low
                 o, p = o - (x << f), p - (y << f)
                 shift_o, shift_p = shift_o + (1 << x * c), shift_p + (1 << y * c)
-            present = {t + shift_p: mask | bit for t, mask in counts.items()}
-            absent = {t + shift_o: mask for t, mask in counts.items()} if ends else counts
+            absent, present = (shift_o, mo, counts, False), (shift_p, mo + bit, counts, False)
             for key, new in ((o, absent), (p, present)):
                 old = layer.setdefault(key, new)
-                if old is not new:  # merge the smaller group into the larger
-                    if len(old) < len(new):
-                        layer[key], old, new = new, new, old
-                    get = old.get
-                    for t, mask in new.items():
+                if old is not new:  # merge the smaller group into the larger's frame
+                    if len(old[2]) < len(new[2]):
+                        old, new = new, old
+                    (oc, om, into, owned), (nc, nm, src, _) = old, new
+                    into = into if owned else into.copy()  # other groups may share it
+                    dc, dm, get = nc - oc, nm - om, into.get
+                    for t, mask in src.items():
+                        t, mask = t + dc, mask + dm
                         if mask < get(t, above):
-                            old[t] = mask
-        total = sum(map(len, layer.values()))
+                            into[t] = mask
+                    layer[key] = (oc, om, into, True)
+        total = sum(len(group[2]) for group in layer.values())
         if total > STATE_CAP:
             raise CapExceeded(f"{total} states exceed the oracle's state cap {STATE_CAP}")
         groups = layer
 
-    # Every vertex is final: one group, a state is its counts alone.
-    top = (1 << c) - 1
+    # Every vertex is final, in one group; n_d's field is highest: int order is counts order.
+    (co, mo, counts, _), top = groups[0], (1 << c) - 1
+    fields = [k * c for k in range(d, -1, -1)]
     witness = {
-        DegreeProfile(tuple(s >> k * c & top for k in range(d, -1, -1))): EdgeSubset(g.m, mask)
-        for s, mask in groups[0].items()
+        DegreeProfile(tuple(t + co >> f & top for f in fields)): EdgeSubset(g.m, counts[t] + mo)
+        for t in sorted(counts)
     }
-    ordered = sorted(witness, key=lambda p: p.counts)
     # max_deviation() is max_k |(d + 1) * n_k - n| / (d + 1): divide once.
-    spread = min(max(abs((d + 1) * x - n) for x in p.counts) for p in ordered)
+    spread = min(max(abs((d + 1) * x - n) for x in p.counts) for p in witness)
     return AchievabilityReport(
-        graph_order=n,
-        degree=d,
-        edge_count=g.m,
-        achievable=tuple(ordered),
-        min_max_deviation=Fraction(spread, d + 1),
-        witness=witness,
+        graph_order=n, degree=d, edge_count=g.m, achievable=tuple(witness),
+        min_max_deviation=Fraction(spread, d + 1), witness=witness,
     )
 
 

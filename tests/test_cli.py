@@ -284,6 +284,13 @@ class TestOracleCommand:
         code, out, _ = run_cli(capsys, "oracle", "--named", "k4", "--min-deviation")
         assert json.loads(out)["min_max_deviation"] == "1"
 
+    def test_profile_and_min_deviation_are_a_usage_error_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--named", "k4", "--min-deviation", "--profile", "1,1,1,1"
+        )
+        assert code == 1 and not out
+        assert "not allowed with argument" in err
+
     def test_edge_cap_flag(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--named", "k4", "--edge-cap", "3")
         assert code == 1

@@ -160,11 +160,15 @@ def flat_report(g):
 
 
 # Graphs the grouped DP is checked on against the flat one, with edge caps.
+# The 4-regular C12(1,5) and C13(1,5) and the 5-regular C10(2,4,5) merge
+# groups whose frames differ by negative offsets, and into dicts that both
+# branches of one group still share.
 FLAT_CHECKED = {
     **{f"random{n}:{s}": (lambda n=n, s=s: random_cubic(n, s), None)
        for n in range(8, 17, 2) for s in (1, 2, 3)},
     **{f"C{n}{jumps}": (lambda n=n, jumps=jumps: circulant(n, jumps), None)
-       for n, jumps in ((11, (1, 2)), (11, (2, 5)), (13, (3, 5)))},
+       for n, jumps in ((11, (1, 2)), (11, (2, 5)), (13, (3, 5)), (12, (1, 5)), (13, (1, 5)),
+                        (10, (2, 4, 5)))},
     **{f"K{n}": (lambda n=n: _complete(n), None) for n in (5, 6, 7)},
     "C6": (lambda: cycles([6]), None),
     "C3+C4+C5": (lambda: cycles([3, 4, 5]), None),
@@ -185,6 +189,7 @@ def test_grouped_layers_match_the_flat_dp(monkeypatch, name):
     ref, largest = flat_report(g)
     rep = achievable_profiles(g, edge_cap)
     assert [p.counts for p in rep.achievable] == sorted(ref)
+    assert list(rep.witness) == list(rep.achievable)
     assert {p.counts: w.bits for p, w in rep.witness.items()} == ref
     assert rep.min_max_deviation == min(DegreeProfile(c).max_deviation() for c in ref)
     if g.m:
@@ -193,6 +198,15 @@ def test_grouped_layers_match_the_flat_dp(monkeypatch, name):
         monkeypatch.setattr(oracle_mod, "STATE_CAP", largest - 1)
         with pytest.raises(CapExceeded, match=f"^{largest} states exceed"):
             achievable_profiles(g, edge_cap)
+
+
+def test_reports_in_a_row_share_no_state():
+    g = circulant(12, (1, 5))
+    first = achievable_profiles(g)
+    second = achievable_profiles(g)
+    assert first == second and first.witness is not second.witness
+    first.witness.clear()
+    assert achievable_profiles(g) == second
 
 
 class TestAgainstNumpy:
