@@ -112,42 +112,61 @@ PAIRS = (
 class CheckedState(ColoringState):
     """Compares every finder with its scan after each coloring from check_from on.
 
-    Once in_stage3 is set, each coloring must also be scan_v0_v0's edge.
+    run_checked sets stage before each stage runs, and steps and checks are
+    counted per stage, so a stage whose colorings bypass color_edge shows up
+    as a stage with no checks.  In stage 3 each coloring must also be
+    scan_v0_v0's edge.
     """
 
     def __init__(self, *args, check_from=0):
         super().__init__(*args)
         self.check_from = check_from
-        self.steps = 0
-        self.checks = 0
-        self.in_stage3 = False
+        self.stage = 0
+        self.steps = [0, 0, 0, 0]
+        self.checks = [0, 0, 0, 0]
         self.stage3_checks = 0
 
     def color_edge(self, i):
-        if self.in_stage3:
+        if self.stage == 3:
             assert i == scan_v0_v0(self), (i, self.steps)
             self.stage3_checks += 1
         super().color_edge(i)
-        self.steps += 1
-        if self.steps >= self.check_from:
+        self.steps[self.stage] += 1
+        if self.steps[self.stage] >= self.check_from:
             for finder, scan in PAIRS:
-                assert finder(self) == scan(self), (finder.__name__, self.steps)
-            self.checks += 1
+                assert finder(self) == scan(self), (finder.__name__, self.stage, self.steps)
+            self.checks[self.stage] += 1
+
+
+def expected_checks(steps, check_from):
+    """Checks a stage of `steps` colorings gets when they start at step check_from."""
+    return max(0, steps - max(check_from, 1) + 1)
 
 
 def run_checked(g, s, check_from=0):
-    """Stages 1-3 on a CheckedState; returns it, or None if stage 2 blocks."""
+    """Stages 1-3 on a CheckedState; returns it, or None if stage 2 blocks.
+
+    Each stage's colorings are counted off the coloring itself, not through
+    the color_edge hook, and every one of them must have been checked.
+    """
     target = target_profile(g.n, s)
     state = CheckedState(g, target, shortest_cycle(g), check_from=check_from)
+    state.stage = 1
     stage1_grow_v3(state)
+    stage1_edges = sum(state.colored)
+    state.stage = 2
     try:
         stage2_fill_v2(state)
     except SpecialCaseNeeded:
         return None
-    state.in_stage3 = True
+    stage2_edges = sum(state.colored) - stage1_edges
+    state.stage = 3
     deficit = state.n1 - state.sizes[1]
     stage3_fill_v1(state)
     assert state.stage3_checks == deficit // 2
+    assert state.checks[1] == expected_checks(stage1_edges, check_from), state.checks
+    assert state.checks[2] == expected_checks(stage2_edges, check_from), state.checks
+    assert state.checks[3] == expected_checks(deficit // 2, check_from), state.checks
     assert profile_of(g, state.subset()) == target
     return state
 
@@ -166,9 +185,7 @@ def test_incremental_finders_match_scans(n, seed, check_from):
     g = random_cubic(n, seed)
     assume(len(connected_components(g)) == 1)
     for s in applicable_statements(n):
-        state = run_checked(g, s, check_from)
-        if state is not None:
-            assert state.checks == max(0, state.steps - max(check_from, 1) + 1)
+        run_checked(g, s, check_from)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,7 +204,7 @@ def test_finders_match_scans_under_any_coloring_order(n, seed, order, check_from
     order.shuffle(edges)
     for i in edges:
         state.color_edge(i)
-    assert state.checks == max(0, g.m - max(check_from, 1) + 1)
+    assert state.checks[0] == expected_checks(g.m, check_from)
 
 
 def test_fixture_graphs_every_statement_from_the_first_step():
@@ -199,7 +216,8 @@ def test_fixture_graphs_every_statement_from_the_first_step():
             for s in applicable_statements(g.n):
                 state = run_checked(g, s)
                 assert state is not None, (name, s)
-                assert state.checks == state.steps > 0, (name, s)
+                assert state.checks[1] == state.steps[1] > 0, (name, s)
+                assert state.checks[2] == state.steps[2] > 0, (name, s)
                 for rule, count in state.rule_counts.items():
                     fired[rule] += count
                 fired["stage 3"] += state.stage3_checks
