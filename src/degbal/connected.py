@@ -7,12 +7,14 @@ For a connected cubic graph on n vertices the four statements target
     IV  : (t-1, t, t+1, t+2)    for n = 4t+2
 where the tuple counts vertices of subgraph degree (3, 2, 1, 0).
 
-The construction 2-colors edges in three stages: grow a connected set of
-3-vertices from a shortest cycle, top up 2-vertices with three local
-recoloring rules, then pair up leftover 0-vertices into 1-vertices.  A
-stage-2 block (the paper's one blocked configuration is n = 14, statement
-III; special_14_construction is its lemma) goes to the oracle's exact
-witness search, and over the oracle's edge cap it is an InternalStuck.
+The construction 2-colors edges in three stages, each with its own finders:
+grow a connected set of 3-vertices from a shortest cycle, one vertex at a
+time and in vertex space; top up 2-vertices with three local recoloring
+rules, each found incrementally; then pair up leftover 0-vertices into
+1-vertices in one forward pass over the edges.  A stage-2 block (the
+paper's one blocked configuration is n = 14, statement III;
+special_14_construction is its lemma) goes to the oracle's exact witness
+search, and over the oracle's edge cap it is an InternalStuck.
 """
 
 from __future__ import annotations
@@ -121,32 +123,21 @@ class ColoringState:
 
     colored[i] is 1 iff canonical edge i has color 1, i.e. lies in H; subset()
     packs it into a bitmask once.  deg1[v] is the number of color-1 edges at
-    v; sizes[k] = |V_k|.
-
-    Each rule finder is one lowest() call: a cursor that tests indices in
-    order, with a min-heap behind it for indices the cursor has passed that
-    a later coloring made valid again.  After edge ab is colored, color_edge
-    offers each heap what its reach function names, the items whose
-    predicate that coloring can turn true: for stage 1 the neighbors of a or
-    b if it reached V3, for R1 the uncolored edges at a, b and their color-1
-    neighbors, for R2 the edges at a or b if it reached V1.  Coloring only
-    adds color-1 edges, so deg1 never decreases; the R3 predicate asks for
-    deg1 == 0, never turns true again, and passes no reach.
+    v; sizes[k] = |V_k|.  Stage 1 works in vertex space (_V3Growth) and
+    writes colored once, at its end; stage 2 colors through its rule finders
+    (_RuleFinders); stage 3 colors with color_edge alone.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
         self.host = host
         self.n3, self.n2, self.n1 = targets.counts[:3]  # highest subgraph degree first
         self.cycle = cycle
-        self.cycle_edges = sorted(map(host.edge_index, cycle, cycle[1:] + cycle[:1]))
         self.incident = incident_edges(host)
         self.colored = bytearray(host.m)
         self.deg1 = [0] * host.n
         self.sizes = [host.n, 0, 0, 0]
         self.rule_counts = {"R1": 0, "R2": 0, "R3": 0}
         self.stage1: Stage1Stats | None = None
-        # predicate -> [cursor, min-heap of valid-again indices below it, reach]
-        self.finders: dict = {}
 
     def color_edge(self, i: int) -> None:
         colored, deg1, sizes = self.colored, self.deg1, self.sizes
@@ -163,49 +154,6 @@ class ColoringState:
         deg1[y] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (sizes[1] + sizes[3]) % 2 == 0
-        for valid, (cursor, heap, reach) in self.finders.items():
-            if reach is not None:
-                for item in reach(self, x, y):
-                    if item < cursor and valid(self, item):
-                        heappush(heap, item)
-
-    def color_vertex(self, v: int) -> None:
-        """Color every uncolored edge at v (v becomes a 3-vertex)."""
-        for i in self.incident[v]:
-            if not self.colored[i]:
-                self.color_edge(i)
-
-    def lowest(self, valid, reach, on_edges: bool) -> int | None:
-        """Lowest vertex (or edge) index i with valid(self, i), else None.
-
-        reach(self, a, b) names what coloring edge ab can make valid; None
-        means nothing can turn valid again.  Each index below the cursor was
-        invalid when the cursor passed it, and one that turns valid later is
-        in the reach of the coloring that turned it, so color_edge pushed it.
-        So every valid index below the cursor is in the heap, and once stale
-        indices are popped off its top, that top is the lowest valid index.
-        The valid one found stays, since the caller may not color it.
-        """
-        finder = self.finders.get(valid)
-        if finder is None:
-            finder = self.finders[valid] = [0, [], reach]
-        heap = finder[1]
-        while heap:
-            top = heap[0]
-            if valid(self, top):
-                return top
-            heappop(heap)
-        end = self.host.m if on_edges else self.host.n
-        i = finder[0]
-        while i < end and not valid(self, i):
-            i += 1
-        finder[0] = i
-        return i if i < end else None
-
-    def e_within(self, k: int) -> int:
-        """Number of host edges with both endpoints currently in V_k."""
-        deg1 = self.deg1
-        return sum(1 for u, v in self.host.edges if deg1[u] == k and deg1[v] == k)
 
     def assert_consistent(self) -> None:
         deg = subgraph_degrees(self.host, self.subset())
@@ -217,26 +165,76 @@ class ColoringState:
         return EdgeSubset.from_member(self.colored)
 
 
+class _V3Growth:
+    """Stage 1 in vertex space: V3 grows one vertex at a time.
+
+    Stage 1 colors every edge at each vertex it adds, so an edge is colored
+    exactly when an endpoint is in V3, and deg1[w] of a w outside V3 counts
+    its V3 neighbors.  add(v) keeps deg1 and sizes so; stage1_grow_v3 writes
+    colored at the end.  lowest() is a cursor over the vertices with a
+    min-heap of valid-again vertices below it: only a neighbor of an added
+    vertex can turn valid, and add offers those.
+    """
+
+    def __init__(self, state: ColoringState):
+        self.state, self.v3, self.cursor, self.heap = state, [], 0, []
+
+    def add(self, v: int) -> None:
+        state = self.state
+        deg1, sizes, nbrs = state.deg1, state.sizes, state.host.adjacency[v]
+        d = deg1[v]
+        assert d != 3, "an addition must add exactly one 3-vertex"
+        sizes[d] -= 1
+        sizes[3] += 1
+        deg1[v] = 3
+        self.v3.append(v)
+        cursor, adjacency = self.cursor, state.host.adjacency
+        for w in nbrs:
+            d = deg1[w]
+            if d != 3:
+                assert d < 2, "an addition must add exactly one 3-vertex"
+                sizes[d] -= 1
+                sizes[d + 1] += 1
+                deg1[w] = d + 1
+                # A later neighbor's update can only invalidate w, never validate it.
+                if w < cursor and _is_stage1_candidate(deg1, adjacency, w):
+                    heappush(self.heap, w)
+        assert (sizes[1] + sizes[3]) % 2 == 0
+
+    def lowest(self) -> int | None:
+        """Lowest vertex outside V3, adjacent to V3, with no neighbor in V2."""
+        deg1, adjacency, heap = self.state.deg1, self.state.host.adjacency, self.heap
+        while heap:
+            if _is_stage1_candidate(deg1, adjacency, heap[0]):
+                return heap[0]
+            heappop(heap)
+        i, n = self.cursor, len(deg1)
+        # deg1 0 (no V3 neighbor) or 3 (in V3) rules a vertex out without a call.
+        while i < n and (deg1[i] in (0, 3) or not _is_stage1_candidate(deg1, adjacency, i)):
+            i += 1
+        self.cursor = i
+        return i if i < n else None
+
+
 def stage1_grow_v3(state: ColoringState) -> ColoringState:
     """Grow a connected V3 of target size starting along a shortest cycle."""
     n3 = state.n3
     assert n3 >= 1
-    for v in state.cycle:
-        if state.sizes[3] >= n3:
-            break
-        before = state.sizes[3]
-        state.color_vertex(v)
-        assert state.sizes[3] == before + 1, "cycle walk must add exactly one 3-vertex"
-    while state.sizes[3] < n3:
-        v = _stage1_candidate(state)
+    grow = _V3Growth(state)
+    for v in state.cycle[:n3]:
+        grow.add(v)
+    while len(grow.v3) < n3:
+        v = grow.lowest()
         if v is None:
             raise InternalStuck("stage 1: no expansion vertex (should be impossible)")
-        before = state.sizes[3]
-        state.color_vertex(v)
-        assert state.sizes[3] == before + 1, "expansion must add exactly one 3-vertex"
+        grow.add(v)
+    v3, colored, deg1, adjacency = grow.v3, state.colored, state.deg1, state.host.adjacency
+    for v in v3:
+        for i in state.incident[v]:
+            colored[i] = 1
 
     state.assert_consistent()
-    e_v3 = state.e_within(3)
+    e_v3 = sum(deg1[w] == 3 for v in v3 for w in adjacency[v]) // 2
     out_v3 = 3 * n3 - 2 * e_v3
     girth = len(state.cycle)
     assert e_v3 >= n3 - 1, "V3 must induce a connected subgraph"
@@ -246,49 +244,111 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
     assert 2 * state.sizes[2] + state.sizes[1] == out_v3
     assert state.sizes[2] <= state.n2
     assert state.sizes[1] <= n3 + 2
-    assert _v3_connected(state)
+    assert _v3_connected(state, v3)
     state.stage1 = Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
-    state.finders.clear()  # this stage's finders are done; stop offering to them
     return state
 
 
-def _is_stage1_candidate(state: ColoringState, v: int) -> bool:
-    deg1 = state.deg1
-    if deg1[v] == 3:
+def _is_stage1_candidate(deg1: list[int], adjacency, v: int) -> bool:
+    # Outside V3 and adjacent to it (deg1 counts V3 neighbors), no neighbor in V2.
+    if not 0 < deg1[v] < 3:
         return False
-    has_v3 = False
-    for w in state.host.adjacency[v]:
-        if deg1[w] == 3:
-            has_v3 = True
-        elif deg1[w] == 2:
-            return False
-    return has_v3
+    a, b, c = adjacency[v]
+    return deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2
 
 
-def _reach_stage1(state: ColoringState, a: int, b: int) -> tuple[int, ...]:
-    """Neighbors of a or b if it reached V3: only that adds a V3 or drops a V2 neighbor."""
+def _v3_connected(state: ColoringState, v3: list[int]) -> bool:
     deg1, adjacency = state.deg1, state.host.adjacency
-    return (adjacency[a] if deg1[a] == 3 else ()) + (adjacency[b] if deg1[b] == 3 else ())
-
-
-def _stage1_candidate(state: ColoringState) -> int | None:
-    """Lowest vertex outside V3, adjacent to V3, with no neighbor in V2."""
-    return state.lowest(_is_stage1_candidate, _reach_stage1, on_edges=False)
-
-
-def _v3_connected(state: ColoringState) -> bool:
-    v3 = [v for v in range(state.host.n) if state.deg1[v] == 3]
-    if not v3:
-        return True
-    seen = {v3[0]}
-    stack = [v3[0]]
-    while stack:
-        u = stack.pop()
-        for w in state.host.adjacency[u]:
-            if state.deg1[w] == 3 and w not in seen:
+    seen, queue = {v3[0]}, [v3[0]]
+    for u in queue:
+        for w in adjacency[u]:
+            if deg1[w] == 3 and w not in seen:
                 seen.add(w)
-                stack.append(w)
-    return len(seen) == len(v3)
+                queue.append(w)
+    return len(queue) == len(v3)
+
+
+class _RuleFinders:
+    """Stage 2's R1, R2 and R3 finders over one ColoringState.
+
+    R1 and R2 are cursors over the edges, each with a min-heap of edges
+    below it that a coloring made valid again.  color(i) colors edge i and
+    offers what that can turn valid: the edges at an endpoint entering V1
+    (R1 and R2), and the edges at the color-1 V1 neighbors of an endpoint
+    leaving V1 (R1).  deg1 only rises, so R3 (deg1 == 0) is a plain cursor.
+    """
+
+    def __init__(self, state: ColoringState):
+        self.state = state
+        host, deg1, cycle = state.host, state.deg1, state.cycle
+        # deg1 never decreases, so a cycle edge with both ends out of V0 is never R2's again.
+        self.cycle_edges = sorted(i for i in map(host.edge_index, cycle, cycle[1:] + cycle[:1])
+                                  if min(deg1[x] for x in host.edges[i]) == 0)
+        self.r1_cursor = self.r2_cursor = self.r3_cursor = 0
+        self.r1_heap, self.r2_heap = [], []
+
+    def color(self, i: int) -> None:
+        state = self.state
+        state.color_edge(i)
+        deg1, colored, incident, adjacency = state.deg1, state.colored, state.incident, state.host.adjacency
+        r1_cursor, r1_heap, r2_cursor, r2_heap = self.r1_cursor, self.r1_heap, self.r2_cursor, self.r2_heap
+        for x in state.host.edges[i]:
+            d = deg1[x]
+            if d == 1:  # x entered V1; its one color-1 edge is i
+                for z, e in zip(adjacency[x], incident[x]):
+                    if deg1[z] == 0:
+                        if e < r2_cursor:
+                            heappush(r2_heap, e)
+                    elif deg1[z] == 1 and e < r1_cursor and _is_r1(state, e):
+                        heappush(r1_heap, e)
+            elif d == 2:  # x left V1: each color-1 neighbor w in V1 is now attached to V2
+                for w, e in zip(adjacency[x], incident[x]):
+                    if colored[e] and deg1[w] == 1:
+                        for z, f in zip(adjacency[w], incident[w]):
+                            if deg1[z] == 1 and f < r1_cursor:
+                                heappush(r1_heap, f)
+
+    def r1(self) -> int | None:
+        """Lowest uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
+        state, heap = self.state, self.r1_heap
+        while heap:
+            if _is_r1(state, heap[0]):
+                return heap[0]
+            heappop(heap)
+        i, m, edges, deg1 = self.r1_cursor, state.host.m, state.host.edges, state.deg1
+        # Test the V1-V1 part inline; a call costs more than most edges' test.
+        while i < m and not (deg1[edges[i][0]] == deg1[edges[i][1]] == 1 and _is_r1(state, i)):
+            i += 1
+        self.r1_cursor = i
+        return i if i < m else None
+
+    def r2(self) -> int | None:
+        """Lowest V1-V0 edge of the stage-1 cycle, else lowest V1-V0 edge."""
+        state, heap = self.state, self.r2_heap
+        for i in self.cycle_edges:
+            if _is_r2(state, i):
+                return i
+        while heap:
+            if _is_r2(state, heap[0]):
+                return heap[0]
+            heappop(heap)
+        i, m, edges, deg1 = self.r2_cursor, state.host.m, state.host.edges, state.deg1
+        while i < m and deg1[edges[i][0]] + deg1[edges[i][1]] != 1:  # _is_r2, inline
+            i += 1
+        self.r2_cursor = i
+        return i if i < m else None
+
+    def r3(self) -> tuple[int, int, int] | None:
+        """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
+        deg1, adjacency = self.state.deg1, self.state.host.adjacency
+        for v in range(self.r3_cursor, len(deg1)):
+            if deg1[v] == 0:
+                zeros = [w for w in adjacency[v] if deg1[w] == 0]
+                if len(zeros) >= 2:
+                    self.r3_cursor = v
+                    return v, zeros[0], zeros[1]
+        self.r3_cursor = len(deg1)
+        return None
 
 
 def _is_r1(state: ColoringState, i: int) -> bool:
@@ -306,60 +366,20 @@ def _is_r1(state: ColoringState, i: int) -> bool:
     return False
 
 
-def _reach_r1(state: ColoringState, a: int, b: int) -> set[int]:
-    """Uncolored edges at the color-1 neighbors of a and b, a and b among them: the only
-    uncolored edges whose endpoints' deg1 or their color-1 neighbors' deg1 changed."""
-    adjacency, incident, colored = state.host.adjacency, state.incident, state.colored
-    return {e for v in (a, b) for w, i in zip(adjacency[v], incident[v]) if colored[i]
-            for e in incident[w] if not colored[e]}
-
-
-def _find_r1(state: ColoringState) -> int | None:
-    """Lowest uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
-    return state.lowest(_is_r1, _reach_r1, on_edges=True)
-
-
 def _is_r2(state: ColoringState, i: int) -> bool:
     u, v = state.host.edges[i]
     return state.deg1[u] + state.deg1[v] == 1
 
 
-def _reach_r2(state: ColoringState, a: int, b: int) -> list[int]:
-    """Edges at a or b if it entered V1: only an endpoint going 0 -> 1 makes a sum of 1."""
-    return [e for v in (a, b) if state.deg1[v] == 1 for e in state.incident[v]]
-
-
-def _find_r2(state: ColoringState) -> int | None:
-    """Lowest V1-V0 edge of the stage-1 cycle, else lowest V1-V0 edge."""
-    for i in state.cycle_edges:
-        if _is_r2(state, i):
-            return i
-    return state.lowest(_is_r2, _reach_r2, on_edges=True)
-
-
-def _is_r3(state: ColoringState, v: int) -> bool:
-    deg1 = state.deg1
-    return deg1[v] == 0 and sum(1 for w in state.host.adjacency[v] if deg1[w] == 0) >= 2
-
-
-def _find_r3(state: ColoringState) -> tuple[int, int, int] | None:
-    """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
-    v = state.lowest(_is_r3, None, on_edges=False)
-    if v is None:
-        return None
-    zeros = [w for w in state.host.adjacency[v] if state.deg1[w] == 0]
-    return v, zeros[0], zeros[1]
-
-
-def _run_rule(state: ColoringState, name: str, edge_indices: list[int],
+def _run_rule(rules: _RuleFinders, name: str, edge_indices: list[int],
               deltas: tuple[int, int, int, int]) -> None:
     """Color the rule's edges and check its advertised effect on |V_k|."""
-    before = state.sizes[:]
+    before = rules.state.sizes[:]
     for i in edge_indices:
-        state.color_edge(i)
-    change = tuple(map(sub, state.sizes, before))
+        rules.color(i)
+    change = tuple(map(sub, rules.state.sizes, before))
     assert change == deltas, f"{name}: sizes changed by {change}, expected {deltas}"
-    state.rule_counts[name] += 1
+    rules.state.rule_counts[name] += 1
 
 
 def stage2_fill_v2(state: ColoringState) -> ColoringState:
@@ -370,30 +390,28 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
       R2 colors a V1-V0 edge        -> (-1, 0, +1, 0), cycle edges preferred
       R3 colors two V0-V0 edges     -> (-3, +2, +1, 0), only while |V1| < n1
     """
-    host, deg1 = state.host, state.deg1
-    # deg1 never decreases, so a cycle edge with both ends out of V0 is never R2's again.
-    state.cycle_edges = [i for i in state.cycle_edges if min(deg1[x] for x in host.edges[i]) == 0]
+    host = state.host
+    rules = _RuleFinders(state)
     while state.sizes[2] < state.n2:
         if state.sizes[2] < state.n2 - 1:
-            i = _find_r1(state)
+            i = rules.r1()
             if i is not None:
-                _run_rule(state, "R1", [i], (0, -2, 2, 0))
+                _run_rule(rules, "R1", [i], (0, -2, 2, 0))
                 continue
-        i = _find_r2(state)
+        i = rules.r2()
         if i is not None:
-            _run_rule(state, "R2", [i], (-1, 0, 1, 0))
+            _run_rule(rules, "R2", [i], (-1, 0, 1, 0))
             continue
         if state.sizes[1] < state.n1:
-            found = _find_r3(state)
+            found = rules.r3()
             if found is not None:
                 v, u, w = found
                 edges = [host.edge_index(v, u), host.edge_index(v, w)]
-                _run_rule(state, "R3", edges, (-3, 2, 1, 0))
+                _run_rule(rules, "R3", edges, (-3, 2, 1, 0))
                 continue
         raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={state.sizes[2]} of {state.n2}")
     state.assert_consistent()
     assert state.sizes[1] <= state.n1, "stage 2 must finish with |V1| <= n1"
-    state.finders.clear()  # this stage's finders are done; stop offering to them
     return state
 
 
@@ -556,7 +574,7 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
 def _blocked_dispatch(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,
                       trace: ConnectedTrace) -> EdgeSubset:
     """Stage-2 block: the oracle's first witness, or InternalStuck over its edge cap."""
-    e_v1 = state.e_within(1)
+    e_v1 = sum(1 for u, v in g.edges if state.deg1[u] == state.deg1[v] == 1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means
         # an unmodeled configuration worth recording, not guessing about.

@@ -17,9 +17,8 @@ from degbal.connected import (
     stage2_fill_v2,
     stage3_fill_v1,
     target_profile,
-    _find_r1,
-    _find_r2,
-    _find_r3,
+    _RuleFinders,
+    _V3Growth,
 )
 from degbal.errors import (
     ExceptionGraph,
@@ -180,20 +179,37 @@ class TestStaged:
         assert trace.stage1.e_v3 == 1
 
     def test_deep_checks_path(self, monkeypatch):
-        # Recount the whole state after every single recoloring.
-        color_edge = ColoringState.color_edge
-        colored = []
+        # Recount the whole state after every vertex stage 1 adds (in vertex
+        # space: deg1 counts V3 neighbors) and after every later recoloring.
+        add, color_edge = _V3Growth.add, ColoringState.color_edge
+        added, colored = [], []
+
+        def checked_add(grow, v):
+            add(grow, v)
+            deg1, adjacency = grow.state.deg1, grow.state.host.adjacency
+            v3 = {u for u in range(len(deg1)) if deg1[u] == 3}
+            assert v3 == set(grow.v3)
+            for u in set(range(len(deg1))) - v3:
+                assert deg1[u] == sum(w in v3 for w in adjacency[u]), u
+            assert grow.state.sizes == [deg1.count(k) for k in range(4)]
+            added.append(v)
 
         def checked(state, i):
             color_edge(state, i)
             state.assert_consistent()
             colored.append(i)
 
+        monkeypatch.setattr(_V3Growth, "add", checked_add)
         monkeypatch.setattr(ColoringState, "color_edge", checked)
-        g = named("PETERSEN")
-        sub = decompose_connected(g, Statement.IV)
-        assert profile_of(g, sub).counts == (1, 2, 3, 4)
-        assert len(colored) == len(sub)
+        for g, s in ((named("PETERSEN"), Statement.IV), (random_cubic(402, 21), Statement.III)):
+            added.clear()
+            colored.clear()
+            sub, trace = decompose_connected_traced(g, s)
+            assert profile_of(g, sub) == target_profile(g.n, s)  # (1, 2, 3, 4) on Petersen
+            n3 = target_profile(g.n, s).counts[0]
+            assert len(added) == n3
+            # Stage 1 colors 3 n3 - e(V3) edges; every later one is recounted.
+            assert len(colored) == len(sub) - (3 * n3 - trace.stage1.e_v3) > 0
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.sampled_from([8, 12, 16, 20]))
@@ -223,19 +239,20 @@ class TestRules:
     def test_petersen_iii_rule_sequence(self):
         g = named("PETERSEN")
         state = self._after_stage1(g, Statement.III)
+        rules = _RuleFinders(state)
         # no V1-V1 edge yet, so R1 must decline
-        assert _find_r1(state) is None
+        assert rules.r1() is None
         # R2 prefers the cycle edge (2,3) over any other V1-V0 edge
-        i = _find_r2(state)
+        i = rules.r2()
         assert g.edges[i] == (2, 3)
         before = tuple(state.sizes)
-        state.color_edge(i)
+        rules.color(i)
         assert tuple(a - b for a, b in zip(state.sizes, before)) == (-1, 0, 1, 0)
         # now (3,4) joins two 1-vertices: R1 applies, shrinking V1 by 2
-        j = _find_r1(state)
+        j = rules.r1()
         assert g.edges[j] == (3, 4)
         before = tuple(state.sizes)
-        state.color_edge(j)
+        rules.color(j)
         assert tuple(a - b for a, b in zip(state.sizes, before)) == (0, -2, 2, 0)
 
     def test_r3_step_effects(self):
@@ -243,12 +260,13 @@ class TestRules:
 
         g = parse_graph6(R3_GRAPH6)
         state = self._after_stage1(g, Statement.III)
-        assert _find_r1(state) is None and _find_r2(state) is None
-        v, u, w = _find_r3(state)
+        rules = _RuleFinders(state)
+        assert rules.r1() is None and rules.r2() is None
+        v, u, w = rules.r3()
         assert state.deg1[v] == state.deg1[u] == state.deg1[w] == 0
         before = tuple(state.sizes)
-        state.color_edge(g.edge_index(v, u))
-        state.color_edge(g.edge_index(v, w))
+        rules.color(g.edge_index(v, u))
+        rules.color(g.edge_index(v, w))
         assert tuple(a - b for a, b in zip(state.sizes, before)) == (-3, 2, 1, 0)
         _, trace = decompose_connected_traced(g, Statement.III)
         assert trace.rule_counts["R3"] == 1
@@ -265,8 +283,8 @@ class TestRules:
     def test_parity_invariant_throughout(self):
         g = named("MOEBIUS_KANTOR")
         state = self._after_stage1(g, Statement.I)
-        # |V1| and |V3| always share parity (checked after every coloring
-        # inside color_edge; spot-check the boundary here)
+        # |V1| and |V3| always share parity (checked after every vertex
+        # stage 1 adds and inside color_edge; spot-check the boundary here)
         assert (state.sizes[1] + state.sizes[3]) % 2 == 0
 
 
