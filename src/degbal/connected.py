@@ -250,7 +250,7 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
 
 
 def _is_stage1_candidate(deg1: list[int], adjacency, v: int) -> bool:
-    # Outside V3 and adjacent to it (deg1 counts V3 neighbors), no neighbor in V2.
+    # Outside V3 and adjacent to it (deg1 counts V3 neighbors), no neighbor in V2; g is cubic.
     if not 0 < deg1[v] < 3:
         return False
     a, b, c = adjacency[v]

@@ -97,9 +97,6 @@ def scan_v0_v0(state):
     return None
 
 
-RULE_SCANS = (("R1", scan_r1), ("R2", scan_r2), ("R3", scan_r3))
-
-
 class CheckedState(ColoringState):
     """Counts the steps and finder checks of each stage from check_from on.
 
@@ -147,9 +144,9 @@ class CheckedRules(_RuleFinders):
     def color(self, i):
         super().color(i)
         if self.state.step(2):
-            found = (self.r1(), self.r2(), self.r3())
-            for got, (rule, scan) in zip(found, RULE_SCANS):
-                assert got == scan(self.state), (rule, self.state.steps)
+            assert self.r1() == scan_r1(self.state), ("R1", self.state.steps)
+            assert self.r2() == scan_r2(self.state), ("R2", self.state.steps)
+            assert self.r3() == scan_r3(self.state), ("R3", self.state.steps)
 
 
 def expected_checks(steps, check_from):
