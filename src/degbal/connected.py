@@ -290,23 +290,23 @@ class _RuleFinders:
     def color(self, i: int) -> None:
         state = self.state
         state.color_edge(i)
-        deg1, colored, incident, adjacency = state.deg1, state.colored, state.incident, state.host.adjacency
-        r1_cursor, r1_heap, r2_cursor, r2_heap = self.r1_cursor, self.r1_heap, self.r2_cursor, self.r2_heap
-        for x in state.host.edges[i]:
+        host, deg1, colored, incident = state.host, state.deg1, state.colored, state.incident
+        r1_cursor, r2_cursor = self.r1_cursor, self.r2_cursor
+        for x in host.edges[i]:
             d = deg1[x]
             if d == 1:  # x entered V1; its one color-1 edge is i
-                for z, e in zip(adjacency[x], incident[x]):
+                for z, e in zip(host.adjacency[x], incident[x]):
                     if deg1[z] == 0:
                         if e < r2_cursor:
-                            heappush(r2_heap, e)
+                            heappush(self.r2_heap, e)
                     elif deg1[z] == 1 and e < r1_cursor and _is_r1(state, e):
-                        heappush(r1_heap, e)
+                        heappush(self.r1_heap, e)
             elif d == 2:  # x left V1: each color-1 neighbor w in V1 is now attached to V2
-                for w, e in zip(adjacency[x], incident[x]):
+                for w, e in zip(host.adjacency[x], incident[x]):
                     if colored[e] and deg1[w] == 1:
-                        for z, f in zip(adjacency[w], incident[w]):
+                        for z, f in zip(host.adjacency[w], incident[w]):
                             if deg1[z] == 1 and f < r1_cursor:
-                                heappush(r1_heap, f)
+                                heappush(self.r1_heap, f)
 
     def r1(self) -> int | None:
         """Lowest uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
