@@ -3,14 +3,31 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from degbal.cli import main
 from degbal.formats import encode_graph6, parse_graph6
-from degbal.gen import disjoint_union, named
+from degbal.gen import cycles, disjoint_union, named
 
 from conftest import FIXTURES
+
+
+def _empty_subgraph_document(name, statement, n, degree):
+    """A self-consistent result document whose subgraph has no edges."""
+    profile = [0] * degree + [n]
+    return {
+        "input_name": name,
+        "n": n,
+        "statement": statement,
+        "target_profile": profile,
+        "achieved_profile": profile,
+        "subgraph_edges": [],
+        "max_deviation": str(Fraction(n) - Fraction(n, degree + 1)),
+        "branch_trace": [],
+        "fallback_used": False,
+    }
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +253,33 @@ class TestVerifyCommand:
             path.write_text(out)
             code, out, _ = run_cli(capsys, "verify", "--named", name, "--result", str(path))
             assert code == 0, (name, out)
+        host = tmp_path / "c345.g6"
+        host.write_text(encode_graph6(cycles([3, 4, 5])) + "\n")
+        code, out, _ = run_cli(capsys, "decompose", "-i", str(host), "-s", "two-regular")
+        assert code == 0
+        path = tmp_path / "c345.json"
+        path.write_text(out)
+        code, out, _ = run_cli(capsys, "verify", "-i", str(host), "--result", str(path))
+        assert code == 0, ("c345", out)
+
+    def test_forged_balanced_document_fails(self, capsys, tmp_path):
+        # The empty subgraph of the Petersen graph agrees with itself:
+        # target = achieved = (0,0,0,10), deviation 10 - 10/4.  Only the
+        # statement's own target tells it from a real BALANCED document.
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(_empty_subgraph_document("petersen", "BALANCED", 10, 3)))
+        code, out, _ = run_cli(capsys, "verify", "--named", "petersen", "--result", str(path))
+        assert code == 1
+        assert out == "FAIL: target is not statement BALANCED's (2, 3, 2, 3)\n"
+
+    def test_forged_two_regular_document_fails(self, capsys, tmp_path):
+        host = tmp_path / "c345.g6"
+        host.write_text(encode_graph6(cycles([3, 4, 5])) + "\n")
+        path = tmp_path / "forged.json"
+        path.write_text(json.dumps(_empty_subgraph_document("c345", "TWO_REGULAR", 12, 2)))
+        code, out, _ = run_cli(capsys, "verify", "-i", str(host), "--result", str(path))
+        assert code == 1
+        assert out == "FAIL: target is not statement TWO_REGULAR's (4, 4, 4)\n"
 
 
     def test_subgraph_degree_above_document_degree_fails(self, capsys, tmp_path):
