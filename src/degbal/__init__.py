@@ -5,8 +5,6 @@ from .connected import (
     ConnectedTrace,
     ExceptionKind,
     Statement,
-    decompose_connected,
-    decompose_connected_traced,
     fallback_search,
     special_14_construction,
     target_profile,
@@ -22,12 +20,10 @@ from .formats import (
 from .general import (
     DecompositionResult,
     decompose,
-    decompose_balanced,
-    decompose_result,
-    decompose_two_regular,
     detect_exception,
     k33_table,
     k4_table,
+    statement_target,
 )
 from .graphs import (
     DegreeProfile,
@@ -72,11 +68,6 @@ __all__ = [
     "complement_within",
     "connected_components",
     "decompose",
-    "decompose_balanced",
-    "decompose_connected",
-    "decompose_connected_traced",
-    "decompose_result",
-    "decompose_two_regular",
     "detect_exception",
     "encode_graph6",
     "fallback_search",
@@ -90,6 +81,7 @@ __all__ = [
     "render_result",
     "shortest_cycle",
     "special_14_construction",
+    "statement_target",
     "target_profile",
     "validate_regular",
 ]

@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import gen, oracle
-from .connected import Statement, target_profile
 from .errors import (
     DegbalError,
     ExceptionGraph,
@@ -25,6 +24,7 @@ from .errors import (
     ParseError,
 )
 from .formats import (
+    STATEMENTS,
     ResultDocument,
     encode_graph6,
     format_rational,
@@ -33,12 +33,7 @@ from .formats import (
     parse_result_json,
     render_result,
 )
-from .general import (
-    DecompositionResult,
-    decompose_balanced,
-    decompose_result,
-    decompose_two_regular,
-)
+from .general import DecompositionResult, decompose, statement_target
 from .graphs import (
     DegreeProfile,
     EdgeSubset,
@@ -56,14 +51,11 @@ EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 
 
-def _statement_arg(value: str):
-    """'i'..'iv' | 'balanced' | 'two-regular' -> dispatch key."""
-    key = value.strip().lower().replace("_", "-")
-    romans = {"i": Statement.I, "ii": Statement.II, "iii": Statement.III, "iv": Statement.IV}
-    if key in romans:
-        return romans[key]
-    if key in ("balanced", "two-regular"):
-        return key
+def _statement_arg(value: str) -> str:
+    """'i'..'iv' | 'balanced' | 'two-regular' (any case, '-' or '_') -> its document name."""
+    name = value.strip().upper().replace("-", "_")
+    if name in STATEMENTS:
+        return name
     raise argparse.ArgumentTypeError(
         f"statement must be i/ii/iii/iv/balanced/two-regular, got {value!r}"
     )
@@ -114,14 +106,6 @@ def _one_graph(args) -> tuple[str, Graph]:
     return graphs[0]
 
 
-def _run_statement(g: Graph, statement) -> DecompositionResult:
-    if statement == "balanced":
-        return decompose_balanced(g)
-    if statement == "two-regular":
-        return decompose_two_regular(g)
-    return decompose_result(g, statement)
-
-
 def _document(name: str, g: Graph, res: DecompositionResult) -> ResultDocument:
     return ResultDocument(
         input_name=name,
@@ -140,7 +124,7 @@ def cmd_decompose(args) -> int:
     graphs = _load_graphs(args)
     first = True
     for name, g in graphs:
-        res = _run_statement(g, args.statement)
+        res = decompose(g, args.statement)
         doc = _document(name, g, res)
         text = render_result(doc, args.format)
         if args.format == "tsv" and not first:
@@ -191,8 +175,8 @@ def cmd_verify(args) -> int:
                 f"deviation mismatch: document {format_rational(doc.max_deviation)},"
                 f" recomputed {format_rational(true_dev)}"
             )
-        if not problems and doc.statement in Statement.__members__:
-            expected = target_profile(g.n, Statement[doc.statement])  # ParityMismatch if n misfits
+        if not problems:
+            expected = statement_target(g, doc.statement)  # refuses where decompose would
             if expected != doc.target_profile:
                 problems.append(f"target is not statement {doc.statement}'s {expected.counts}")
     if problems:
@@ -273,11 +257,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[str, Graph, Statement | str]) -> tuple[str, int, str, str, str, int]:
+def _batch_worker(task: tuple[str, Graph, str]) -> tuple[str, int, str, str, str, int]:
     name, g, statement = task
     start = time.perf_counter()
     try:
-        res = _run_statement(g, statement)
+        res = decompose(g, statement)
     except ExceptionGraph as exc:
         status, dev, fallback = f"exception:{exc.kind.value}", "-", "-"
     except ParityMismatch:

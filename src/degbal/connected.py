@@ -30,7 +30,6 @@ from .errors import (
     CapExceeded,
     ExceptionGraph,
     InternalStuck,
-    NotConnected,
     ParityMismatch,
     PreconditionViolated,
     SpecialCaseNeeded,
@@ -510,15 +509,9 @@ def fallback_search(g: Graph, target: DegreeProfile) -> EdgeSubset | None:
     return find_witness(g, target)
 
 
-def decompose_connected(g: Graph, s: Statement) -> EdgeSubset:
-    """Edge subset realizing target_profile(n, s) on a connected cubic g."""
-    if len(connected_components(g)) != 1:
-        raise NotConnected("decompose_connected expects one component")
-    return decompose_connected_traced(g, s)[0]
-
-
 def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, ConnectedTrace]:
-    """decompose_connected plus its trace, for a g already known connected."""
+    """Edge subset realizing target_profile(n, s) on a cubic g the caller
+    knows is connected, and its trace."""
     require_regular(g, 3)
     target = target_profile(g.n, s)
     trace = ConnectedTrace()

@@ -1,5 +1,9 @@
 """Decomposition of arbitrary cubic graphs and the balanced/2-regular drivers.
 
+decompose(g, statement) takes any of the six document statement names and
+is the package's one decomposing entry point; statement_target(g, statement)
+is the target it gives on g, read off the same helpers without decomposing.
+
 A multi-component graph is split once and composed in one pass over its
 components in label order.  While more than one component is left, each
 component bigger than K4/K3,3 is peeled off in turn, its statement and the
@@ -15,6 +19,7 @@ call.  Every component's subset goes onto the host through its edge map.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -168,13 +173,9 @@ _CASE1_2K4 = {
 }
 
 
-def decompose(g: Graph, s: Statement) -> EdgeSubset:
-    """Spanning subgraph of any cubic g realizing target_profile(n, s)."""
-    return decompose_traced(g, s)[0]
-
-
 def decompose_traced(g: Graph, s: Statement, split=None) -> tuple[EdgeSubset, list[str], bool]:
-    """decompose plus (branch trace, fallback_used); split is g's _split, if known.
+    """Subset of any cubic g realizing target_profile(n, s), its branch trace
+    and whether the fallback ran; split is g's _split, if known.
 
     The trace of a multi-component graph is flat: one label per peeled
     component, then the entries of what was left prefixed "rest:", then
@@ -343,7 +344,7 @@ class DecompositionResult:
 
 
 def decompose_result(g: Graph, s: Statement, split=None) -> DecompositionResult:
-    """decompose wrapped with profile and deviation bookkeeping."""
+    """decompose_traced wrapped with profile and deviation bookkeeping."""
     sub, trace, fallback = decompose_traced(g, s, split)
     target = target_profile(g.n, s)  # decompose_traced has checked sub against it
     return DecompositionResult(
@@ -364,6 +365,15 @@ _BEST_EFFORT = {
 }
 
 
+def _balanced(n: int, classes: list[SmallClass]):
+    """BALANCED on order n with these component classes: its statement (I or
+    III by n mod 4), that statement's exception kind or None, and the
+    statement run, which is the best effort on an exception graph."""
+    s = Statement.I if n % 4 == 0 else Statement.III
+    kind = _exception_of(classes, s)
+    return s, kind, s if kind is None else _BEST_EFFORT[kind]
+
+
 def decompose_balanced(g: Graph) -> DecompositionResult:
     """Subgraph with every m(H,k) in {floor(n/4), ceil(n/4)} when possible.
 
@@ -371,9 +381,7 @@ def decompose_balanced(g: Graph) -> DecompositionResult:
     decomposition instead: deviation exactly 1, 3/2, and 1 respectively.
     """
     split = _split(g)  # shared by the best-effort retry on an exception graph
-    s = Statement.I if g.n % 4 == 0 else Statement.III
-    kind = _exception_of(split[1], s)
-    best = s if kind is None else _BEST_EFFORT[kind]
+    s, kind, best = _balanced(g.n, split[1])
     inner = decompose_result(g, best, split)
     if kind is not None:
         label = f"exception:{kind.value}:best-effort:{best.value}"
@@ -385,38 +393,15 @@ def decompose_balanced(g: Graph) -> DecompositionResult:
 
 
 def decompose_two_regular(g: Graph) -> DecompositionResult:
-    """Balanced spanning subgraph of a disjoint union of cycles.
-
-    Bound on |m(H,k) - n/3|: 1 when n/3 is an odd integer, else 2/3; the
-    two graphs 2C3 and 2C4 provably miss it and are rejected.
-    """
+    """Balanced spanning subgraph of a disjoint union of cycles (see _two_regular_plan)."""
     require_regular(g, 2)
-    cycles = _cycle_edges(g)
-    lengths = [len(steps) for steps in cycles]
-    if sorted(lengths) == [3, 3]:
-        raise ExceptionGraph(ExceptionKind.TWO_C3)
-    if sorted(lengths) == [4, 4]:
-        raise ExceptionGraph(ExceptionKind.TWO_C4)
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         zero = DegreeProfile((0, 0, 0))
         return DecompositionResult(
             "TWO_REGULAR", EdgeSubset.empty(0), zero, zero, Fraction(0), ("empty",), False
         )
-
-    third = Fraction(n, 3)
-    bound = Fraction(1) if third.denominator == 1 and third.numerator % 2 == 1 else Fraction(2, 3)
-    chosen = None
-    for counts in _two_regular_candidates(n, bound):
-        plan = _plan_two_regular(lengths, counts[0], counts[1])
-        if plan is not None:
-            chosen = (counts, plan)
-            break
-    if chosen is None:
-        log.warning("two-regular construction missed the bound on cycles %s", lengths)
-        raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
-
-    counts, (full, hosts) = chosen
+    cycles = _cycle_edges(g)
+    counts, bound, (full, hosts) = _two_regular_plan([len(steps) for steps in cycles], g.n)
     subset = _build_two_regular(g, cycles, full, hosts)
     achieved = profile_of(g, subset)
     target = DegreeProfile(counts)
@@ -430,28 +415,63 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
     )
 
 
-def _two_regular_candidates(n: int, bound: Fraction):
-    """Triples (n2, n1, n0): n1 even, all within bound of n/3, best first."""
+def decompose(g: Graph, statement: str) -> DecompositionResult:
+    """g decomposed under a document statement name: "I".."IV", "BALANCED"
+    or "TWO_REGULAR" (formats.STATEMENTS)."""
+    if statement == "BALANCED":
+        return decompose_balanced(g)
+    if statement == "TWO_REGULAR":
+        return decompose_two_regular(g)
+    return decompose_result(g, Statement(statement))
+
+
+def statement_target(g: Graph, statement: str) -> DegreeProfile:
+    """The target profile of decompose(g, statement), found without decomposing.
+
+    I-IV give their formula, on an exception graph too, where no subgraph
+    reaches it.  BALANCED gives its statement's, or on an exception graph its
+    best effort's; TWO_REGULAR gives the planner's first realizable triple.
+    Where decompose would refuse for parity or a 2C3/2C4, so does this.
+    """
+    if statement == "BALANCED":
+        return target_profile(g.n, _balanced(g.n, _split(g)[1])[2])
+    if statement == "TWO_REGULAR":
+        require_regular(g, 2)
+        return DegreeProfile(_two_regular_plan([len(c) for c in _cycle_edges(g)], g.n)[0])
+    return target_profile(g.n, Statement(statement))
+
+
+def _two_regular_plan(lengths: list[int], n: int):
+    """(counts, bound, plan) for cycles of these lengths, n vertices in all.
+
+    Bound on |m(H,k) - n/3|: 1 when n/3 is an odd integer, else 2/3; the
+    two graphs 2C3 and 2C4 provably miss it and are rejected.  The counts
+    are the first triple (n2, n1, n0) with n1 even and each within the
+    bound of n/3, best first, that _plan_for_counts realizes.
+    """
+    if sorted(lengths) == [3, 3]:
+        raise ExceptionGraph(ExceptionKind.TWO_C3)
+    if sorted(lengths) == [4, 4]:
+        raise ExceptionGraph(ExceptionKind.TWO_C4)
     third = Fraction(n, 3)
-    lo = -(-(third - bound).numerator // (third - bound).denominator)  # ceil
-    lo = max(0, lo)
-    hi = (third + bound).numerator // (third + bound).denominator  # floor
+    bound = Fraction(1) if third.denominator == 1 and third.numerator % 2 == 1 else Fraction(2, 3)
+    lo, hi = max(0, math.ceil(third - bound)), math.floor(third + bound)
     cands = []
     for n2 in range(lo, hi + 1):
-        for n1 in range(lo, hi + 1):
-            if n1 % 2:
-                continue
+        for n1 in range(lo + lo % 2, hi + 1, 2):  # even
             n0 = n - n2 - n1
-            if not (lo <= n0 <= hi):
-                continue
-            dev = max(abs(Fraction(c) - third) for c in (n2, n1, n0))
-            if dev <= bound:
-                cands.append(((n2, n1, n0), dev))
-    cands.sort(key=lambda item: (item[1], item[0]))
-    return [c for c, _ in cands]
+            dev = max(abs(c - third) for c in (n2, n1, n0))
+            if lo <= n0 <= hi and dev <= bound:
+                cands.append((dev, (n2, n1, n0)))
+    for _, counts in sorted(cands):
+        plan = _plan_for_counts(lengths, counts[0], counts[1])
+        if plan is not None:
+            return counts, bound, plan
+    log.warning("two-regular construction missed the bound on cycles %s", lengths)
+    raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
 
 
-def _plan_two_regular(lengths: list[int], n2: int, n1: int):
+def _plan_for_counts(lengths: list[int], n2: int, n1: int):
     """Full cycles and path hosts giving n2 2-vertices and n1 1-vertices.
 
     Returns (full_cycle_indices, [(cycle_index, paths, interior)]) or None.

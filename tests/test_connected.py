@@ -9,7 +9,6 @@ from degbal.connected import (
     ColoringState,
     ExceptionKind,
     Statement,
-    decompose_connected,
     decompose_connected_traced,
     fallback_search,
     special_14_construction,
@@ -23,7 +22,6 @@ from degbal.connected import (
 from degbal.errors import (
     ExceptionGraph,
     InternalStuck,
-    NotConnected,
     NotRegular,
     ParityMismatch,
     PreconditionViolated,
@@ -91,48 +89,44 @@ class TestTargetProfile:
 class TestBaseCases:
     def test_k4_ii_single_edge(self):
         g = named("K4")
-        sub = decompose_connected(g, Statement.II)
+        sub = decompose_connected_traced(g, Statement.II)[0]
         assert profile_of(g, sub).counts == (0, 0, 2, 2)
         assert len(sub) == 1
 
     def test_prism_iii(self):
         g = named("PRISM")
-        sub = decompose_connected(g, Statement.III)
+        sub = decompose_connected_traced(g, Statement.III)[0]
         assert profile_of(g, sub).counts == (1, 2, 1, 2)
 
     def test_k33_iv(self):
         g = named("K33")
-        sub = decompose_connected(g, Statement.IV)
+        sub = decompose_connected_traced(g, Statement.IV)[0]
         assert profile_of(g, sub).counts == (0, 1, 2, 3)
 
     def test_prism_iv(self):
         g = named("PRISM")
-        sub = decompose_connected(g, Statement.IV)
+        sub = decompose_connected_traced(g, Statement.IV)[0]
         assert profile_of(g, sub).counts == (0, 1, 2, 3)
 
     def test_k4_i_exception(self):
         with pytest.raises(ExceptionGraph) as exc:
-            decompose_connected(named("K4"), Statement.I)
+            decompose_connected_traced(named("K4"), Statement.I)[0]
         assert exc.value.kind is ExceptionKind.K4_I
 
     def test_k33_iii_exception(self):
         with pytest.raises(ExceptionGraph) as exc:
-            decompose_connected(named("K33"), Statement.III)
+            decompose_connected_traced(named("K33"), Statement.III)[0]
         assert exc.value.kind is ExceptionKind.K33_III
 
 
 class TestValidation:
-    def test_not_connected(self):
-        with pytest.raises(NotConnected):
-            decompose_connected(disjoint_union([named("K4")] * 2), Statement.I)
-
     def test_not_cubic(self):
         with pytest.raises(NotRegular):
-            decompose_connected(cycles([6]), Statement.III)
+            decompose_connected_traced(cycles([6]), Statement.III)[0]
 
     def test_parity(self):
         with pytest.raises(ParityMismatch):
-            decompose_connected(named("CUBE"), Statement.III)
+            decompose_connected_traced(named("CUBE"), Statement.III)[0]
 
 
 def applicable_statements(n):
@@ -142,7 +136,7 @@ def applicable_statements(n):
 class TestStaged:
     def test_petersen_iii(self):
         g = named("PETERSEN")
-        sub = decompose_connected(g, Statement.III)
+        sub = decompose_connected_traced(g, Statement.III)[0]
         assert profile_of(g, sub).counts == (2, 3, 2, 3)
 
     def test_catalogs_all_statements(self, connected_corpus):
@@ -218,14 +212,14 @@ class TestStaged:
         if len(connected_components(g)) != 1:
             return
         for s in applicable_statements(n):
-            sub = decompose_connected(g, s)
+            sub = decompose_connected_traced(g, s)[0]
             assert profile_of(g, sub) == target_profile(n, s)
 
     def test_deterministic(self):
         g = named("DESARGUES")
         assert (
-            decompose_connected(g, Statement.I).bits
-            == decompose_connected(g, Statement.I).bits
+            decompose_connected_traced(g, Statement.I)[0].bits
+            == decompose_connected_traced(g, Statement.I)[0].bits
         )
 
 

@@ -22,7 +22,8 @@ from degbal.errors import (
     ParityMismatch,
     SpecialCaseNeeded,
 )
-from degbal.gen import cycles, disjoint_union, named, random_cubic
+from degbal.formats import parse_graph6
+from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
@@ -37,6 +38,7 @@ from degbal.general import (
     k33_table,
     k4_table,
     realize_tuple_on,
+    statement_target,
 )
 from degbal.graphs import (
     DegreeProfile,
@@ -47,6 +49,7 @@ from degbal.graphs import (
 )
 from degbal.oracle import achievable_profiles, is_achievable
 
+from conftest import corpus_lines
 from test_acceptance import partitions_min3
 from test_connected import PATTERN_14
 from test_oracle import K33_BASE_TUPLES, K4_BASE_TUPLES
@@ -152,31 +155,31 @@ class TestTupleTables:
 class TestDecompose:
     def test_2k4_statement_i(self):
         g = disjoint_union([named("K4")] * 2)
-        assert profile_of(g, decompose(g, Statement.I)).counts == (2, 2, 2, 2)
+        assert profile_of(g, decompose(g, Statement.I.value).subset).counts == (2, 2, 2, 2)
 
     def test_k4_k33_statement_iii(self):
         g = disjoint_union([named("K4"), named("K33")])
-        assert profile_of(g, decompose(g, Statement.III)).counts == (2, 3, 2, 3)
+        assert profile_of(g, decompose(g, Statement.III.value).subset).counts == (2, 3, 2, 3)
 
     def test_3k4_statement_i_exception(self):
         g = disjoint_union([named("K4")] * 3)
         with pytest.raises(ExceptionGraph) as exc:
-            decompose(g, Statement.I)
+            decompose(g, Statement.I.value).subset
         assert exc.value.kind is ExceptionKind.THREE_K4_I
 
     def test_4k4_statement_ii(self):
         g = disjoint_union([named("K4")] * 4)
-        assert profile_of(g, decompose(g, Statement.II)).counts == (3, 3, 5, 5)
+        assert profile_of(g, decompose(g, Statement.II.value).subset).counts == (3, 3, 5, 5)
 
     def test_parity(self):
         with pytest.raises(ParityMismatch):
-            decompose(disjoint_union([named("K4"), named("K33")]), Statement.I)
+            decompose(disjoint_union([named("K4"), named("K33")]), Statement.I.value).subset
 
     def test_empty_graph(self):
         g = build_graph(0, [])
-        assert len(decompose(g, Statement.I)) == 0
+        assert len(decompose(g, Statement.I.value).subset) == 0
         with pytest.raises(ParityMismatch):
-            decompose(g, Statement.II)
+            decompose(g, Statement.II.value).subset
 
     def test_all_small_unions(self):
         """Every multiset of {K4, K33, prism, cube} up to 4 parts, n <= 20."""
@@ -194,7 +197,7 @@ class TestDecompose:
                     continue
                 for s in applicable_statements(g.n):
                     try:
-                        sub = decompose(g, s)
+                        sub = decompose(g, s.value).subset
                     except ExceptionGraph as exc:
                         exceptions.add((combo, s.value, exc.kind.value))
                         continue
@@ -208,23 +211,23 @@ class TestDecompose:
         # G - H isomorphic to 2K4 takes the perfectly-balanced override
         g = disjoint_union([named("K4"), named("K4"), named("CUBE")])
         for s in (Statement.I, Statement.II):
-            assert profile_of(g, decompose(g, s)) == target_profile(16, s)
+            assert profile_of(g, decompose(g, s.value).subset) == target_profile(16, s)
         g = disjoint_union([named("K4"), named("K4"), named("PRISM")])
         for s in (Statement.III, Statement.IV):
-            assert profile_of(g, decompose(g, s)) == target_profile(14, s)
+            assert profile_of(g, decompose(g, s.value).subset) == target_profile(14, s)
 
     def test_unions_corpus(self, full_corpus):
         for name, g in full_corpus:
             for s in applicable_statements(g.n):
                 try:
-                    sub = decompose(g, s)
+                    sub = decompose(g, s.value).subset
                 except ExceptionGraph:
                     continue
                 assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
 
     def test_deterministic(self):
         g = disjoint_union([named("PRISM"), named("CUBE"), named("K4")])
-        assert decompose(g, Statement.III).bits == decompose(g, Statement.III).bits
+        assert decompose(g, Statement.III.value).subset.bits == decompose(g, Statement.III.value).subset.bits
 
 
 class TestDecomposeBalanced:
@@ -497,3 +500,39 @@ class TestDecomposeResult:
         assert res.statement == "III"
         assert res.achieved.counts == (2, 3, 2, 3)
         assert res.branch_trace and not res.fallback_used
+
+
+def _outcome(fn, g, name):
+    """fn(g, name), or the class of the refusal it raises."""
+    try:
+        return fn(g, name)
+    except (ExceptionGraph, ParityMismatch) as exc:
+        return type(exc)
+
+
+class TestStatementTarget:
+    """statement_target, which verify reads, is the target decompose reaches."""
+
+    def assert_agrees(self, g, name, label):
+        result = _outcome(decompose, g, name)
+        target = _outcome(statement_target, g, name)
+        if result is ExceptionGraph and name in Statement.__members__:
+            # I-IV keep their formula on an exception graph: the target
+            # exists, and no subgraph reaches it.
+            assert target == target_profile(g.n, Statement[name]), (label, name)
+        elif isinstance(result, type):
+            assert target is result, (label, name)
+        else:
+            assert target == result.target, (label, name)
+
+    def test_fixture_graphs_and_named_catalog(self):
+        graphs = [(line, parse_graph6(line)) for line in corpus_lines()]
+        graphs += [(name, named(name)) for name in CATALOG_NAMES]
+        for label, g in graphs:
+            for name in ("I", "II", "III", "IV", "BALANCED"):
+                self.assert_agrees(g, name, label)
+
+    def test_cycle_unions_under_two_regular(self):
+        for n in range(16):
+            for parts in partitions_min3(n):
+                self.assert_agrees(cycles(parts), "TWO_REGULAR", parts)
