@@ -318,7 +318,7 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["achievable"] is False
 
-    @pytest.mark.parametrize("profile", ["1,2", "1,x", "0,0,2,-2"])
+    @pytest.mark.parametrize("profile", ["1,2", "1,x", "0,0,2,-2", ""])
     def test_bad_profile_exit_4(self, capsys, profile):
         code, out, err = run_cli(capsys, "oracle", "--named", "k4", "--profile", profile)
         assert code == 4 and not out

@@ -17,6 +17,7 @@ from degbal.connected import (
 )
 from degbal.errors import (
     ExceptionGraph,
+    InternalStuck,
     NoSuchTuple,
     NotRegular,
     ParityMismatch,
@@ -42,6 +43,7 @@ from degbal.general import (
 )
 from degbal.graphs import (
     DegreeProfile,
+    EdgeSubset,
     SmallClass,
     build_graph,
     connected_components,
@@ -491,6 +493,51 @@ class TestFlatTrace:
             "rest:base:K4:single-edge",
             "H:staged:IV:girth=5",
         ]
+
+
+class TestOneProfileCount:
+    """decompose counts the achieved profile of its subset once, and refuses
+    a subset whose count misses the target instead of reporting the target."""
+
+    @staticmethod
+    def flip_bit_0(sub):
+        return EdgeSubset(sub.m, sub.bits ^ 1)
+
+    @pytest.mark.parametrize("graph, statement", [
+        (named("PETERSEN"), "BALANCED"),
+        (named("CUBE"), "I"),
+        (disjoint_union([named("PETERSEN")] * 2), "II"),
+    ])
+    def test_flipped_subset_is_stuck(self, monkeypatch, graph, statement):
+        def flipped(*args):
+            sub, trace, fallback = decompose_traced(*args)
+            return self.flip_bit_0(sub), trace, fallback
+
+        monkeypatch.setattr(general_mod, "decompose_traced", flipped)
+        with pytest.raises(InternalStuck):
+            decompose(graph, statement)
+
+    def test_flipped_two_regular_subset_is_stuck(self, monkeypatch):
+        build = general_mod._build_two_regular
+        monkeypatch.setattr(
+            general_mod, "_build_two_regular", lambda *args: self.flip_bit_0(build(*args))
+        )
+        with pytest.raises(InternalStuck):
+            decompose(cycles([3, 4, 5]), "TWO_REGULAR")
+
+    def test_50_petersen_counts_once(self, monkeypatch):
+        calls = []
+
+        def counted(g, sub):
+            calls.append(g.n)
+            return profile_of(g, sub)
+
+        for module in (general_mod, connected_mod):
+            monkeypatch.setattr(module, "profile_of", counted, raising=False)
+        g = disjoint_union([named("PETERSEN")] * 50)
+        res = decompose(g, "I")
+        assert calls == [500]
+        assert res.achieved == profile_of(g, res.subset) == target_profile(500, Statement.I)
 
 
 class TestDecomposeResult:
