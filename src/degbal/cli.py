@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     name, g = _one_graph(args)
-    if args.profile:
+    if args.profile is not None:
         fields, size = args.profile.split(","), inferred_degree(g) + 1
         if len(fields) != size or not all(x.strip().isdecimal() for x in fields):
             raise ParseError(f"--profile needs {size} non-negative integers, got {args.profile!r}")

@@ -510,8 +510,9 @@ def fallback_search(g: Graph, target: DegreeProfile) -> EdgeSubset | None:
 
 
 def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, ConnectedTrace]:
-    """Edge subset realizing target_profile(n, s) on a cubic g the caller
-    knows is connected, and its trace."""
+    """Edge subset meant to realize target_profile(n, s) on a cubic g the
+    caller knows is connected, and its trace; general.decompose counts the
+    profile of what it returns."""
     require_regular(g, 3)
     target = target_profile(g.n, s)
     trace = ConnectedTrace()
@@ -520,10 +521,6 @@ def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, Conn
         subset = _base_case(g, s, trace)
     else:
         subset = _staged(g, s, target, trace)
-
-    achieved = profile_of(g, subset)
-    if achieved != target:
-        raise InternalStuck(f"achieved {achieved.counts}, target {target.counts}")
     return subset, trace
 
 

@@ -1,8 +1,9 @@
 """Decomposition of arbitrary cubic graphs and the balanced/2-regular drivers.
 
 decompose(g, statement) takes any of the six document statement names and
-is the package's one decomposing entry point; statement_target(g, statement)
-is the target it gives on g, read off the same helpers without decomposing.
+is the package's one decomposing entry point; it counts each result's
+profile once, against the target.  statement_target(g, statement) is the
+target it gives on g, read off the same helpers without decomposing.
 
 A multi-component graph is split once and composed in one pass over its
 components in label order.  While more than one component is left, each
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .connected import (
@@ -174,15 +175,16 @@ _CASE1_2K4 = {
 
 
 def decompose_traced(g: Graph, s: Statement, split=None) -> tuple[EdgeSubset, list[str], bool]:
-    """Subset of any cubic g realizing target_profile(n, s), its branch trace
-    and whether the fallback ran; split is g's _split, if known.
+    """Subset of any cubic g meant to realize target_profile(n, s), its branch
+    trace and whether the fallback ran; split is g's _split, if known.
+    decompose counts the subset's profile.
 
     The trace of a multi-component graph is flat: one label per peeled
     component, then the entries of what was left prefixed "rest:", then
     each peeled component's entries prefixed "H:", in peel order.
     """
     comps, classes = split or _split(g)
-    target = target_profile(g.n, s)
+    target_profile(g.n, s)  # raises ParityMismatch before the exception check
     kind = _exception_of(classes, s)
     if kind is not None:
         raise ExceptionGraph(kind)
@@ -191,12 +193,7 @@ def decompose_traced(g: Graph, s: Statement, split=None) -> tuple[EdgeSubset, li
     if len(comps) == 1:
         sub, trace = decompose_connected_traced(g, s)
         return sub, trace.branch, trace.fallback_used
-
-    sub, trace, fallback = _compose(g, s, comps, classes)
-    achieved = profile_of(g, sub)
-    if achieved != target:
-        raise InternalStuck(f"achieved {achieved.counts}, target {target.counts}")
-    return sub, trace, fallback
+    return _compose(g, s, comps, classes)
 
 
 def _lift(member: bytearray, comp: Component, subset: EdgeSubset, complemented: bool) -> None:
@@ -343,18 +340,15 @@ class DecompositionResult:
     fallback_used: bool
 
 
-def decompose_result(g: Graph, s: Statement, split=None) -> DecompositionResult:
-    """decompose_traced wrapped with profile and deviation bookkeeping."""
-    sub, trace, fallback = decompose_traced(g, s, split)
-    target = target_profile(g.n, s)  # decompose_traced has checked sub against it
+def _result(g: Graph, statement: str, subset: EdgeSubset, target: DegreeProfile,
+            trace, fallback: bool) -> DecompositionResult:
+    """The one place a result is built: subset's profile is counted here, once,
+    and must be the target.  At n = 0 the only subset is the empty one."""
+    achieved = profile_of(g, subset) if g.n else target
+    if achieved != target:
+        raise InternalStuck(f"{statement}: achieved {achieved.counts}, target {target.counts}")
     return DecompositionResult(
-        statement=s.value,
-        subset=sub,
-        target=target,
-        achieved=target,
-        max_deviation=target.max_deviation() if g.n else Fraction(0),
-        branch_trace=tuple(trace),
-        fallback_used=fallback,
+        statement, subset, target, achieved, achieved.max_deviation(), tuple(trace), fallback
     )
 
 
@@ -374,55 +368,48 @@ def _balanced(n: int, classes: list[SmallClass]):
     return s, kind, s if kind is None else _BEST_EFFORT[kind]
 
 
-def decompose_balanced(g: Graph) -> DecompositionResult:
-    """Subgraph with every m(H,k) in {floor(n/4), ceil(n/4)} when possible.
+def decompose(g: Graph, statement: str) -> DecompositionResult:
+    """g decomposed under a document statement name: "I".."IV", "BALANCED"
+    or "TWO_REGULAR" (formats.STATEMENTS).
 
-    The three exception graphs (K4, K3,3, 3K4) get their best achievable
-    decomposition instead: deviation exactly 1, 3/2, and 1 respectively.
+    BALANCED asks for every m(H,k) in {floor(n/4), ceil(n/4)}, through I or
+    III by n mod 4.  The three exception graphs (K4, K3,3, 3K4) get their
+    best achievable decomposition instead: deviation exactly 1, 3/2, and 1
+    respectively.  TWO_REGULAR asks a disjoint union of cycles for a
+    balanced spanning subgraph (see _two_regular_plan).
     """
-    split = _split(g)  # shared by the best-effort retry on an exception graph
-    s, kind, best = _balanced(g.n, split[1])
-    inner = decompose_result(g, best, split)
-    if kind is not None:
-        label = f"exception:{kind.value}:best-effort:{best.value}"
-    elif inner.max_deviation > Fraction(1, 2):
-        raise InternalStuck(f"balanced deviation {inner.max_deviation} > 1/2")
+    if statement == "TWO_REGULAR":
+        require_regular(g, 2)
+        if g.n == 0:
+            return _result(g, statement, EdgeSubset.empty(0), DegreeProfile((0, 0, 0)),
+                           ("empty",), False)
+        cycles = _cycle_edges(g)
+        counts, (full, hosts) = _two_regular_plan([len(steps) for steps in cycles], g.n)
+        subset = _build_two_regular(g, cycles, full, hosts)
+        trace = (f"two-regular:full={full}", f"paths={hosts}")
+        return _result(g, statement, subset, DegreeProfile(counts), trace, False)
+    split = _split(g)
+    if statement == "BALANCED":
+        s, kind, run = _balanced(g.n, split[1])
+        labels = [f"balanced:{s.value}" if kind is None
+                  else f"exception:{kind.value}:best-effort:{run.value}"]
     else:
-        label = f"balanced:{s.value}"
-    return replace(inner, statement="BALANCED", branch_trace=(label,) + inner.branch_trace)
+        run, labels = Statement(statement), []
+    subset, trace, fallback = decompose_traced(g, run, split)
+    return _result(g, statement, subset, target_profile(g.n, run), labels + trace, fallback)
+
+
+# bench/run.py calls these three by name; the next benchmark change deletes them.
+def decompose_result(g: Graph, s: Statement) -> DecompositionResult:
+    return decompose(g, s.value)
+
+
+def decompose_balanced(g: Graph) -> DecompositionResult:
+    return decompose(g, "BALANCED")
 
 
 def decompose_two_regular(g: Graph) -> DecompositionResult:
-    """Balanced spanning subgraph of a disjoint union of cycles (see _two_regular_plan)."""
-    require_regular(g, 2)
-    if g.n == 0:
-        zero = DegreeProfile((0, 0, 0))
-        return DecompositionResult(
-            "TWO_REGULAR", EdgeSubset.empty(0), zero, zero, Fraction(0), ("empty",), False
-        )
-    cycles = _cycle_edges(g)
-    counts, bound, (full, hosts) = _two_regular_plan([len(steps) for steps in cycles], g.n)
-    subset = _build_two_regular(g, cycles, full, hosts)
-    achieved = profile_of(g, subset)
-    target = DegreeProfile(counts)
-    if achieved != target or achieved.max_deviation() > bound:
-        raise InternalStuck(
-            f"two-regular build got {achieved.counts}, wanted {counts} within {bound}"
-        )
-    trace = (f"two-regular:full={full}", f"paths={hosts}")
-    return DecompositionResult(
-        "TWO_REGULAR", subset, target, achieved, achieved.max_deviation(), trace, False
-    )
-
-
-def decompose(g: Graph, statement: str) -> DecompositionResult:
-    """g decomposed under a document statement name: "I".."IV", "BALANCED"
-    or "TWO_REGULAR" (formats.STATEMENTS)."""
-    if statement == "BALANCED":
-        return decompose_balanced(g)
-    if statement == "TWO_REGULAR":
-        return decompose_two_regular(g)
-    return decompose_result(g, Statement(statement))
+    return decompose(g, "TWO_REGULAR")
 
 
 def statement_target(g: Graph, statement: str) -> DegreeProfile:
@@ -442,7 +429,7 @@ def statement_target(g: Graph, statement: str) -> DegreeProfile:
 
 
 def _two_regular_plan(lengths: list[int], n: int):
-    """(counts, bound, plan) for cycles of these lengths, n vertices in all.
+    """(counts, plan) for cycles of these lengths, n vertices in all.
 
     Bound on |m(H,k) - n/3|: 1 when n/3 is an odd integer, else 2/3; the
     two graphs 2C3 and 2C4 provably miss it and are rejected.  The counts
@@ -466,7 +453,7 @@ def _two_regular_plan(lengths: list[int], n: int):
     for _, counts in sorted(cands):
         plan = _plan_for_counts(lengths, counts[0], counts[1])
         if plan is not None:
-            return counts, bound, plan
+            return counts, plan
     log.warning("two-regular construction missed the bound on cycles %s", lengths)
     raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
 

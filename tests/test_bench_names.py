@@ -14,10 +14,11 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _resolves(module: str, name: str) -> bool:
-    """module.name is an attribute or a submodule."""
-    if hasattr(importlib.import_module(module), name):
+    """module.name is an attribute, or a submodule of a package."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
         return True
-    return importlib.util.find_spec(f"{module}.{name}") is not None
+    return hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
 
 
 def test_traced_names_resolve():

@@ -497,7 +497,7 @@ class TestFlatTrace:
 
 class TestOneProfileCount:
     """decompose counts the achieved profile of its subset once, and refuses
-    a subset whose count misses the target instead of reporting the target."""
+    a subset whose count misses the target."""
 
     @staticmethod
     def flip_bit_0(sub):
