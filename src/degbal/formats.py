@@ -10,6 +10,7 @@ its start.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,56 +20,55 @@ from .graphs import DegreeProfile, Graph, build_graph
 GRAPH6_HEADER = ">>graph6<<"
 STATEMENTS = ("I", "II", "III", "IV", "BALANCED", "TWO_REGULAR")
 _MAX_ORDER = 258047
-# str.translate table: each graph6 data character to its six bits, MSB first.
-_SIX_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_GRAPH6_CHARS = bytes(range(63, 127))  # '?'..'~', the 6-bit values 0..63 offset by 63
+_TO_CHAR = bytes.maketrans(bytes(range(64)), _GRAPH6_CHARS)
+# Each character's set bits, as offsets into its six (MSB at offset 0).
+_SET_BITS = {63 + v: [j for j in range(6) if v << j & 32] for v in range(64)}
 
 
 def parse_graph6(line: str | bytes) -> Graph:
     """Decode one graph6 record (optionally header-prefixed)."""
+    s = line
     if isinstance(line, bytes):
         try:
             s = line.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ParseError(f"graph6 line is not ascii: {exc}") from None
-    else:
-        s = line
     s = s.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise ParseError("empty graph6 line")
-    if min(s) < "?" or max(s) > "~":
+    if not s.isascii() or (data := s.encode("ascii")).translate(None, _GRAPH6_CHARS):
         ch = next(c for c in s if not "?" <= c <= "~")
         raise ParseError(f"character {ch!r} out of graph6 range 63..126")
 
-    n, body = ord(s[0]) - 63, s[1:]
+    n, body = data[0] - 63, data[1:]
     if n == 63:
-        if s[1:2] == "~":
+        if data[1:2] == b"~":
             raise UnsupportedOrder("8-byte graph6 order prefix (n > 258047)")
-        if len(s) < 4:
+        if len(data) < 4:
             raise ParseError("truncated long-form order prefix")
-        n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | (ord(s[3]) - 63)
+        n, body = (data[1] - 63 << 12) | (data[2] - 63 << 6) | (data[3] - 63), data[4:]
         if n < 63:
             raise ParseError(f"non-canonical long-form prefix for n={n}")
-        body = s[4:]
 
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
     if len(body) != expect:
         raise ParseError(f"expected {expect} data bytes for n={n}, got {len(body)}")
-    bits = body.translate(_SIX_BITS)
-    if "1" in bits[nbits:]:
+    if (data[-1] - 63) & ((1 << (6 * expect - nbits)) - 1):  # the last value's padding bits
         raise ParseError("nonzero padding bits")
 
     edges = []
     v, column_start, column_end = 1, 0, 1  # column v holds bits [v(v-1)/2, v(v+1)/2)
-    pos = bits.find("1")
-    while pos != -1:
-        while pos >= column_end:
-            v += 1
-            column_start, column_end = column_end, column_end + v
-        edges.append((pos - column_start, v))
-        pos = bits.find("1", pos + 1)
+    for i in map(re.Match.start, re.finditer(rb"[^?]", body)):  # nonzero values: not "?"
+        for j in _SET_BITS[body[i]]:
+            pos = 6 * i + j
+            while pos >= column_end:
+                v += 1
+                column_start, column_end = column_end, column_end + v
+            edges.append((pos - column_start, v))
     return build_graph(n, edges)
 
 
@@ -78,12 +78,12 @@ def encode_graph6(g: Graph) -> str:
     if n > _MAX_ORDER:
         raise UnsupportedOrder(f"n={n} exceeds graph6 3-byte form")
     prefix = [n] if n < 63 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
-    nbits = n * (n - 1) // 2
-    bits = bytearray(b"0") * (nbits + (-nbits) % 6)
+    start = len(prefix)
+    values = bytearray(prefix) + bytes((n * (n - 1) // 2 + 5) // 6)
     for u, v in g.edges:
-        bits[v * (v - 1) // 2 + u] = ord("1")
-    body = bytes(int(bits[i : i + 6], 2) + 63 for i in range(0, len(bits), 6))
-    return "".join(chr(v + 63) for v in prefix) + body.decode("ascii")
+        i, j = divmod(v * (v - 1) // 2 + u, 6)
+        values[start + i] |= 32 >> j
+    return values.translate(_TO_CHAR).decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -35,7 +35,8 @@ class SmallClass(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph with a canonically ordered edge list."""
+    """Simple undirected graph whose edges arrive in canonical order (u < v, sorted);
+    adjacency rows are read off in that order, so each row is ascending."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -47,7 +48,7 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
 
     @property
@@ -148,8 +149,8 @@ class DegreeProfile:
 
     def max_deviation(self) -> Fraction:
         """max_k |count(k) - n/(d+1)| as an exact rational."""
-        center = Fraction(self.order, self.degree + 1)
-        return max(abs(Fraction(c) - center) for c in self.counts)
+        parts, n = self.degree + 1, self.order
+        return Fraction(max(abs(parts * c - n) for c in self.counts), parts)
 
     def parity_ok(self) -> bool:
         """Handshake check: the number of odd-degree vertices is even."""
@@ -207,8 +208,7 @@ class Component:
 
 
 def incident_edges(g: Graph) -> list[list[int]]:
-    """Edge indices at each vertex; one pass in the sorted edge order aligns them
-    with adjacency[v]."""
+    """Edge indices at each vertex, aligned with adjacency[v]: both follow the edge order."""
     incident: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, v) in enumerate(g.edges):
         incident[u].append(i)

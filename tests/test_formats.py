@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from degbal.connected import Statement
 from degbal.errors import LoopEdge, ParseError, UnsupportedOrder
 from degbal.formats import (
+    GRAPH6_HEADER,
     ResultDocument,
     encode_graph6,
     format_rational,
@@ -42,6 +45,108 @@ def reference_encode(g) -> str:
     return prefix + "".join(
         chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6)
     )
+
+
+# str.translate table: each graph6 data character to its six bits, MSB first.
+_REFERENCE_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
+
+def reference_decode(line):
+    """Per-bit graph6 decoder: expands the body to one '0'/'1' character per
+    bit of the upper triangle and walks the set ones column by column."""
+    if isinstance(line, bytes):
+        try:
+            s = line.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"graph6 line is not ascii: {exc}") from None
+    else:
+        s = line
+    s = s.strip()
+    if s.startswith(GRAPH6_HEADER):
+        s = s[len(GRAPH6_HEADER):]
+    if not s:
+        raise ParseError("empty graph6 line")
+    if min(s) < "?" or max(s) > "~":
+        ch = next(c for c in s if not "?" <= c <= "~")
+        raise ParseError(f"character {ch!r} out of graph6 range 63..126")
+
+    n, body = ord(s[0]) - 63, s[1:]
+    if n == 63:
+        if s[1:2] == "~":
+            raise UnsupportedOrder("8-byte graph6 order prefix (n > 258047)")
+        if len(s) < 4:
+            raise ParseError("truncated long-form order prefix")
+        n = (ord(s[1]) - 63 << 12) | (ord(s[2]) - 63 << 6) | (ord(s[3]) - 63)
+        if n < 63:
+            raise ParseError(f"non-canonical long-form prefix for n={n}")
+        body = s[4:]
+
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    if len(body) != expect:
+        raise ParseError(f"expected {expect} data bytes for n={n}, got {len(body)}")
+    bits = body.translate(_REFERENCE_BITS)
+    if "1" in bits[nbits:]:
+        raise ParseError("nonzero padding bits")
+
+    edges = []
+    v, column_start, column_end = 1, 0, 1  # column v holds bits [v(v-1)/2, v(v+1)/2)
+    pos = bits.find("1")
+    while pos != -1:
+        while pos >= column_end:
+            v += 1
+            column_start, column_end = column_end, column_end + v
+        edges.append((pos - column_start, v))
+        pos = bits.find("1", pos + 1)
+    return build_graph(n, edges)
+
+
+def decode_outcome(decode, line):
+    """The decoded graph with its adjacency, or the exception's type and message."""
+    try:
+        g = decode(line)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return g, g.adjacency
+
+
+def long_form_lines() -> list[str]:
+    """Seeded random graphs at n = 63..70, the first orders of the long form."""
+    rng = random.Random(63)
+    lines = []
+    for n in range(63, 71):
+        edges = [(u, v) for v in range(n) for u in range(v) if rng.random() < 0.08]
+        lines.append(encode_graph6(build_graph(n, edges)))
+    return lines
+
+
+def mutated_records(rng: random.Random, line: str, count: int) -> list[str]:
+    """Seeded mutations of one graph6 line: replaced, inserted, deleted and
+    bit-flipped characters (DEL, non-ASCII and whitespace among them), set
+    padding bits, truncations, and broken or non-canonical long forms."""
+    pool = "?@_~ \t\x00\x1f\x7f\x80\xffé\u3000>"
+    out = []
+    for _ in range(count):
+        i = rng.randrange(len(line) + 1)
+        kind = rng.randrange(7)
+        if kind == 0:
+            ch = rng.choice(pool) if rng.random() < 0.5 else chr(rng.randrange(256))
+            out.append(line[:i] + ch + line[i + 1:])
+        elif kind == 1:
+            out.append(line[:i] + rng.choice(pool) + line[i:])
+        elif kind == 2:
+            out.append(line[:i] + line[i + 1:])
+        elif kind == 3 and i < len(line):
+            flipped = (ord(line[i]) - 63 ^ 1 << rng.randrange(6)) + 63
+            out.append(line[:i] + chr(flipped) + line[i + 1:])
+        elif kind == 4:
+            out.append(line[:-1] + chr((ord(line[-1]) - 63 | 1 << rng.randrange(6)) + 63))
+        elif kind == 5:
+            out.append(line[:i])
+        else:
+            prefix = "~" + "".join(chr(63 + rng.randrange(64)) for _ in range(rng.randrange(4)))
+            out.append(prefix + line[rng.randrange(1, 5):])
+    return out
 
 
 # SHA-256 over encode_graph6 of every fixture line and of random_cubic(500, s)
@@ -108,6 +213,9 @@ class TestGraph6:
         assert line.startswith("~")
         assert parse_graph6(line).edges == g.edges
         assert reference_encode(g) == line
+        for line in long_form_lines():
+            g = parse_graph6(line)
+            assert line.startswith("~") and reference_encode(g) == encode_graph6(g) == line
 
     def test_non_canonical_long_form_rejected(self):
         with pytest.raises(ParseError):
@@ -134,6 +242,47 @@ class TestGraph6:
             digest.update(line.encode("ascii") + b"\n")
         assert len(lines) == 54
         assert digest.hexdigest() == ENCODE_SHA256
+
+    @pytest.mark.parametrize(
+        "line",
+        ["Cé~", "C\x7f~", "C~\x7f", "\x7f", "C\x1f", "C_", "C^", "~", "~?", "~??",
+         "~??C?", "~~?????", "~?@?" + "?" * 336, ">>graph6<<", ">>graph6<<Cé~", " C~\n"],
+    )
+    def test_reference_decoder_agrees_on_malformed(self, line):
+        for record in (line, line.encode("utf-8")):
+            assert decode_outcome(parse_graph6, record) == decode_outcome(reference_decode, record)
+
+    def test_reference_decoder_agrees_on_mutations(self):
+        rng = random.Random(2024)
+        bases = corpus_lines() + long_form_lines()
+        records = []
+        for line in bases:
+            records += mutated_records(rng, line, 40)
+        assert len(records) >= 2400
+        for record in bases + records:
+            for variant in (record, GRAPH6_HEADER + record, record + "\n"):
+                for text in (variant, variant.encode("utf-8")):
+                    want = decode_outcome(reference_decode, text)
+                    assert decode_outcome(parse_graph6, text) == want, repr(text)
+
+    def test_codec_peak_memory_below_one_byte_per_bit(self):
+        g = random_cubic(2000, 1)
+        nbits = g.n * (g.n - 1) // 2
+
+        def peak(fn, arg):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = fn(arg)
+                return out, tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        line, encode_peak = peak(encode_graph6, g)
+        parsed, parse_peak = peak(parse_graph6, line)
+        assert parsed == g
+        assert encode_peak < nbits, f"encode peaked at {encode_peak / nbits:.2f} bytes per bit"
+        assert parse_peak < nbits, f"parse peaked at {parse_peak / nbits:.2f} bytes per bit"
 
     def test_round_trip_n1000_is_fast(self):
         g = random_cubic(1000, 1)

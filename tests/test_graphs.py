@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -85,6 +86,48 @@ class TestBuildGraph:
     def test_canonical_order(self):
         g = build_graph(4, [(3, 2), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (2, 3))
+
+
+def assert_rows_ascending(g):
+    """Each adjacency row lists the vertex's neighbours once each, ascending."""
+    for row in g.adjacency:
+        assert row == tuple(sorted(row))
+        assert all(a < b for a, b in zip(row, row[1:]))
+
+
+class TestAdjacencyRows:
+    """Rows are read off the canonical edge order, which lists them ascending."""
+
+    @settings(max_examples=80)
+    @given(n=st.integers(0, 16), data=st.data())
+    def test_build_graph_on_shuffled_edges(self, n, data):
+        pairs = list(combinations(range(n), 2))
+        keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        chosen = data.draw(st.permutations([p for p, k in zip(pairs, keep) if k]))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        g = build_graph(n, [(v, u) if f else (u, v) for (u, v), f in zip(chosen, flips)])
+        assert_rows_ascending(g)
+        for x in range(n):
+            assert set(g.adjacency[x]) == {w for p in chosen if x in p for w in p if w != x}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_components_of_relabeled_unions(self, seed):
+        rng = random.Random(seed)
+        parts = [named(rng.choice(CATALOG_NAMES)) for _ in range(rng.randrange(2, 7))]
+        parts.append(cycles([3, 5, 4]))
+        union = disjoint_union(parts)
+        perm = list(range(union.n))
+        rng.shuffle(perm)
+        g = build_graph(union.n, [(perm[u], perm[v]) for u, v in union.edges])
+        assert_rows_ascending(g)
+        comps = connected_components(g)
+        assert len(comps) == len(parts) + 2
+        for c in comps:
+            assert_rows_ascending(c.graph)
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_named(self, name):
+        assert_rows_ascending(named(name))
 
 
 class TestEdgeLookup:
@@ -329,6 +372,19 @@ class TestDegreeProfile:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DegreeProfile((1, -1, 1, 1))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_max_deviation_matches_fraction_formula(self, d):
+        """max_deviation equals max_k |n_k - n/(d+1)| in Fractions on every
+        profile with n <= 12: every split of n into d + 1 counts."""
+        for n in range(13):
+            for cuts in combinations(range(n + d), d):
+                bounds = (-1, *cuts, n + d)
+                counts = tuple(b - a - 1 for a, b in zip(bounds, bounds[1:]))
+                center = Fraction(n, d + 1)
+                want = max(abs(Fraction(c) - center) for c in counts)
+                got = DegreeProfile(counts).max_deviation()
+                assert type(got) is Fraction and got == want, counts
 
 
 class TestClassifySmall:
