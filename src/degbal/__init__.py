@@ -1,14 +1,6 @@
 """Degree-balanced spanning subgraphs of cubic graphs."""
 
-from .connected import (
-    ColoringState,
-    ConnectedTrace,
-    ExceptionKind,
-    Statement,
-    fallback_search,
-    special_14_construction,
-    target_profile,
-)
+from .connected import ExceptionKind, Statement, target_profile
 from .errors import DegbalError, ExceptionGraph, ParityMismatch
 from .formats import (
     ResultDocument,
@@ -17,31 +9,22 @@ from .formats import (
     parse_graph6,
     render_result,
 )
-from .general import (
-    DecompositionResult,
-    decompose,
-    detect_exception,
-    k33_table,
-    k4_table,
-    statement_target,
-)
+from .general import DecompositionResult, decompose, statement_target
 from .graphs import (
     DegreeProfile,
     EdgeSubset,
     Graph,
     SmallClass,
     build_graph,
-    classify_small,
     complement_within,
     connected_components,
     profile_of,
     shortest_cycle,
-    validate_regular,
 )
 from .oracle import (
     AchievabilityReport,
     achievable_profiles,
-    is_achievable,
+    find_witness,
     min_max_deviation,
 )
 
@@ -49,8 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AchievabilityReport",
-    "ColoringState",
-    "ConnectedTrace",
     "DecompositionResult",
     "DegbalError",
     "DegreeProfile",
@@ -64,24 +45,17 @@ __all__ = [
     "Statement",
     "achievable_profiles",
     "build_graph",
-    "classify_small",
     "complement_within",
     "connected_components",
     "decompose",
-    "detect_exception",
     "encode_graph6",
-    "fallback_search",
-    "is_achievable",
-    "k33_table",
-    "k4_table",
+    "find_witness",
     "min_max_deviation",
     "parse_edge_list",
     "parse_graph6",
     "profile_of",
     "render_result",
     "shortest_cycle",
-    "special_14_construction",
     "statement_target",
     "target_profile",
-    "validate_regular",
 ]

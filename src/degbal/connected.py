@@ -72,15 +72,11 @@ class ExceptionKind(Enum):
     TWO_C4 = "TWO_C4"
 
 
-def statement_modulus(s: Statement) -> int:
-    """Residue of n mod 4 required by the statement."""
-    return 0 if s in (Statement.I, Statement.II) else 2
-
-
 def target_profile(n: int, s: Statement) -> DegreeProfile:
     """Target (n3, n2, n1, n0) for order n under statement s."""
-    if n % 4 != statement_modulus(s):
-        raise ParityMismatch(f"statement {s} needs n = 4t+{statement_modulus(s)}, got n={n}")
+    modulus = 0 if s in (Statement.I, Statement.II) else 2
+    if n % 4 != modulus:
+        raise ParityMismatch(f"statement {s} needs n = 4t+{modulus}, got n={n}")
     if n == 0 and s is Statement.I:
         return DegreeProfile((0, 0, 0, 0))
     if n < 4:

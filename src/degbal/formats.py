@@ -69,7 +69,8 @@ def parse_graph6(line: str | bytes) -> Graph:
                 v += 1
                 column_start, column_end = column_end, column_end + v
             edges.append((pos - column_start, v))
-    return build_graph(n, edges)
+    # The walk yields u < v < n, one pair per set bit, so only the order needs fixing.
+    return Graph(n, tuple(sorted(edges)))
 
 
 def encode_graph6(g: Graph) -> str:

@@ -89,25 +89,11 @@ def _close_under_reversal(base: dict, m: int) -> dict:
     return table
 
 
-_K4_TABLE = _close_under_reversal(_K4_BASE, CANONICAL_K4.m)
-_K33_TABLE = _close_under_reversal(_K33_BASE, CANONICAL_K33.m)
-
-K4_TUPLES = tuple(sorted(_K4_TABLE))
-K33_TUPLES = tuple(sorted(_K33_TABLE))
-
-
-def k4_table(p: DegreeProfile) -> EdgeSubset:
-    """Stored subset of the canonical K4 realizing p (listed tuples only)."""
-    if p.counts not in _K4_TABLE:
-        raise NoSuchTuple(f"K4 table has no entry for {p.counts}")
-    return EdgeSubset(CANONICAL_K4.m, _K4_TABLE[p.counts])
-
-
-def k33_table(p: DegreeProfile) -> EdgeSubset:
-    """Stored subset of the canonical K3,3 realizing p (listed tuples only)."""
-    if p.counts not in _K33_TABLE:
-        raise NoSuchTuple(f"K3,3 table has no entry for {p.counts}")
-    return EdgeSubset(CANONICAL_K33.m, _K33_TABLE[p.counts])
+# Each small class's canonical graph and table: listed tuple -> bitmask.
+_TABLES = {
+    SmallClass.K4: (CANONICAL_K4, _close_under_reversal(_K4_BASE, CANONICAL_K4.m)),
+    SmallClass.K33: (CANONICAL_K33, _close_under_reversal(_K33_BASE, CANONICAL_K33.m)),
+}
 
 
 def detect_exception(g: Graph, s: Statement) -> ExceptionKind | None:
@@ -138,15 +124,18 @@ def _exception_of(classes: list[SmallClass], s: Statement) -> ExceptionKind | No
 
 def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> EdgeSubset:
     """Map a table entry onto a concretely labeled K4 / K3,3 component."""
+    canon, table = _TABLES[cls]
+    if counts not in table:
+        name = "K4" if cls is SmallClass.K4 else "K3,3"
+        raise NoSuchTuple(f"{name} table has no entry for {counts}")
+    subset = EdgeSubset(canon.m, table[counts])
     if cls is SmallClass.K4:
-        return k4_table(DegreeProfile(counts))  # any K4 labeling is canonical
-    assert cls is SmallClass.K33
-    canon = k33_table(DegreeProfile(counts))
+        return subset  # any K4 labeling is canonical
     # Canonical vertices 0-2 go to vertex 0's side, ascending, and 3-5 to its
     # neighbours, the far side.
     far = comp.adjacency[0]
     relabel = [v for v in range(comp.n) if v not in far] + list(far)
-    pairs = [(relabel[u], relabel[v]) for u, v in canon.edges(CANONICAL_K33)]
+    pairs = [(relabel[u], relabel[v]) for u, v in subset.edges(canon)]
     return EdgeSubset.from_edges(comp, pairs)
 
 
@@ -189,7 +178,7 @@ def decompose_traced(g: Graph, s: Statement, split=None) -> tuple[EdgeSubset, li
     if kind is not None:
         raise ExceptionGraph(kind)
     if g.n == 0:
-        return EdgeSubset.empty(0), ["empty"], False
+        return EdgeSubset(0), ["empty"], False
     if len(comps) == 1:
         sub, trace = decompose_connected_traced(g, s)
         return sub, trace.branch, trace.fallback_used
@@ -381,7 +370,7 @@ def decompose(g: Graph, statement: str) -> DecompositionResult:
     if statement == "TWO_REGULAR":
         require_regular(g, 2)
         if g.n == 0:
-            return _result(g, statement, EdgeSubset.empty(0), DegreeProfile((0, 0, 0)),
+            return _result(g, statement, EdgeSubset(0), DegreeProfile((0, 0, 0)),
                            ("empty",), False)
         cycles = _cycle_edges(g)
         counts, (full, hosts) = _two_regular_plan([len(steps) for steps in cycles], g.n)

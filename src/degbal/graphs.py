@@ -66,9 +66,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and v in self.adjacency[u]
 
-    def degrees(self) -> list[int]:
-        return [len(a) for a in self.adjacency]
-
 
 @dataclass(frozen=True)
 class EdgeSubset:
@@ -80,14 +77,6 @@ class EdgeSubset:
     def __post_init__(self):
         if self.bits < 0 or self.bits >> self.m:
             raise SizeMismatch(f"bitset does not fit {self.m} edges")
-
-    @classmethod
-    def empty(cls, m: int) -> "EdgeSubset":
-        return cls(m, 0)
-
-    @classmethod
-    def full(cls, m: int) -> "EdgeSubset":
-        return cls(m, (1 << m) - 1)
 
     @classmethod
     def from_member(cls, member: bytearray) -> "EdgeSubset":
@@ -144,18 +133,10 @@ class DegreeProfile:
         """Number of vertices of degree k."""
         return self.counts[self.degree - k]
 
-    def reversed(self) -> "DegreeProfile":
-        return DegreeProfile(tuple(reversed(self.counts)))
-
     def max_deviation(self) -> Fraction:
         """max_k |count(k) - n/(d+1)| as an exact rational."""
         parts, n = self.degree + 1, self.order
         return Fraction(max(abs(parts * c - n) for c in self.counts), parts)
-
-    def parity_ok(self) -> bool:
-        """Handshake check: the number of odd-degree vertices is even."""
-        odd = sum(c for k, c in zip(range(self.degree, -1, -1), self.counts) if k % 2)
-        return odd % 2 == 0
 
 
 def build_graph(n: int, raw_edges) -> Graph:
@@ -181,13 +162,9 @@ def build_graph(n: int, raw_edges) -> Graph:
     return Graph(n, tuple(edges))
 
 
-def validate_regular(g: Graph, d: int) -> bool:
-    """True iff every vertex of g has degree exactly d."""
-    return g._degrees <= {d}
-
-
 def require_regular(g: Graph, d: int) -> None:
-    if not validate_regular(g, d):
+    """NotRegular unless every vertex of g has degree exactly d."""
+    if not g._degrees <= {d}:
         raise NotRegular(f"graph is not {d}-regular")
 
 

@@ -131,12 +131,6 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     )
 
 
-def is_achievable(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> bool:
-    """True iff some spanning subgraph of g has profile p (early exit)."""
-    witness = find_witness(g, p, edge_cap)
-    return witness is not None
-
-
 def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> EdgeSubset | None:
     """First subset (rank order) realizing p, or None.
 
@@ -150,7 +144,7 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     if len(p.counts) != d + 1 or p.order != g.n:
         return None
     if g.m == 0:
-        return EdgeSubset.empty(0) if profile_of(g, EdgeSubset.empty(0)) == p else None
+        return EdgeSubset(0) if profile_of(g, EdgeSubset(0)) == p else None
     want = p.counts[::-1]  # want[k] = vertices of subgraph degree k
     degree_sum = sum(k * c for k, c in enumerate(want))
     if degree_sum % 2:

@@ -5,9 +5,13 @@ from pathlib import Path
 import pytest
 
 from degbal.formats import parse_graph6
-from degbal.graphs import Graph, build_graph
+from degbal.general import _TABLES
+from degbal.graphs import Graph, SmallClass, build_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The decomposition tuples each small-class table lists, ascending.
+K4_TUPLES = tuple(sorted(_TABLES[SmallClass.K4][1]))
+K33_TUPLES = tuple(sorted(_TABLES[SmallClass.K33][1]))
 
 
 def load_corpus_file(name: str) -> list[tuple[str, Graph]]:

@@ -21,24 +21,20 @@ from degbal.gen import cycles, disjoint_union, named, random_cubic
 from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
-    K33_TUPLES,
-    K4_TUPLES,
     decompose,
     decompose_balanced,
     decompose_two_regular,
-    k33_table,
-    k4_table,
+    realize_tuple_on,
 )
 from degbal.graphs import (
-    DegreeProfile,
     SmallClass,
     classify_small,
     connected_components,
     profile_of,
 )
-from degbal.oracle import achievable_profiles, is_achievable, min_max_deviation
+from degbal.oracle import achievable_profiles, find_witness, min_max_deviation
 
-from conftest import corpus_lines
+from conftest import K4_TUPLES, K33_TUPLES, corpus_lines
 from test_connected import PATTERN_14
 
 
@@ -108,7 +104,7 @@ def test_criterion_2_exception_set(full_corpus):
         ]
         for g, s in confirmations:
             assert g.m <= 18
-            assert not is_achievable(g, target_profile(g.n, s))
+            assert find_witness(g, target_profile(g.n, s)) is None
         assert time.perf_counter() - start < 10
 
 
@@ -125,7 +121,7 @@ def test_criterion_3_oracle_equivalence(connected_corpus):
                     assert profile_of(g, sub) == target_profile(g.n, s)
                 except ExceptionGraph:
                     succeeded = False
-                assert succeeded == is_achievable(g, target_profile(g.n, s)), (name, s)
+                assert succeeded == (find_witness(g, target_profile(g.n, s)) is not None), (name, s)
                 checked += 1
         assert checked >= 54  # full catalogs n in {4,6,8,10} give 27 graphs x 2
         assert time.perf_counter() - start < 300
@@ -165,12 +161,12 @@ def test_criterion_5_tuple_tables():
         start = time.perf_counter()
         k4_achievable = {p.counts for p in achievable_profiles(CANONICAL_K4).achievable}
         for counts in K4_TUPLES:
-            sub = k4_table(DegreeProfile(counts))
+            sub = realize_tuple_on(CANONICAL_K4, SmallClass.K4, counts)
             assert profile_of(CANONICAL_K4, sub).counts == counts
             assert counts in k4_achievable
         k33_achievable = {p.counts for p in achievable_profiles(CANONICAL_K33).achievable}
         for counts in K33_TUPLES:
-            sub = k33_table(DegreeProfile(counts))
+            sub = realize_tuple_on(CANONICAL_K33, SmallClass.K33, counts)
             assert profile_of(CANONICAL_K33, sub).counts == counts
             assert counts in k33_achievable
         assert len(K4_TUPLES) == 11 and len(K33_TUPLES) == 24
@@ -226,7 +222,7 @@ def test_criterion_7_two_regular():
                 assert res.achieved.count(1) % 2 == 0, parts
                 assert profile_of(g, res.subset) == res.achieved
                 if n <= 15:
-                    assert is_achievable(g, res.achieved), parts
+                    assert find_witness(g, res.achieved) is not None, parts
                     oracle_best = min_max_deviation(g)
                     if odd_integer:
                         assert oracle_best == 1, parts  # handshake forces >= 1

@@ -35,7 +35,7 @@ from degbal.graphs import (
     profile_of,
     shortest_cycle,
 )
-from degbal.oracle import find_witness, is_achievable
+from degbal.oracle import find_witness
 
 # 14-vertex cubic graph containing the blocked-configuration pattern:
 # K4 on {0,1,2,3} with edge (0,1) subdivided by vertex 4, whose single
@@ -296,7 +296,7 @@ class TestSpecial14:
             assert profile_of(g, sub).counts == (3, 4, 3, 4), seed
 
     def test_oracle_confirms_target_on_pattern(self):
-        assert is_achievable(PATTERN_14, DegreeProfile((3, 4, 3, 4)))
+        assert find_witness(PATTERN_14, DegreeProfile((3, 4, 3, 4))) is not None
 
     def test_precondition_wrong_order(self):
         with pytest.raises(PreconditionViolated):

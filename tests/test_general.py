@@ -28,30 +28,25 @@ from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubi
 from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
-    K33_TUPLES,
-    K4_TUPLES,
     decompose,
     decompose_balanced,
     decompose_result,
     decompose_traced,
     decompose_two_regular,
     detect_exception,
-    k33_table,
-    k4_table,
     realize_tuple_on,
     statement_target,
 )
 from degbal.graphs import (
-    DegreeProfile,
     EdgeSubset,
     SmallClass,
     build_graph,
     connected_components,
     profile_of,
 )
-from degbal.oracle import achievable_profiles, is_achievable
+from degbal.oracle import achievable_profiles, find_witness
 
-from conftest import corpus_lines
+from conftest import K4_TUPLES, K33_TUPLES, corpus_lines
 from test_acceptance import partitions_min3
 from test_connected import PATTERN_14
 from test_oracle import K33_BASE_TUPLES, K4_BASE_TUPLES
@@ -95,10 +90,10 @@ class TestDetectException:
 class TestTupleTables:
     def test_every_entry_reproduces_its_key(self):
         for counts in K4_TUPLES:
-            sub = k4_table(DegreeProfile(counts))
+            sub = realize_tuple_on(CANONICAL_K4, SmallClass.K4, counts)
             assert profile_of(CANONICAL_K4, sub).counts == counts
         for counts in K33_TUPLES:
-            sub = k33_table(DegreeProfile(counts))
+            sub = realize_tuple_on(CANONICAL_K33, SmallClass.K33, counts)
             assert profile_of(CANONICAL_K33, sub).counts == counts
 
     def test_tables_cover_base_lists_and_reversals(self):
@@ -128,23 +123,23 @@ class TestTupleTables:
         assert set(K33_TUPLES) <= ach33
 
     def test_examples(self):
-        assert len(k4_table(DegreeProfile((0, 0, 0, 4)))) == 0
-        tri = k4_table(DegreeProfile((0, 3, 0, 1)))
+        assert len(realize_tuple_on(CANONICAL_K4, SmallClass.K4, (0, 0, 0, 4))) == 0
+        tri = realize_tuple_on(CANONICAL_K4, SmallClass.K4, (0, 3, 0, 1))
         assert profile_of(CANONICAL_K4, tri).counts == (0, 3, 0, 1)
-        star = k4_table(DegreeProfile((1, 0, 3, 0)))
+        star = realize_tuple_on(CANONICAL_K4, SmallClass.K4, (1, 0, 3, 0))
         assert profile_of(CANONICAL_K4, star).counts == (1, 0, 3, 0)
-        assert len(k33_table(DegreeProfile((0, 0, 0, 6)))) == 0
-        p3 = k33_table(DegreeProfile((0, 1, 2, 3)))
+        assert len(realize_tuple_on(CANONICAL_K33, SmallClass.K33, (0, 0, 0, 6))) == 0
+        p3 = realize_tuple_on(CANONICAL_K33, SmallClass.K33, (0, 1, 2, 3))
         assert profile_of(CANONICAL_K33, p3).counts == (0, 1, 2, 3)
         assert profile_of(
-            CANONICAL_K33, k33_table(DegreeProfile((1, 1, 3, 1)))
+            CANONICAL_K33, realize_tuple_on(CANONICAL_K33, SmallClass.K33, (1, 1, 3, 1))
         ).counts == (1, 1, 3, 1)
 
     def test_no_such_tuple(self):
-        with pytest.raises(NoSuchTuple):
-            k4_table(DegreeProfile((1, 1, 1, 1)))
-        with pytest.raises(NoSuchTuple):
-            k33_table(DegreeProfile((1, 2, 1, 2)))
+        with pytest.raises(NoSuchTuple, match=r"^K4 table has no entry for \(1, 1, 1, 1\)$"):
+            realize_tuple_on(CANONICAL_K4, SmallClass.K4, (1, 1, 1, 1))
+        with pytest.raises(NoSuchTuple, match=r"^K3,3 table has no entry for \(1, 2, 1, 2\)$"):
+            realize_tuple_on(CANONICAL_K33, SmallClass.K33, (1, 2, 1, 2))
 
     def test_realize_on_relabeled_k33(self):
         # parts {0,2,4} / {1,3,5} instead of the canonical split
@@ -416,7 +411,7 @@ class TestDecomposeTwoRegular:
         res = decompose_two_regular(cycles([9]))
         assert res.achieved.count(1) % 2 == 0
         assert res.max_deviation <= 1
-        assert is_achievable(cycles([9]), res.achieved)
+        assert find_witness(cycles([9]), res.achieved) is not None
 
     def test_single_small_cycles(self):
         for a in (3, 4, 5, 6, 7, 8):

@@ -18,8 +18,6 @@ from degbal.errors import ExceptionGraph
 from degbal.formats import render_result
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import (
-    K4_TUPLES,
-    K33_TUPLES,
     decompose_balanced,
     decompose_result,
     decompose_traced,
@@ -37,7 +35,7 @@ from degbal.graphs import (
 )
 from degbal.oracle import achievable_profiles, find_witness
 
-from conftest import FIXTURES, circulant, load_corpus_file
+from conftest import FIXTURES, K4_TUPLES, K33_TUPLES, circulant, load_corpus_file
 
 GOLDEN_SHA256 = "37fef6abfee445724f6e499e957e7984e2b635ed054445cafc126365e36ea7a3"
 
