@@ -13,7 +13,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from . import gen, oracle
 from .errors import (
@@ -169,7 +168,7 @@ def cmd_verify(args) -> int:
             problems.append(
                 f"recomputed profile {achieved.counts} != target {doc.target_profile.counts}"
             )
-        true_dev = achieved.max_deviation() if g.n else Fraction(0)
+        true_dev = achieved.max_deviation()
         if true_dev != doc.max_deviation:
             problems.append(
                 f"deviation mismatch: document {format_rational(doc.max_deviation)},"
@@ -200,7 +199,7 @@ def cmd_oracle(args) -> int:
             "n": g.n,
             "profile": list(counts),
             "achievable": witness is not None,
-            "witness": [list(e) for e in witness.edges(g)] if witness else None,
+            "witness": [list(e) for e in witness.edges(g)] if witness is not None else None,
         }
     elif args.min_deviation:
         doc = {

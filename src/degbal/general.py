@@ -3,7 +3,7 @@
 decompose(g, statement) takes any of the six document statement names and
 is the package's one decomposing entry point; it counts each result's
 profile once, against the target.  statement_target(g, statement) is the
-target it gives on g, read off the same helpers without decomposing.
+target it gives on g, read off the same plan, _plan, without decomposing.
 
 A multi-component graph is split once and composed in one pass over its
 components in label order.  While more than one component is left, each
@@ -332,7 +332,7 @@ class DecompositionResult:
 def _result(g: Graph, statement: str, subset: EdgeSubset, target: DegreeProfile,
             trace, fallback: bool) -> DecompositionResult:
     """The one place a result is built: subset's profile is counted here, once,
-    and must be the target.  At n = 0 the only subset is the empty one."""
+    and must be the target.  At n = 0 the only subset, the empty one, is taken to reach it."""
     achieved = profile_of(g, subset) if g.n else target
     if achieved != target:
         raise InternalStuck(f"{statement}: achieved {achieved.counts}, target {target.counts}")
@@ -348,18 +348,37 @@ _BEST_EFFORT = {
 }
 
 
-def _balanced(n: int, classes: list[SmallClass]):
-    """BALANCED on order n with these component classes: its statement (I or
-    III by n mod 4), that statement's exception kind or None, and the
-    statement run, which is the best effort on an exception graph."""
-    s = Statement.I if n % 4 == 0 else Statement.III
-    kind = _exception_of(classes, s)
-    return s, kind, s if kind is None else _BEST_EFFORT[kind]
+def _plan(g: Graph, statement: str):
+    """Every check and choice decompose(g, statement) makes before it builds a
+    subgraph: (target, leading trace labels, work), where work is (cycles,
+    full, hosts) for TWO_REGULAR and (statement run, split) otherwise.
+
+    BALANCED runs I or III by n mod 4, or on an exception graph its best
+    effort; I-IV keep their formula on an exception graph, which
+    decompose_traced then refuses.  Refusals for degree, parity or a
+    2C3/2C4 are raised here.
+    """
+    if statement == "TWO_REGULAR":
+        require_regular(g, 2)
+        cycles = _cycle_edges(g)
+        counts, (full, hosts) = _two_regular_plan([len(c) for c in cycles], g.n)
+        labels = [f"two-regular:full={full}", f"paths={hosts}"] if g.n else ["empty"]
+        return DegreeProfile(counts), labels, (cycles, full, hosts)
+    split = _split(g)
+    if statement == "BALANCED":
+        s = Statement.I if g.n % 4 == 0 else Statement.III
+        kind = _exception_of(split[1], s)
+        run = s if kind is None else _BEST_EFFORT[kind]
+        labels = [f"balanced:{s.value}" if kind is None
+                  else f"exception:{kind.value}:best-effort:{run.value}"]
+    else:
+        run, labels = Statement(statement), []
+    return target_profile(g.n, run), labels, (run, split)
 
 
 def decompose(g: Graph, statement: str) -> DecompositionResult:
     """g decomposed under a document statement name: "I".."IV", "BALANCED"
-    or "TWO_REGULAR" (formats.STATEMENTS).
+    or "TWO_REGULAR" (formats.STATEMENTS), as _plan lays it out.
 
     BALANCED asks for every m(H,k) in {floor(n/4), ceil(n/4)}, through I or
     III by n mod 4.  The three exception graphs (K4, K3,3, 3K4) get their
@@ -367,25 +386,12 @@ def decompose(g: Graph, statement: str) -> DecompositionResult:
     respectively.  TWO_REGULAR asks a disjoint union of cycles for a
     balanced spanning subgraph (see _two_regular_plan).
     """
+    target, labels, work = _plan(g, statement)
     if statement == "TWO_REGULAR":
-        require_regular(g, 2)
-        if g.n == 0:
-            return _result(g, statement, EdgeSubset(0), DegreeProfile((0, 0, 0)),
-                           ("empty",), False)
-        cycles = _cycle_edges(g)
-        counts, (full, hosts) = _two_regular_plan([len(steps) for steps in cycles], g.n)
-        subset = _build_two_regular(g, cycles, full, hosts)
-        trace = (f"two-regular:full={full}", f"paths={hosts}")
-        return _result(g, statement, subset, DegreeProfile(counts), trace, False)
-    split = _split(g)
-    if statement == "BALANCED":
-        s, kind, run = _balanced(g.n, split[1])
-        labels = [f"balanced:{s.value}" if kind is None
-                  else f"exception:{kind.value}:best-effort:{run.value}"]
+        subset, trace, fallback = _build_two_regular(g, *work), [], False
     else:
-        run, labels = Statement(statement), []
-    subset, trace, fallback = decompose_traced(g, run, split)
-    return _result(g, statement, subset, target_profile(g.n, run), labels + trace, fallback)
+        subset, trace, fallback = decompose_traced(g, *work)
+    return _result(g, statement, subset, target, labels + trace, fallback)
 
 
 # bench/run.py calls these three by name; the next benchmark change deletes them.
@@ -402,19 +408,11 @@ def decompose_two_regular(g: Graph) -> DecompositionResult:
 
 
 def statement_target(g: Graph, statement: str) -> DegreeProfile:
-    """The target profile of decompose(g, statement), found without decomposing.
-
-    I-IV give their formula, on an exception graph too, where no subgraph
-    reaches it.  BALANCED gives its statement's, or on an exception graph its
-    best effort's; TWO_REGULAR gives the planner's first realizable triple.
-    Where decompose would refuse for parity or a 2C3/2C4, so does this.
-    """
-    if statement == "BALANCED":
-        return target_profile(g.n, _balanced(g.n, _split(g)[1])[2])
-    if statement == "TWO_REGULAR":
-        require_regular(g, 2)
-        return DegreeProfile(_two_regular_plan([len(c) for c in _cycle_edges(g)], g.n)[0])
-    return target_profile(g.n, Statement(statement))
+    """The target profile of decompose(g, statement), found without
+    decomposing: where decompose refuses before it builds, so does this.
+    I-IV give their formula on an exception graph too, where no subgraph
+    reaches it."""
+    return _plan(g, statement)[0]
 
 
 def _two_regular_plan(lengths: list[int], n: int):

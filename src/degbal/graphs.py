@@ -362,8 +362,6 @@ def subgraph_degrees(g: Graph, s: EdgeSubset) -> list[int]:
 def profile_of(g: Graph, s: EdgeSubset) -> DegreeProfile:
     """Degree profile (n_d, ..., n_0) of the spanning subgraph s within g."""
     d = inferred_degree(g)
-    if g.n == 0:
-        return DegreeProfile(())
     deg = subgraph_degrees(g, s)
     counts = [0] * (d + 1)
     for x in deg:

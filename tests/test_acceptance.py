@@ -22,8 +22,6 @@ from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
     decompose,
-    decompose_balanced,
-    decompose_two_regular,
     realize_tuple_on,
 )
 from degbal.graphs import (
@@ -135,13 +133,13 @@ def test_criterion_4_balanced_bound():
             lo, hi = n // 4, -(-n // 4)
             for seed in range(500):
                 g = random_cubic(n, seed)
-                res = decompose_balanced(g)
+                res = decompose(g, "BALANCED")
                 assert all(c in (lo, hi) for c in res.achieved.counts), (n, seed)
                 assert res.max_deviation <= half
         for name in ("K4", "K33", "PRISM", "CUBE", "PETERSEN", "HEAWOOD",
                      "PAPPUS", "DESARGUES", "MOEBIUS_KANTOR"):
             g = named(name)
-            res = decompose_balanced(g)
+            res = decompose(g, "BALANCED")
             if name == "K4":
                 assert res.max_deviation == 1
             elif name == "K33":
@@ -150,7 +148,7 @@ def test_criterion_4_balanced_bound():
                 lo, hi = g.n // 4, -(-g.n // 4)
                 assert all(c in (lo, hi) for c in res.achieved.counts)
                 assert res.max_deviation <= half
-        res = decompose_balanced(disjoint_union([named("K4")] * 3))
+        res = decompose(disjoint_union([named("K4")] * 3), "BALANCED")
         assert res.max_deviation == 1
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"{elapsed:.1f}s"
@@ -214,7 +212,7 @@ def test_criterion_7_two_regular():
             for parts in partitions_min3(n):
                 g = cycles(parts)
                 try:
-                    res = decompose_two_regular(g)
+                    res = decompose(g, "TWO_REGULAR")
                 except ExceptionGraph as exc:
                     rejected.append((tuple(parts), exc.kind.value))
                     continue
@@ -286,7 +284,7 @@ def test_criterion_9_determinism(full_corpus, tmp_path):
         def render_all() -> str:
             chunks = []
             for name, g in full_corpus:
-                res = decompose_balanced(g)
+                res = decompose(g, "BALANCED")
                 doc = ResultDocument(
                     input_name=name,
                     n=g.n,

@@ -238,6 +238,29 @@ class TestVerifyCommand:
         assert code == 1
         assert out == "FAIL: target is not statement I's (1, 1, 1, 1)\n"
 
+    def test_document_on_a_graph_of_the_wrong_degree_fails(self, capsys, tmp_path):
+        # A statement-I document on 4-regular K4,4 that agrees with itself;
+        # verify refuses the graph as decompose -s i does.
+        host = tmp_path / "k44.txt"
+        host.write_text("8 16\n" + "".join(f"{u} {v}\n" for u in range(4) for v in range(4, 8)))
+        doc = {
+            "input_name": "k44",
+            "n": 8,
+            "statement": "I",
+            "target_profile": [2, 2, 2, 2],
+            "achieved_profile": [2, 2, 2, 2],
+            "subgraph_edges": [[0, 4], [0, 5], [0, 7], [1, 4], [1, 5], [1, 6]],
+            "max_deviation": "8/5",
+            "branch_trace": [],
+            "fallback_used": False,
+        }
+        path = tmp_path / "k44-i.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "verify", "--input", str(host), "--result", str(path))
+        assert code == 1 and not out
+        assert err == "error: graph is not 3-regular\n"
+        assert run_cli(capsys, "decompose", "--input", str(host), "-s", "i") == (1, "", err)
+
     def test_statement_not_fitting_n_is_parity_mismatch(self, capsys, tmp_path):
         path = self._decompose_to_file(capsys, tmp_path, "petersen", "iv")
         path.write_text(path.read_text().replace('"statement":"IV"', '"statement":"I"'))
@@ -323,6 +346,26 @@ class TestOracleCommand:
         code, out, err = run_cli(capsys, "oracle", "--named", "k4", "--profile", profile)
         assert code == 4 and not out
         assert "--profile" in err
+
+    def test_k4_profile_queries_return_the_report_witnesses(self, capsys):
+        # (0,0,0,4)'s witness is the empty subgraph, [], not null.
+        _, out, _ = run_cli(capsys, "oracle", "--named", "k4")
+        witnesses = json.loads(out)["witnesses"]
+        assert witnesses["0,0,0,4"] == []
+        for profile, witness in witnesses.items():
+            code, out, _ = run_cli(capsys, "oracle", "--named", "k4", "--profile", profile)
+            doc = json.loads(out)
+            assert code == 0 and doc["achievable"] is True, profile
+            assert doc["witness"] == witness, profile
+
+    def test_graph_with_no_vertices_profile_query(self, capsys, monkeypatch):
+        # The full report lists [[0]]; the query for (0) agrees.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n"))
+        code, out, _ = run_cli(capsys, "oracle", "-i", "-", "--profile", "0")
+        assert code == 0
+        assert json.loads(out) == {
+            "input_name": "stdin", "n": 0, "profile": [0], "achievable": True, "witness": [],
+        }
 
     def test_k4_min_deviation(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--named", "k4", "--min-deviation")

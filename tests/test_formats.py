@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbal.connected import Statement
 from degbal.errors import LoopEdge, ParseError, UnsupportedOrder
 from degbal.formats import (
     GRAPH6_HEADER,
@@ -23,7 +22,7 @@ from degbal.formats import (
     render_result,
 )
 from degbal.gen import named, random_cubic
-from degbal.general import decompose_balanced, decompose_result
+from degbal.general import decompose
 from degbal.graphs import build_graph
 
 from conftest import corpus_lines
@@ -343,30 +342,28 @@ class TestRenderResult:
         )
 
     def test_prism_profile_in_json(self):
-        from degbal.connected import Statement
-
         g = named("PRISM")
-        doc = self._doc(g, "prism", decompose_result(g, Statement.III))
+        doc = self._doc(g, "prism", decompose(g, "III"))
         assert '"achieved_profile":[1,2,1,2]' in render_result(doc, "json")
 
     def test_k33_balanced_deviation(self):
         g = named("K33")
-        doc = self._doc(g, "k33", decompose_balanced(g))
+        doc = self._doc(g, "k33", decompose(g, "BALANCED"))
         assert '"max_deviation":"3/2"' in render_result(doc, "json")
 
     def test_petersen_balanced_deviation(self):
         g = named("PETERSEN")
-        doc = self._doc(g, "petersen", decompose_balanced(g))
+        doc = self._doc(g, "petersen", decompose(g, "BALANCED"))
         assert '"max_deviation":"1/2"' in render_result(doc, "json")
 
     def test_json_round_trip(self):
         g = named("CUBE")
-        doc = self._doc(g, "cube", decompose_balanced(g))
+        doc = self._doc(g, "cube", decompose(g, "BALANCED"))
         assert parse_result_json(render_result(doc, "json")) == doc
 
     def test_tsv_deterministic(self):
         g = named("CUBE")
-        doc = self._doc(g, "cube", decompose_balanced(g))
+        doc = self._doc(g, "cube", decompose(g, "BALANCED"))
         assert render_result(doc, "tsv") == render_result(doc, "tsv")
         assert render_result(doc, "tsv").splitlines()[0].startswith("input_name\t")
 
@@ -374,7 +371,7 @@ class TestRenderResult:
         docs = []
         for name in ("K4", "PRISM", "CUBE", "PETERSEN", "HEAWOOD"):
             g = named(name)
-            docs.append(self._doc(g, name.lower(), decompose_balanced(g)))
+            docs.append(self._doc(g, name.lower(), decompose(g, "BALANCED")))
         rendered = [render_result(d, "json") for d in docs]
         assert len(set(rendered)) == len(rendered)
         rendered_tsv = [render_result(d, "tsv") for d in docs]
@@ -393,7 +390,7 @@ class TestRenderResult:
     )
     def test_non_integer_field_rejected(self, field, value):
         g = named("K4")
-        doc = json.loads(render_result(self._doc(g, "k4", decompose_result(g, Statement.II)), "json"))
+        doc = json.loads(render_result(self._doc(g, "k4", decompose(g, "II")), "json"))
         doc[field] = value
         with pytest.raises(ParseError):
             parse_result_json(json.dumps(doc))
@@ -410,7 +407,7 @@ class TestRenderResult:
     )
     def test_mistyped_field_rejected(self, field, value):
         g = named("K4")
-        doc = json.loads(render_result(self._doc(g, "k4", decompose_result(g, Statement.II)), "json"))
+        doc = json.loads(render_result(self._doc(g, "k4", decompose(g, "II")), "json"))
         doc[field] = value
         with pytest.raises(ParseError):
             parse_result_json(json.dumps(doc))

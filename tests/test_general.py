@@ -29,10 +29,7 @@ from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
     decompose,
-    decompose_balanced,
-    decompose_result,
     decompose_traced,
-    decompose_two_regular,
     detect_exception,
     realize_tuple_on,
     statement_target,
@@ -63,7 +60,7 @@ def two_regular_bound(n):
 
 def assert_two_regular_within_bound(parts):
     g = cycles(parts)
-    res = decompose_two_regular(g)
+    res = decompose(g, "TWO_REGULAR")
     assert res.max_deviation <= two_regular_bound(g.n), parts
     assert res.achieved.count(1) % 2 == 0, parts
     assert profile_of(g, res.subset) == res.achieved, parts
@@ -229,32 +226,32 @@ class TestDecompose:
 
 class TestDecomposeBalanced:
     def test_petersen(self):
-        res = decompose_balanced(named("PETERSEN"))
+        res = decompose(named("PETERSEN"), "BALANCED")
         assert res.max_deviation == Fraction(1, 2)
         assert res.statement == "BALANCED"
 
     def test_k33_exception(self):
-        res = decompose_balanced(named("K33"))
+        res = decompose(named("K33"), "BALANCED")
         assert res.max_deviation == Fraction(3, 2)
         assert any("K33_III" in t for t in res.branch_trace)
 
     def test_k4_exception(self):
-        res = decompose_balanced(named("K4"))
+        res = decompose(named("K4"), "BALANCED")
         assert res.max_deviation == 1
         assert res.achieved.counts in ((0, 0, 2, 2), (2, 2, 0, 0))
 
     def test_3k4_exception(self):
-        res = decompose_balanced(disjoint_union([named("K4")] * 3))
+        res = decompose(disjoint_union([named("K4")] * 3), "BALANCED")
         assert res.max_deviation == 1
         assert res.achieved.counts == (2, 2, 4, 4)
 
     def test_2k4_not_exception(self):
-        res = decompose_balanced(disjoint_union([named("K4")] * 2))
+        res = decompose(disjoint_union([named("K4")] * 2), "BALANCED")
         assert res.max_deviation == 0
 
     def test_floor_ceil_membership(self, full_corpus):
         for name, g in full_corpus:
-            res = decompose_balanced(g)
+            res = decompose(g, "BALANCED")
             if any(t.startswith("exception:") for t in res.branch_trace):
                 continue
             lo, hi = g.n // 4, -(-g.n // 4)
@@ -262,13 +259,13 @@ class TestDecomposeBalanced:
 
     def test_achieved_matches_subset(self, full_corpus):
         for name, g in full_corpus:
-            res = decompose_balanced(g)
+            res = decompose(g, "BALANCED")
             assert profile_of(g, res.subset) == res.achieved, name
 
     def test_600_prisms_no_recursion_limit(self):
         # Case 1 peels 599 prisms; a recursion per peel overflowed the stack.
         k = 600
-        res = decompose_balanced(disjoint_union([named("PRISM")] * k))
+        res = decompose(disjoint_union([named("PRISM")] * k), "BALANCED")
         assert res.max_deviation == 0
         assert len(res.branch_trace) <= 3 * k
 
@@ -343,10 +340,10 @@ class TestOneRunPerShape:
 
 
 class TestOneSplit:
-    """decompose_balanced splits its input into components exactly once, and
+    """decompose(g, "BALANCED") splits g into components exactly once, and
     decompose_connected_traced, given a connected graph, not at all."""
 
-    def splits(self, monkeypatch, g, run=decompose_balanced):
+    def splits(self, monkeypatch, g, run=lambda h: decompose(h, "BALANCED")):
         calls = []
 
         def counted(h):
@@ -377,7 +374,7 @@ class TestOneSplit:
         # The refused statement and the best-effort one share one split.
         g = disjoint_union([named("K4")] * 3) if name == "3K4" else named(name)
         results = []
-        assert self.splits(monkeypatch, g, lambda h: results.append(decompose_balanced(h))) == 1
+        assert self.splits(monkeypatch, g, lambda h: results.append(decompose(h, "BALANCED"))) == 1
         assert results[0].branch_trace[0] == label
 
     def test_special_14_block(self, monkeypatch):
@@ -396,19 +393,19 @@ class TestOneSplit:
 
 class TestDecomposeTwoRegular:
     def test_c6(self):
-        res = decompose_two_regular(cycles([6]))
+        res = decompose(cycles([6]), "TWO_REGULAR")
         assert res.achieved.counts == (2, 2, 2)
 
     def test_exceptions(self):
         with pytest.raises(ExceptionGraph) as exc:
-            decompose_two_regular(cycles([3, 3]))
+            decompose(cycles([3, 3]), "TWO_REGULAR")
         assert exc.value.kind is ExceptionKind.TWO_C3
         with pytest.raises(ExceptionGraph) as exc:
-            decompose_two_regular(cycles([4, 4]))
+            decompose(cycles([4, 4]), "TWO_REGULAR")
         assert exc.value.kind is ExceptionKind.TWO_C4
 
     def test_c9(self):
-        res = decompose_two_regular(cycles([9]))
+        res = decompose(cycles([9]), "TWO_REGULAR")
         assert res.achieved.count(1) % 2 == 0
         assert res.max_deviation <= 1
         assert find_witness(cycles([9]), res.achieved) is not None
@@ -416,22 +413,22 @@ class TestDecomposeTwoRegular:
     def test_single_small_cycles(self):
         for a in (3, 4, 5, 6, 7, 8):
             g = cycles([a])
-            res = decompose_two_regular(g)
+            res = decompose(g, "TWO_REGULAR")
             third = Fraction(a, 3)
             bound = 1 if third.denominator == 1 and third.numerator % 2 else Fraction(2, 3)
             assert res.max_deviation <= bound, a
 
     def test_even_ones_always(self):
         for parts in ([3, 4], [5, 7], [3, 3, 3], [6, 6], [4, 5, 6]):
-            res = decompose_two_regular(cycles(parts))
+            res = decompose(cycles(parts), "TWO_REGULAR")
             assert res.achieved.count(1) % 2 == 0, parts
 
     def test_not_two_regular(self):
         with pytest.raises(NotRegular):
-            decompose_two_regular(named("K4"))
+            decompose(named("K4"), "TWO_REGULAR")
 
     def test_empty(self):
-        res = decompose_two_regular(build_graph(0, []))
+        res = decompose(build_graph(0, []), "TWO_REGULAR")
         assert res.achieved.counts == (0, 0, 0)
 
     def test_23_c5_past_the_old_cap(self):
@@ -538,7 +535,7 @@ class TestOneProfileCount:
 class TestDecomposeResult:
     def test_statement_runs_carry_trace(self):
         g = disjoint_union([named("K4"), named("K33")])
-        res = decompose_result(g, Statement.III)
+        res = decompose(g, "III")
         assert res.statement == "III"
         assert res.achieved.counts == (2, 3, 2, 3)
         assert res.branch_trace and not res.fallback_used
@@ -548,8 +545,11 @@ def _outcome(fn, g, name):
     """fn(g, name), or the class of the refusal it raises."""
     try:
         return fn(g, name)
-    except (ExceptionGraph, ParityMismatch) as exc:
+    except (ExceptionGraph, NotRegular, ParityMismatch) as exc:
         return type(exc)
+
+
+CUBIC_STATEMENTS = ("I", "II", "III", "IV", "BALANCED")
 
 
 class TestStatementTarget:
@@ -571,10 +571,19 @@ class TestStatementTarget:
         graphs = [(line, parse_graph6(line)) for line in corpus_lines()]
         graphs += [(name, named(name)) for name in CATALOG_NAMES]
         for label, g in graphs:
-            for name in ("I", "II", "III", "IV", "BALANCED"):
+            for name in CUBIC_STATEMENTS + ("TWO_REGULAR",):
                 self.assert_agrees(g, name, label)
 
     def test_cycle_unions_under_two_regular(self):
         for n in range(16):
             for parts in partitions_min3(n):
                 self.assert_agrees(cycles(parts), "TWO_REGULAR", parts)
+
+    def test_graphs_of_other_degrees_under_the_cubic_statements(self):
+        # Cycle unions and K4,4 are not 3-regular, bar the empty union: both
+        # refuse them under every cubic statement, whatever n mod 4 is.
+        graphs = [(parts, cycles(parts)) for n in range(16) for parts in partitions_min3(n)]
+        graphs.append(("K4,4", build_graph(8, [(u, v) for u in range(4) for v in range(4, 8)])))
+        for label, g in graphs:
+            for name in CUBIC_STATEMENTS:
+                self.assert_agrees(g, name, label)

@@ -18,10 +18,8 @@ from degbal.errors import ExceptionGraph
 from degbal.formats import render_result
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import (
-    decompose_balanced,
-    decompose_result,
+    decompose,
     decompose_traced,
-    decompose_two_regular,
     realize_tuple_on,
 )
 from degbal.graphs import (
@@ -52,11 +50,10 @@ def golden_inputs():
 def result_lines():
     for name, g in golden_inputs():
         statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
-        runs = [("balanced", decompose_balanced)]
-        runs += [(s.value, lambda h, s=s: decompose_result(h, s)) for s in statements]
-        for label, run in runs:
+        runs = [("balanced", "BALANCED")] + [(s.value, s.value) for s in statements]
+        for label, statement in runs:
             try:
-                yield render_result(_document(name, g, run(g)))
+                yield render_result(_document(name, g, decompose(g, statement)))
             except ExceptionGraph as exc:
                 yield f"{name}\t{label}\texception:{exc.kind.value}"
 
@@ -150,7 +147,7 @@ def relabeled_cycle_unions():
 def test_two_regular_subsets_match_golden_digest():
     digest = hashlib.sha256()
     for name, g in relabeled_cycle_unions():
-        res = decompose_two_regular(g)
+        res = decompose(g, "TWO_REGULAR")
         line = f"{name}\t{res.achieved.counts}\t{res.subset.edges(g)}\t{res.branch_trace}"
         digest.update(line.encode("ascii") + b"\n")
     assert digest.hexdigest() == TWO_REGULAR_SHA256

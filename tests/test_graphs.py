@@ -347,6 +347,12 @@ class TestProfileOf:
         s = EdgeSubset.from_edges(g, [(0, 1), (0, 2), (1, 2), (0, 3)])
         assert profile_of(g, s).counts == (1, 2, 1, 2)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless(self, n):
+        # Degree 0 and n vertices of it, the graph with no vertices included.
+        p = profile_of(build_graph(n, []), EdgeSubset(0))
+        assert p.counts == (n,) and p.max_deviation() == 0
+
     def test_not_regular(self):
         with pytest.raises(NotRegular):
             profile_of(build_graph(3, [(0, 1), (1, 2)]), EdgeSubset(2))

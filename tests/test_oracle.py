@@ -438,3 +438,12 @@ class TestCap:
     def test_empty_graph(self):
         rep = achievable_profiles(build_graph(0, []))
         assert rep.edge_count == 0 and len(rep.achievable) == 1
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_find_witness_agrees_with_report(self, n):
+        # The graph with no vertices is edgeless like any other: profile (n,).
+        g = build_graph(n, [])
+        rep = achievable_profiles(g)
+        assert rep.achievable == (DegreeProfile((n,)),)
+        found = find_witness(g, DegreeProfile((n,)))
+        assert found is not None and found.bits == rep.witness[DegreeProfile((n,))].bits == 0
