@@ -72,26 +72,24 @@ class ExceptionKind(Enum):
     TWO_C4 = "TWO_C4"
 
 
+# Statement -> (n mod 4, offsets of (n3, n2, n1, n0) from t = n // 4).
+_TARGETS = {
+    Statement.I: (0, (0, 0, 0, 0)),
+    Statement.II: (0, (-1, -1, 1, 1)),
+    Statement.III: (2, (0, 1, 0, 1)),
+    Statement.IV: (2, (-1, 0, 1, 2)),
+}
+
+
 def target_profile(n: int, s: Statement) -> DegreeProfile:
-    """Target (n3, n2, n1, n0) for order n under statement s."""
-    modulus = 0 if s in (Statement.I, Statement.II) else 2
-    if n % 4 != modulus:
-        raise ParityMismatch(f"statement {s} needs n = 4t+{modulus}, got n={n}")
-    if n == 0 and s is Statement.I:
-        return DegreeProfile((0, 0, 0, 0))
-    if n < 4:
+    """Target (n3, n2, n1, n0) for order n under statement s.  Below n = 4
+    only statement I, whose offsets are all 0, has one: the empty graph's."""
+    residue, offsets = _TARGETS[s]
+    if n % 4 != residue:
+        raise ParityMismatch(f"statement {s} needs n = 4t+{residue}, got n={n}")
+    if n < 4 and any(offsets):
         raise ParityMismatch(f"statement {s} needs n >= 4, got n={n}")
-    if s is Statement.I:
-        t = n // 4
-        return DegreeProfile((t, t, t, t))
-    if s is Statement.II:
-        t = n // 4
-        return DegreeProfile((t - 1, t - 1, t + 1, t + 1))
-    if s is Statement.III:
-        t = (n - 2) // 4
-        return DegreeProfile((t, t + 1, t, t + 1))
-    t = (n - 2) // 4
-    return DegreeProfile((t - 1, t, t + 1, t + 2))
+    return DegreeProfile(tuple(n // 4 + k for k in offsets))
 
 
 @dataclass

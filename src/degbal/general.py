@@ -139,41 +139,30 @@ def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> E
     return EdgeSubset.from_edges(comp, pairs)
 
 
-# Case-1 dispatch: (n mod 4, |H| mod 4, statement) ->
+# Case-1 dispatch: (|H| mod 4, statement; it fixes n mod 4) ->
 #   (statement for G-H, statement for H, complement H's subset, complement whole)
 _CASE1 = {
-    (0, 0, Statement.I): (Statement.II, Statement.II, True, False),
-    (0, 0, Statement.II): (Statement.II, Statement.I, False, False),
-    (0, 2, Statement.I): (Statement.IV, Statement.IV, True, False),
-    (0, 2, Statement.II): (Statement.IV, Statement.III, True, False),
-    (2, 0, Statement.III): (Statement.IV, Statement.II, True, False),
-    (2, 0, Statement.IV): (Statement.IV, Statement.I, False, False),
-    (2, 2, Statement.III): (Statement.II, Statement.IV, True, True),
-    (2, 2, Statement.IV): (Statement.II, Statement.III, False, False),
-}
-
-# When G-H is exactly 2K4 the rest would hit the statement-II exception;
-# use its perfectly balanced (2,2,2,2) decomposition instead and solve H
-# directly with the statement that completes the target.
-_CASE1_2K4 = {
-    (0, 0, Statement.I): Statement.I,
-    (0, 0, Statement.II): Statement.II,
-    (2, 2, Statement.III): Statement.III,
-    (2, 2, Statement.IV): Statement.IV,
+    (0, Statement.I): (Statement.II, Statement.II, True, False),
+    (0, Statement.II): (Statement.II, Statement.I, False, False),
+    (2, Statement.I): (Statement.IV, Statement.IV, True, False),
+    (2, Statement.II): (Statement.IV, Statement.III, True, False),
+    (0, Statement.III): (Statement.IV, Statement.II, True, False),
+    (0, Statement.IV): (Statement.IV, Statement.I, False, False),
+    (2, Statement.III): (Statement.II, Statement.IV, True, True),
+    (2, Statement.IV): (Statement.II, Statement.III, False, False),
 }
 
 
-def decompose_traced(g: Graph, s: Statement, split=None) -> tuple[EdgeSubset, list[str], bool]:
+def decompose_traced(g: Graph, s: Statement, split) -> tuple[EdgeSubset, list[str], bool]:
     """Subset of any cubic g meant to realize target_profile(n, s), its branch
-    trace and whether the fallback ran; split is g's _split, if known.
-    decompose counts the subset's profile.
+    trace and whether the fallback ran, from _plan's work: s, whose parity
+    _plan has checked, and g's _split.  decompose counts the subset's profile.
 
     The trace of a multi-component graph is flat: one label per peeled
     component, then the entries of what was left prefixed "rest:", then
     each peeled component's entries prefixed "H:", in peel order.
     """
-    comps, classes = split or _split(g)
-    target_profile(g.n, s)  # raises ParityMismatch before the exception check
+    comps, classes = split
     kind = _exception_of(classes, s)
     if kind is not None:
         raise ExceptionGraph(kind)
@@ -200,8 +189,8 @@ def _compose(
     """One pass over two or more components, lowest label first.
 
     Case 1 peels each PRISM/OTHER component while more than one component
-    is left; the _CASE1 row for the running residue and statement gives
-    the peeled component's statement and the statement of the rest.  A
+    is left; the _CASE1 row for its order mod 4 and the running statement
+    gives the peeled component's statement and the statement of the rest.  A
     "complement whole" flag complements the rest and everything peeled
     from it on, so a peeled part is complemented by its own flag XOR the
     running XOR of those flags, and the tail by that running XOR.  Each
@@ -228,16 +217,15 @@ def _compose(
 
     for i in peels:
         comp = comps[i]
-        key = (n_left % 4, comp.graph.n % 4, stmt)
         n_left -= comp.graph.n
-        stmt, h_stmt, compl_h, compl_whole = _CASE1[key]
         rest_is_2k4 = n_left == 8 and tail_is_2k4
         if rest_is_2k4:
-            # The rest's statement-I pairs, (0,0,2,2) and its reversal, are
-            # the perfectly balanced K4 pair of _PAIR.
-            stmt, h_stmt, compl_h, compl_whole = Statement.I, _CASE1_2K4[key], False, False
+            # The rest's statement-I pairs, _PAIR's K4 pair, give (2,2,2,2):
+            # target(n, s) - target(n - 8, s) for every s, so H keeps s.
+            stmt, h_stmt, compl_h, compl_whole = Statement.I, stmt, False, False
             labels.append(f"case1:rest=2K4-balanced,H={h_stmt.value}")
         else:
+            stmt, h_stmt, compl_h, compl_whole = _CASE1[comp.graph.n % 4, stmt]
             labels.append(
                 f"case1:rest={stmt.value},H={h_stmt.value}"
                 + ("~c" if compl_h else "")

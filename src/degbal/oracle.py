@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceeded
-from .graphs import DegreeProfile, EdgeSubset, Graph, inferred_degree, profile_of
+from .graphs import DegreeProfile, EdgeSubset, Graph, inferred_degree
 
 DEFAULT_EDGE_CAP = 26
 # States in one layer of the report's DP.  The largest layer within the edge
@@ -33,20 +33,20 @@ class AchievabilityReport:
     witness: dict                               # DegreeProfile -> EdgeSubset
 
 
-def _check_cap(g: Graph, edge_cap: int | None) -> int:
+def _check_cap(g: Graph, edge_cap: int | None) -> None:
     cap = DEFAULT_EDGE_CAP if edge_cap is None else edge_cap
     if g.m > cap:
         raise CapExceeded(f"{g.m} edges exceeds enumeration cap {cap}")
-    return cap
 
 
 def _frontier_order(g: Graph) -> list[int]:
     """Edges by the positions of their later, then earlier endpoint in a
     vertex order grown from vertex 0: next, the unplaced vertex with the most
     placed neighbours (lowest label on ties).  Few vertices stay open at once.
+    Without edges there is nothing to order, and no vertex is placed.
     """
     placed, pos = [0] * g.n, [-1] * g.n  # placed neighbours; position
-    for k in range(g.n):
+    for k in range(g.n if g.m else 0):
         v = min((u for u in range(g.n) if pos[u] < 0), key=lambda u: (-placed[u], u))
         pos[v] = k
         for w in g.adjacency[v]:
@@ -143,8 +143,8 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     d = inferred_degree(g)
     if len(p.counts) != d + 1 or p.order != g.n:
         return None
-    if g.m == 0:
-        return EdgeSubset(0) if profile_of(g, EdgeSubset(0)) == p else None
+    if g.m == 0:  # d = 0, so p is (n,): the empty subset's profile
+        return EdgeSubset(0)
     want = p.counts[::-1]  # want[k] = vertices of subgraph degree k
     degree_sum = sum(k * c for k, c in enumerate(want))
     if degree_sum % 2:

@@ -77,6 +77,33 @@ class TestTargetProfile:
         with pytest.raises(ParityMismatch):
             target_profile(0, Statement.II)
 
+    def test_below_four_only_the_empty_graph_under_i(self):
+        for s in (Statement.III, Statement.IV):
+            message = rf"^statement {s.value} needs n >= 4, got n=2$"
+            with pytest.raises(ParityMismatch, match=message):
+                target_profile(2, s)
+        with pytest.raises(ParityMismatch, match=r"^statement II needs n >= 4, got n=0$"):
+            target_profile(0, Statement.II)
+        with pytest.raises(ParityMismatch, match=r"^statement IV needs n = 4t\+2, got n=8$"):
+            target_profile(8, Statement.IV)
+
+    def test_docstring_formulas_below_64(self):
+        # The module docstring's four formulas, with t = n // 4 throughout.
+        formulas = {
+            Statement.I: (0, lambda t: (t, t, t, t)),
+            Statement.II: (0, lambda t: (t - 1, t - 1, t + 1, t + 1)),
+            Statement.III: (2, lambda t: (t, t + 1, t, t + 1)),
+            Statement.IV: (2, lambda t: (t - 1, t, t + 1, t + 2)),
+        }
+        for n in range(64):
+            for s, (residue, formula) in formulas.items():
+                # Below n = 4 only the empty graph, under I, has a target.
+                if n % 4 != residue or n < 4 and (n, s) != (0, Statement.I):
+                    with pytest.raises(ParityMismatch):
+                        target_profile(n, s)
+                else:
+                    assert target_profile(n, s).counts == formula(n // 4), (n, s)
+
     def test_targets_sum_to_n(self):
         for n in range(4, 40, 2):
             stmts = (

@@ -202,13 +202,15 @@ class TestDecompose:
         }
 
     def test_case1_2k4_rest(self):
-        # G - H isomorphic to 2K4 takes the perfectly-balanced override
-        g = disjoint_union([named("K4"), named("K4"), named("CUBE")])
-        for s in (Statement.I, Statement.II):
-            assert profile_of(g, decompose(g, s.value).subset) == target_profile(16, s)
-        g = disjoint_union([named("K4"), named("K4"), named("PRISM")])
-        for s in (Statement.III, Statement.IV):
-            assert profile_of(g, decompose(g, s.value).subset) == target_profile(14, s)
+        # G - H isomorphic to 2K4 takes the perfectly-balanced override, and
+        # H keeps the statement it was handed.
+        for h, n, statements in (("CUBE", 16, (Statement.I, Statement.II)),
+                                 ("PRISM", 14, (Statement.III, Statement.IV))):
+            g = disjoint_union([named("K4"), named("K4"), named(h)])
+            for s in statements:
+                res = decompose(g, s.value)
+                assert profile_of(g, res.subset) == target_profile(n, s)
+                assert f"case1:rest=2K4-balanced,H={s.value}" in res.branch_trace, (h, s)
 
     def test_unions_corpus(self, full_corpus):
         for name, g in full_corpus:
@@ -289,11 +291,11 @@ class TestOneRunPerShape:
     def test_50_petersen(self, monkeypatch, s):
         calls = self.runs(monkeypatch)
         g = disjoint_union([named("PETERSEN")] * 50)
-        first = decompose_traced(g, s)
+        first = decompose(g, s.value)
         statements = {t for _, t in calls}
         assert len(calls) == len(statements) >= 2
         assert len({id(h) for h, _ in calls}) == 1
-        assert decompose_traced(g, s) == first
+        assert decompose(g, s.value) == first
         assert len(calls) == 2 * len(statements)
 
     def test_relabeled_copy_runs_apart(self, monkeypatch):
@@ -301,7 +303,7 @@ class TestOneRunPerShape:
         p = named("PETERSEN")
         copy = build_graph(10, [(9 - u, 9 - v) for u, v in p.edges])
         assert copy != p
-        decompose_traced(disjoint_union([p, p, copy, p]), Statement.I)
+        decompose(disjoint_union([p, p, copy, p]), "I")
         assert len({(h.edges, t) for h, t in calls}) == len(calls)
         assert {h.edges for h, _ in calls} == {p.edges, copy.edges}
 
@@ -319,11 +321,11 @@ class TestOneRunPerShape:
         g = disjoint_union([k4] * 30 + [k33] * 30 + [copy, k33, copy])
         for s in (Statement.III, Statement.IV):
             del calls[:]
-            first = decompose_traced(g, s)
+            first = decompose(g, s.value)
             distinct = set(calls)
             assert len(calls) == len(distinct) < 8
             assert {h for h, _ in calls} == {k4.edges, k33.edges, copy.edges}
-            assert decompose_traced(g, s) == first
+            assert decompose(g, s.value) == first
             assert sorted(calls) == sorted(2 * list(distinct))
 
     def test_forced_block_warns_once_per_shape(self, monkeypatch, caplog):
@@ -333,8 +335,8 @@ class TestOneRunPerShape:
         monkeypatch.setattr(connected_mod, "stage2_fill_v2", block)
         calls = self.runs(monkeypatch)
         g = disjoint_union([named("CUBE")] * 6)
-        sub, trace, fallback = decompose_traced(g, Statement.I)
-        assert fallback and profile_of(g, sub) == target_profile(g.n, Statement.I)
+        res = decompose(g, "I")
+        assert res.fallback_used and profile_of(g, res.subset) == target_profile(g.n, Statement.I)
         warned = [r for r in caplog.records if r.getMessage().startswith("fallback used")]
         assert len(warned) == len(calls) < 6
 
@@ -469,8 +471,7 @@ class TestFlatTrace:
 
     def test_two_peels_then_2k4_tail(self):
         g = disjoint_union([named("PRISM"), named("CUBE"), named("K4"), named("K4")])
-        _, trace, _ = decompose_traced(g, Statement.III)
-        assert trace == [
+        assert list(decompose(g, "III").branch_trace) == [
             "case1:rest=II,H=IV~c|whole~c",
             "case1:rest=2K4-balanced,H=II",
             "H:base:PRISM:P3",
@@ -479,8 +480,7 @@ class TestFlatTrace:
 
     def test_one_peel_connected_rest(self):
         g = disjoint_union([named("PETERSEN"), named("K4")])
-        _, trace, _ = decompose_traced(g, Statement.III)
-        assert trace == [
+        assert list(decompose(g, "III").branch_trace) == [
             "case1:rest=II,H=IV~c|whole~c",
             "rest:base:K4:single-edge",
             "H:staged:IV:girth=5",

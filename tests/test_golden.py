@@ -17,11 +17,7 @@ from degbal.connected import Statement, decompose_connected_traced, target_profi
 from degbal.errors import ExceptionGraph
 from degbal.formats import render_result
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
-from degbal.general import (
-    decompose,
-    decompose_traced,
-    realize_tuple_on,
-)
+from degbal.general import decompose, realize_tuple_on
 from degbal.graphs import (
     DegreeProfile,
     SmallClass,
@@ -111,13 +107,13 @@ def test_deep_union_subsets_match_golden_digest():
         statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
         for s in statements:
             try:
-                sub, trace, fallback = decompose_traced(g, s)
+                res = decompose(g, s.value)
             except ExceptionGraph as exc:
                 line = f"{name}\t{s.value}\texception:{exc.kind.value}"
             else:
-                assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
-                line = f"{name}\t{s.value}\t{sub.edges(g)}\t{fallback}"
-                traces.append(" ".join(trace))
+                assert profile_of(g, res.subset) == target_profile(g.n, s), (name, s)
+                line = f"{name}\t{s.value}\t{res.subset.edges(g)}\t{res.fallback_used}"
+                traces.append(" ".join(res.branch_trace))
             digest.update(line.encode("ascii") + b"\n")
     assert any("2K4-balanced" in t for t in traces)
     assert any("|whole~c" in t for t in traces)
@@ -192,12 +188,13 @@ def test_case2_unions_match_golden_digest():
         statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
         for s in statements:
             try:
-                sub, trace, fallback = decompose_traced(g, s)
+                res = decompose(g, s.value)
             except ExceptionGraph as exc:
                 line = f"{name}\t{s.value}\texception:{exc.kind.value}"
             else:
-                assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
-                line = f"{name}\t{s.value}\t{sub.edges(g)}\t{trace}\t{fallback}"
+                assert profile_of(g, res.subset) == target_profile(g.n, s), (name, s)
+                trace = list(res.branch_trace)
+                line = f"{name}\t{s.value}\t{res.subset.edges(g)}\t{trace}\t{res.fallback_used}"
                 labels.update(t for t in trace if t.startswith("case2"))
             digest.update(line.encode("ascii") + b"\n")
     assert labels == CASE2_LABELS
@@ -249,9 +246,10 @@ def test_repeated_unions_match_golden_digest():
     for name, g in repeated_unions():
         statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
         for s in statements:
-            sub, trace, fallback = decompose_traced(g, s)
+            res = decompose(g, s.value)
             count += 1
-            line = f"{name}\t{s.value}\t{sub.bits:x}\t{' '.join(trace)}\t{fallback}"
+            trace = " ".join(res.branch_trace)
+            line = f"{name}\t{s.value}\t{res.subset.bits:x}\t{trace}\t{res.fallback_used}"
             digest.update(line.encode("ascii") + b"\n")
     assert count == 2 * (5 * 59 + 5 + 5 * 3)
     assert digest.hexdigest() == REPEATED_UNION_SHA256
@@ -283,10 +281,11 @@ def test_relabeled_case2_unions_match_golden_digest():
         parities.add(g.n % 4)
         statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
         for s in statements:
-            sub, trace, fallback = decompose_traced(g, s)
-            assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
-            labels.update(trace)
-            line = f"{name}\t{s.value}\t{sub.bits:x}\t{' '.join(trace)}\t{fallback}"
+            res = decompose(g, s.value)
+            assert profile_of(g, res.subset) == target_profile(g.n, s), (name, s)
+            labels.update(res.branch_trace)
+            trace = " ".join(res.branch_trace)
+            line = f"{name}\t{s.value}\t{res.subset.bits:x}\t{trace}\t{res.fallback_used}"
             digest.update(line.encode("ascii") + b"\n")
     assert parities == {0, 2}
     # The other three rows need a single K3,3.

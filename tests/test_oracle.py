@@ -439,6 +439,21 @@ class TestCap:
         rep = achievable_profiles(build_graph(0, []))
         assert rep.edge_count == 0 and len(rep.achievable) == 1
 
+    def test_large_edgeless_report_is_immediate(self):
+        # Placing each vertex by a scan of all n took about 75 s at n = 30,000.
+        code = (
+            "from degbal.graphs import DegreeProfile, build_graph\n"
+            "from degbal.oracle import achievable_profiles, find_witness, min_max_deviation\n"
+            "g = build_graph(30000, [])\n"
+            "p = DegreeProfile((30000,))\n"
+            "assert achievable_profiles(g).achievable == (p,)\n"
+            "assert min_max_deviation(g) == 0\n"
+            "assert find_witness(g, p).bits == 0\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=20)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("n", [0, 3])
     def test_edgeless_find_witness_agrees_with_report(self, n):
         # The graph with no vertices is edgeless like any other: profile (n,).
