@@ -228,13 +228,13 @@ def cmd_oracle(args) -> int:
 
 def cmd_gen(args) -> int:
     graphs: list[Graph] = []
-    if args.named:
+    if args.named is not None:
         graphs.append(gen.named(args.named))
-    elif args.cycles:
+    elif args.cycles is not None:
         graphs.append(gen.cycles([int(x) for x in args.cycles.split(",")]))
-    elif args.union:
+    elif args.union is not None:
         graphs.append(gen.disjoint_union([gen.named(p) for p in args.union.split(",")]))
-    elif args.random is not None:
+    else:
         if args.count < 1:
             print("error: count must be >= 1", file=sys.stderr)
             return EXIT_FAIL
@@ -248,9 +248,6 @@ def cmd_gen(args) -> int:
                 continue
             graphs.append(g)
             produced += 1
-    else:
-        print("gen needs one of --named/--random/--cycles/--union", file=sys.stderr)
-        return EXIT_FAIL
     for g in graphs:
         print(encode_graph6(g))
     return EXIT_OK
@@ -343,13 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="emit graph6 fixtures")
-    p.add_argument("--named")
-    p.add_argument("--random", type=int, metavar="N")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--named")
+    source.add_argument("--random", type=int, metavar="N")
+    source.add_argument("--cycles", help="comma-separated cycle lengths")
+    source.add_argument("--union", help="comma-separated catalog names")
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--cycles", help="comma-separated cycle lengths")
-    p.add_argument("--union", help="comma-separated catalog names")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("batch", help="decompose graphs, one TSV summary row each")

@@ -72,6 +72,24 @@ class ExceptionKind(Enum):
     TWO_C4 = "TWO_C4"
 
 
+# The paper's refusals: (statement, the shapes of the components in label
+# order: small classes, or cycle lengths under TWO_REGULAR) -> (kind, the
+# statement BALANCED runs instead).  No row has more than three components.
+REFUSALS = {
+    (Statement.I, (SmallClass.K4,)): (ExceptionKind.K4_I, Statement.II),
+    (Statement.I, (SmallClass.K4,) * 3): (ExceptionKind.THREE_K4_I, Statement.II),
+    (Statement.II, (SmallClass.K4,) * 2): (ExceptionKind.TWO_K4_II, None),
+    (Statement.III, (SmallClass.K33,)): (ExceptionKind.K33_III, Statement.IV),
+    ("TWO_REGULAR", (3, 3)): (ExceptionKind.TWO_C3, None),
+    ("TWO_REGULAR", (4, 4)): (ExceptionKind.TWO_C4, None),
+}
+
+
+def refusal(s: Statement | str, shapes: list) -> tuple[ExceptionKind | None, Statement | None]:
+    """The REFUSALS row of s on components of these shapes, else (None, None)."""
+    return REFUSALS.get((s, tuple(shapes)), (None, None)) if len(shapes) <= 3 else (None, None)
+
+
 # Statement -> (n mod 4, offsets of (n3, n2, n1, n0) from t = n // 4).
 _TARGETS = {
     Statement.I: (0, (0, 0, 0, 0)),
@@ -519,15 +537,14 @@ def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, Conn
 
 
 def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
-    """t = 1 orders get the proof's explicit constructions."""
+    """t = 1 orders get the proof's explicit constructions; REFUSALS' rows have none."""
     cls = small_class(g)
+    kind = refusal(s, [cls])[0]
+    if kind is not None:
+        raise ExceptionGraph(kind)
     if cls is SmallClass.K4:
-        if s is Statement.I:
-            raise ExceptionGraph(ExceptionKind.K4_I, "K4 has no (1,1,1,1) subgraph")
         trace.branch.append("base:K4:single-edge")
         return EdgeSubset(g.m, 1)  # lowest edge: H = 2K1 u K2
-    if cls is SmallClass.K33 and s is Statement.III:
-        raise ExceptionGraph(ExceptionKind.K33_III, "K3,3 has no (1,2,1,2) subgraph")
     if s is Statement.IV:
         # H = 3K1 u P3: the two lowest edges at vertex 0.
         a, b = g.adjacency[0][:2]

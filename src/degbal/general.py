@@ -19,8 +19,6 @@ call.  Every component's subset goes onto the host through its edge map.
 
 from __future__ import annotations
 
-import logging
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +26,7 @@ from .connected import (
     ExceptionKind,
     Statement,
     decompose_connected_traced,
+    refusal,
     target_profile,
 )
 from .errors import ExceptionGraph, InternalStuck, NoSuchTuple
@@ -45,8 +44,6 @@ from .graphs import (
     require_regular,
     small_class,
 )
-
-log = logging.getLogger(__name__)
 
 CANONICAL_K4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 CANONICAL_K33 = build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
@@ -98,7 +95,7 @@ _TABLES = {
 
 def detect_exception(g: Graph, s: Statement) -> ExceptionKind | None:
     """Provably undecomposable (graph, statement) pairs, by component census."""
-    return _exception_of(_split(g)[1], s)
+    return refusal(s, _split(g)[1])[0]
 
 
 def _split(g: Graph) -> tuple[list[Component], list[SmallClass]]:
@@ -106,20 +103,6 @@ def _split(g: Graph) -> tuple[list[Component], list[SmallClass]]:
     require_regular(g, 3)
     comps = connected_components(g)
     return comps, [small_class(c.graph) for c in comps]
-
-
-def _exception_of(classes: list[SmallClass], s: Statement) -> ExceptionKind | None:
-    """detect_exception from the small classes of the components."""
-    all_k4 = all(c is SmallClass.K4 for c in classes)
-    if s is Statement.I and all_k4 and len(classes) == 1:
-        return ExceptionKind.K4_I
-    if s is Statement.I and all_k4 and len(classes) == 3:
-        return ExceptionKind.THREE_K4_I
-    if s is Statement.II and all_k4 and len(classes) == 2:
-        return ExceptionKind.TWO_K4_II
-    if s is Statement.III and len(classes) == 1 and classes[0] is SmallClass.K33:
-        return ExceptionKind.K33_III
-    return None
 
 
 def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> EdgeSubset:
@@ -163,7 +146,7 @@ def decompose_traced(g: Graph, s: Statement, split) -> tuple[EdgeSubset, list[st
     each peeled component's entries prefixed "H:", in peel order.
     """
     comps, classes = split
-    kind = _exception_of(classes, s)
+    kind = refusal(s, classes)[0]
     if kind is not None:
         raise ExceptionGraph(kind)
     if g.n == 0:
@@ -329,13 +312,6 @@ def _result(g: Graph, statement: str, subset: EdgeSubset, target: DegreeProfile,
     )
 
 
-_BEST_EFFORT = {
-    ExceptionKind.K4_I: Statement.II,
-    ExceptionKind.THREE_K4_I: Statement.II,
-    ExceptionKind.K33_III: Statement.IV,
-}
-
-
 def _plan(g: Graph, statement: str):
     """Every check and choice decompose(g, statement) makes before it builds a
     subgraph: (target, leading trace labels, work), where work is (cycles,
@@ -355,8 +331,8 @@ def _plan(g: Graph, statement: str):
     split = _split(g)
     if statement == "BALANCED":
         s = Statement.I if g.n % 4 == 0 else Statement.III
-        kind = _exception_of(split[1], s)
-        run = s if kind is None else _BEST_EFFORT[kind]
+        kind, best = refusal(s, split[1])
+        run = best or s
         labels = [f"balanced:{s.value}" if kind is None
                   else f"exception:{kind.value}:best-effort:{run.value}"]
     else:
@@ -404,47 +380,28 @@ def statement_target(g: Graph, statement: str) -> DegreeProfile:
 
 
 def _two_regular_plan(lengths: list[int], n: int):
-    """(counts, plan) for cycles of these lengths, n vertices in all.
+    """(counts, (full, hosts)) for cycles of these lengths, n vertices in all.
 
-    Bound on |m(H,k) - n/3|: 1 when n/3 is an odd integer, else 2/3; the
-    two graphs 2C3 and 2C4 provably miss it and are rejected.  The counts
-    are the first triple (n2, n1, n0) with n1 even and each within the
-    bound of n/3, best first, that _plan_for_counts realizes.
+    The counts (n2, n1, n0) are each within 2/3 of n/3, or 1 when n/3 is an
+    odd integer; 2C3 and 2C4 provably miss that and are refused.  n1 =
+    2 floor((n + 3) / 6) is the even number nearest n/3, the larger on a
+    tie, n2 = floor((n - n1) / 2) and n0 the rest.
+
+    full lists the full cycles and hosts the (cycle_index, paths, interior)
+    of each host.  A full cycle yields its length in 2-vertices.  A host of
+    length L carries j >= 1 vertex-disjoint paths with interior total R,
+    R + 2j <= L, and yields R 2-vertices and 2j 1-vertices; other cycles
+    stay untouched.  The full cycles are the shortest few, taken in
+    (length, index) order until the rest fits; the hosts are the n1/2
+    longest others, or all of them.  Each host has one path; the extra
+    paths and the interior go to the longest hosts first, as far as each
+    has room.
     """
-    if sorted(lengths) == [3, 3]:
-        raise ExceptionGraph(ExceptionKind.TWO_C3)
-    if sorted(lengths) == [4, 4]:
-        raise ExceptionGraph(ExceptionKind.TWO_C4)
-    third = Fraction(n, 3)
-    bound = Fraction(1) if third.denominator == 1 and third.numerator % 2 == 1 else Fraction(2, 3)
-    lo, hi = max(0, math.ceil(third - bound)), math.floor(third + bound)
-    cands = []
-    for n2 in range(lo, hi + 1):
-        for n1 in range(lo + lo % 2, hi + 1, 2):  # even
-            n0 = n - n2 - n1
-            dev = max(abs(c - third) for c in (n2, n1, n0))
-            if lo <= n0 <= hi and dev <= bound:
-                cands.append((dev, (n2, n1, n0)))
-    for _, counts in sorted(cands):
-        plan = _plan_for_counts(lengths, counts[0], counts[1])
-        if plan is not None:
-            return counts, plan
-    log.warning("two-regular construction missed the bound on cycles %s", lengths)
-    raise InternalStuck(f"no realizable balanced triple for cycles {lengths}")
-
-
-def _plan_for_counts(lengths: list[int], n2: int, n1: int):
-    """Full cycles and path hosts giving n2 2-vertices and n1 1-vertices.
-
-    Returns (full_cycle_indices, [(cycle_index, paths, interior)]) or None.
-    A full cycle yields its length in 2-vertices.  A host of length L
-    carries j >= 1 vertex-disjoint paths with interior total R, R + 2j <= L,
-    and yields R 2-vertices and 2j 1-vertices; other cycles stay untouched.
-    The full cycles are the shortest few, taken in (length, index) order
-    until the rest fits; the hosts are the n1/2 longest others, or all of
-    them.  Each host has one path; the extra paths and the interior go to
-    the longest hosts first, as far as each has room.
-    """
+    kind = refusal("TWO_REGULAR", lengths)[0]
+    if kind is not None:
+        raise ExceptionGraph(kind)
+    n1 = 2 * ((n + 3) // 6)
+    n2 = (n - n1) // 2
     k = n1 // 2
     p = len(lengths)
     order = sorted(range(p), key=lambda i: (lengths[i], i))
@@ -457,14 +414,12 @@ def _plan_for_counts(lengths: list[int], n2: int, n1: int):
         suffix_spare[t] = suffix_spare[t + 1] + length // 2 - 1
     for f in range(p + 1):
         full_len = suffix_len[0] - suffix_len[f]
-        if full_len > n2:
-            return None
         first = max(p - k, f)  # the hosts are order[first:]
         extra, interior = k - (p - first), n2 - full_len
-        if extra <= suffix_spare[first] and interior <= suffix_len[first] - 2 * k:
+        if 0 <= interior <= suffix_len[first] - 2 * k and extra <= suffix_spare[first]:
             break
     else:
-        return None
+        raise InternalStuck(f"no two-regular plan for cycles {lengths}")
     hosts = []
     for i in reversed(order[first:]):
         paths = 1 + min(extra, lengths[i] // 2 - 1)
@@ -472,7 +427,7 @@ def _plan_for_counts(lengths: list[int], n2: int, n1: int):
         extra -= paths - 1
         interior -= share
         hosts.append((i, paths, share))
-    return sorted(order[:f]), sorted(hosts)
+    return (n2, n1, n - n1 - n2), (sorted(order[:f]), sorted(hosts))
 
 
 def _cycle_edges(g: Graph) -> list[list[int]]:

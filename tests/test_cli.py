@@ -426,6 +426,21 @@ class TestGenCommand:
         assert "count must be >= 1" in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--named", "k4", "--random", "8"), ("--random", "8", "--count", "2", "--cycles", "3,4")],
+        ids=["named-and-random", "random-and-cycles"],
+    )
+    def test_second_source_is_usage_error_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 1 and out == ""
+        assert "not allowed with argument" in err
+
+    def test_no_source_is_usage_error_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "--count", "2")
+        assert code == 1 and out == ""
+        assert "one of the arguments --named --random --cycles --union is required" in err
+
 
 class TestBatchCommand:
     def _write_corpus(self, tmp_path):

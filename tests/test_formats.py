@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degbal.errors import LoopEdge, ParseError, UnsupportedOrder
+from degbal.cli import main
+from degbal.errors import LoopEdge, ParseError, UnsupportedOrder, VertexOutOfRange
 from degbal.formats import (
     GRAPH6_HEADER,
     ResultDocument,
@@ -313,6 +314,34 @@ class TestEdgeList:
     def test_edge_count_mismatch(self):
         with pytest.raises(ParseError):
             parse_edge_list("4 2\n0 1")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty edge-list input"),
+            ("4\n", "header must be 'n m', got '4'"),
+            ("4 x\n", "non-integer header '4 x'"),
+            ("4 1\n0 1 2\n", "edge line must be 'u v', got '0 1 2'"),
+            ("4 1\n0 a\n", "non-integer edge line '0 a'"),
+        ],
+        ids=["empty", "header-fields", "header-integer", "edge-fields", "edge-integer"],
+    )
+    def test_parse_errors(self, tmp_path, capsys, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["decompose", "-i", str(path)]) == 4
+
+    def test_negative_order(self, tmp_path, capsys):
+        with pytest.raises(VertexOutOfRange, match="negative vertex count -4"):
+            parse_edge_list("-4 0\n")
+        # The CLI reads a text that starts with '-' as graph6, and refuses it there.
+        path = tmp_path / "negative.txt"
+        path.write_text("-4 0\n")
+        assert main(["decompose", "-i", str(path)]) == 4
+        assert "character '-' out of graph6 range" in capsys.readouterr().err
 
 
 class TestRational:

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -56,6 +57,21 @@ def applicable_statements(n):
 def two_regular_bound(n):
     third = Fraction(n, 3)
     return Fraction(1) if third.denominator == 1 and third.numerator % 2 else Fraction(2, 3)
+
+
+def first_balanced_triple(n):
+    """The reference search: the best (n2, n1, n0) with n1 even and each count
+    within two_regular_bound(n) of n/3, by (deviation, counts)."""
+    third, bound = Fraction(n, 3), two_regular_bound(n)
+    lo, hi = max(0, math.ceil(third - bound)), math.floor(third + bound)
+    cands = []
+    for n2 in range(lo, hi + 1):
+        for n1 in range(lo + lo % 2, hi + 1, 2):
+            counts = (n2, n1, n - n2 - n1)
+            dev = max(abs(c - third) for c in counts)
+            if lo <= counts[2] <= hi and dev <= bound:
+                cands.append((dev, counts))
+    return sorted(cands)[0][1]
 
 
 def assert_two_regular_within_bound(parts):
@@ -455,6 +471,10 @@ class TestDecomposeTwoRegular:
     )
     def test_random_unions_within_bound(self, parts):
         assert_two_regular_within_bound(parts)
+
+    def test_counts_are_the_reference_search_first(self):
+        for n in range(3, 20_000):
+            assert general_mod._two_regular_plan([n], n)[0] == first_balanced_triple(n), n
 
     def test_every_partition_25_to_36(self):
         # Extends acceptance criterion 7 (n <= 24); no exception graph here.
