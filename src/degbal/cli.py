@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import gen, oracle
 from .errors import (
@@ -82,7 +81,8 @@ def _load_graphs(args) -> list[tuple[str, Graph]]:
     if not stripped:
         raise ParseError("empty input")
     source = "stdin" if args.input == "-" else args.input
-    if stripped[0].isdigit():
+    sign = stripped[0] in "+-"
+    if stripped[sign:sign + 1].isdigit():  # an edge list opens with an optionally signed n
         try:
             return [(source, parse_edge_list(text))]
         except DegbalError as exc:
@@ -231,7 +231,13 @@ def cmd_gen(args) -> int:
     if args.named is not None:
         graphs.append(gen.named(args.named))
     elif args.cycles is not None:
-        graphs.append(gen.cycles([int(x) for x in args.cycles.split(",")]))
+        lengths = []
+        for field in args.cycles.split(","):
+            try:
+                lengths.append(int(field))
+            except ValueError:
+                raise ParseError(f"--cycles needs integer lengths, got field {field!r}") from None
+        graphs.append(gen.cycles(lengths))
     elif args.union is not None:
         graphs.append(gen.disjoint_union([gen.named(p) for p in args.union.split(",")]))
     else:
@@ -239,15 +245,11 @@ def cmd_gen(args) -> int:
             print("error: count must be >= 1", file=sys.stderr)
             return EXIT_FAIL
         seed = args.seed
-        produced = 0
-        attempt = 0
-        while produced < args.count:
-            g = gen.random_cubic(args.random, seed + attempt)
-            attempt += 1
-            if args.connected and len(connected_components(g)) != 1:
-                continue
-            graphs.append(g)
-            produced += 1
+        while len(graphs) < args.count:
+            g = gen.random_cubic(args.random, seed)
+            seed += 1
+            if not args.connected or len(connected_components(g)) == 1:
+                graphs.append(g)
     for g in graphs:
         print(encode_graph6(g))
     return EXIT_OK
@@ -284,6 +286,7 @@ def cmd_batch(args) -> int:
     # The pool may start every worker at once, so ask for no idle ones.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_batch_worker, tasks, chunksize=8))
     else:

@@ -141,6 +141,7 @@ class ColoringState:
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
         self.host = host
+        self.tails, self.heads = host.tails, host.heads
         self.n3, self.n2, self.n1 = targets.counts[:3]  # highest subgraph degree first
         self.cycle = cycle
         self.incident = incident_edges(host)
@@ -154,7 +155,7 @@ class ColoringState:
         colored, deg1, sizes = self.colored, self.deg1, self.sizes
         assert not colored[i]
         colored[i] = 1
-        x, y = self.host.edges[i]
+        x, y = self.tails[i], self.heads[i]
         d = deg1[x]
         sizes[d] -= 1
         sizes[d + 1] += 1
@@ -294,7 +295,7 @@ class _RuleFinders:
         host, deg1, cycle = state.host, state.deg1, state.cycle
         # deg1 never decreases, so a cycle edge with both ends out of V0 is never R2's again.
         self.cycle_edges = sorted(i for i in map(host.edge_index, cycle, cycle[1:] + cycle[:1])
-                                  if min(deg1[x] for x in host.edges[i]) == 0)
+                                  if min(deg1[host.tails[i]], deg1[host.heads[i]]) == 0)
         self.r1_cursor = self.r2_cursor = self.r3_cursor = 0
         self.r1_heap, self.r2_heap = [], []
 
@@ -303,7 +304,7 @@ class _RuleFinders:
         state.color_edge(i)
         host, deg1, colored, incident = state.host, state.deg1, state.colored, state.incident
         r1_cursor, r2_cursor = self.r1_cursor, self.r2_cursor
-        for x in host.edges[i]:
+        for x in (state.tails[i], state.heads[i]):
             d = deg1[x]
             if d == 1:  # x entered V1; its one color-1 edge is i
                 for z, e in zip(host.adjacency[x], incident[x]):
@@ -326,9 +327,10 @@ class _RuleFinders:
             if _is_r1(state, heap[0]):
                 return heap[0]
             heappop(heap)
-        i, m, edges, deg1 = self.r1_cursor, state.host.m, state.host.edges, state.deg1
+        i, m, deg1 = self.r1_cursor, state.host.m, state.deg1
+        tails, heads = state.tails, state.heads
         # Test the V1-V1 part inline; a call costs more than most edges' test.
-        while i < m and not (deg1[edges[i][0]] == deg1[edges[i][1]] == 1 and _is_r1(state, i)):
+        while i < m and not (deg1[tails[i]] == deg1[heads[i]] == 1 and _is_r1(state, i)):
             i += 1
         self.r1_cursor = i
         return i if i < m else None
@@ -343,8 +345,9 @@ class _RuleFinders:
             if _is_r2(state, heap[0]):
                 return heap[0]
             heappop(heap)
-        i, m, edges, deg1 = self.r2_cursor, state.host.m, state.host.edges, state.deg1
-        while i < m and deg1[edges[i][0]] + deg1[edges[i][1]] != 1:  # _is_r2, inline
+        i, m, deg1 = self.r2_cursor, state.host.m, state.deg1
+        tails, heads = state.tails, state.heads
+        while i < m and deg1[tails[i]] + deg1[heads[i]] != 1:  # _is_r2, inline
             i += 1
         self.r2_cursor = i
         return i if i < m else None
@@ -366,7 +369,7 @@ def _is_r1(state: ColoringState, i: int) -> bool:
     colored, deg1 = state.colored, state.deg1
     if colored[i]:
         return False
-    u, v = state.host.edges[i]
+    u, v = state.tails[i], state.heads[i]
     if deg1[u] != 1 or deg1[v] != 1:
         return False
     adjacency, incident = state.host.adjacency, state.incident
@@ -378,8 +381,7 @@ def _is_r1(state: ColoringState, i: int) -> bool:
 
 
 def _is_r2(state: ColoringState, i: int) -> bool:
-    u, v = state.host.edges[i]
-    return state.deg1[u] + state.deg1[v] == 1
+    return state.deg1[state.tails[i]] + state.deg1[state.heads[i]] == 1
 
 
 def _run_rule(rules: _RuleFinders, name: str, edge_indices: list[int],
@@ -439,7 +441,7 @@ def stage3_fill_v1(state: ColoringState) -> ColoringState:
     # Each coloring moves two 0-vertices to V1 and leaves V2 and V3 alone.
     expected = [sizes[0] + sizes[1] - n1, n1, sizes[2], sizes[3]]
     if sizes[1] < n1:
-        for i, (u, v) in enumerate(state.host.edges):
+        for i, (u, v) in enumerate(zip(state.tails, state.heads)):
             if deg1[u] == 0 and deg1[v] == 0:
                 state.color_edge(i)
                 if sizes[1] == n1:
@@ -575,11 +577,12 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
 def _blocked_dispatch(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,
                       trace: ConnectedTrace) -> EdgeSubset:
     """Stage-2 block: the oracle's first witness, or InternalStuck over its edge cap."""
-    e_v1 = sum(1 for u, v in g.edges if state.deg1[u] == state.deg1[v] == 1)
+    e_v1 = sum(1 for u, v in zip(g.tails, g.heads) if state.deg1[u] == state.deg1[v] == 1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means
         # an unmodeled configuration worth recording, not guessing about.
-        log.warning("stage-2 block with e(V1)=%d on n=%d edges=%s", e_v1, g.n, g.edges)
+        log.warning("stage-2 block with e(V1)=%d on n=%d edges=%s", e_v1, g.n,
+                    tuple(zip(g.tails, g.heads)))
     try:
         subset = fallback_search(g, target)
     except CapExceeded:

@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ParseError, UnsupportedOrder
 from .graphs import DegreeProfile, Graph, build_graph
@@ -60,7 +61,7 @@ def parse_graph6(line: str | bytes) -> Graph:
     if (data[-1] - 63) & ((1 << (6 * expect - nbits)) - 1):  # the last value's padding bits
         raise ParseError("nonzero padding bits")
 
-    edges = []
+    heads: list[list[int]] = [[] for _ in range(n)]  # u's higher neighbours, ascending
     v, column_start, column_end = 1, 0, 1  # column v holds bits [v(v-1)/2, v(v+1)/2)
     for i in map(re.Match.start, re.finditer(rb"[^?]", body)):  # nonzero values: not "?"
         for j in _SET_BITS[body[i]]:
@@ -68,9 +69,9 @@ def parse_graph6(line: str | bytes) -> Graph:
             while pos >= column_end:
                 v += 1
                 column_start, column_end = column_end, column_end + v
-            edges.append((pos - column_start, v))
-    # The walk yields u < v < n, one pair per set bit, so only the order needs fixing.
-    return Graph(n, tuple(sorted(edges)))
+            heads[pos - column_start].append(v)
+    tails = [u for u, row in enumerate(heads) for _ in row]
+    return Graph(n, tuple(tails), tuple(chain.from_iterable(heads)))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -81,7 +82,7 @@ def encode_graph6(g: Graph) -> str:
     prefix = [n] if n < 63 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     start = len(prefix)
     values = bytearray(prefix) + bytes((n * (n - 1) // 2 + 5) // 6)
-    for u, v in g.edges:
+    for u, v in zip(g.tails, g.heads):
         i, j = divmod(v * (v - 1) // 2 + u, 6)
         values[start + i] |= 32 >> j
     return values.translate(_TO_CHAR).decode("ascii")

@@ -149,7 +149,7 @@ def disjoint_union(parts: list[Graph]) -> Graph:
     offset = 0
     edges = []
     for part in parts:
-        edges.extend((u + offset, v + offset) for (u, v) in part.edges)
+        edges.extend((u + offset, v + offset) for u, v in zip(part.tails, part.heads))
         offset += part.n
     return build_graph(offset, edges)
 

@@ -445,11 +445,9 @@ def _cycle_edges(g: Graph) -> list[list[int]]:
         steps, v = [incident[start][0]], g.adjacency[start][0]
         while v != start:
             seen[v] = True
-            i, j = incident[v]
-            e = j if i == steps[-1] else i
+            (i, j), (a, b) = incident[v], g.adjacency[v]  # aligned: both in edge order
+            e, v = (j, b) if i == steps[-1] else (i, a)
             steps.append(e)
-            x, y = g.edges[e]
-            v = y if x == v else x
         cycles.append(steps)
     return cycles
 

@@ -7,12 +7,13 @@ canonical edge order, so all downstream colorings are reproducible.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, compress, count
+from operator import itemgetter
 
 from .errors import (
     DuplicateEdge,
@@ -35,32 +36,36 @@ class SmallClass(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph whose edges arrive in canonical order (u < v, sorted);
-    adjacency rows are read off in that order, so each row is ascending."""
+    """Simple undirected graph whose edges (tails[i], heads[i]) come in canonical order
+    (u < v, sorted); adjacency rows are read off in that order, so each row is ascending."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False, default=())
     _degrees: frozenset = field(compare=False, repr=False, default=frozenset())
 
     def __post_init__(self):
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in zip(self.tails, self.heads):
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
 
+    edges = property(lambda g: tuple(zip(g.tails, g.heads)), doc="(u, v) pairs, built per access")
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.tails)
 
     def edge_index(self, u: int, v: int) -> int:
         """Canonical index of edge {u, v}, by bisection; KeyError if absent."""
-        e = (u, v) if u < v else (v, u)
-        i = bisect_left(self.edges, e)
-        if i == len(self.edges) or self.edges[i] != e:
-            raise KeyError(e)
+        u, v = (u, v) if u < v else (v, u)
+        lo = bisect_left(self.tails, u)
+        i = bisect_left(self.heads, v, lo, bisect_right(self.tails, u, lo))
+        if i == len(self.heads) or self.tails[i] != u or self.heads[i] != v:
+            raise KeyError((u, v))
         return i
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -104,7 +109,8 @@ class EdgeSubset:
         """Materialize the member edges of this subset within its host."""
         if g.m != self.m:
             raise SizeMismatch(f"subset over {self.m} edges, host has {g.m}")
-        return [g.edges[i] for i in self.indices()]
+        pairs = zip(g.tails, g.heads)
+        return list(compress(pairs, bin(self.bits)[:1:-1].encode().translate(_BIT_FLAGS)))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -146,8 +152,7 @@ def build_graph(n: int, raw_edges) -> Graph:
     """
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
-    seen = set()
-    edges = []
+    seen = {}  # in input order, which is often sorted already
     for u, v in raw_edges:
         if u == v:
             raise LoopEdge(f"loop at vertex {u}")
@@ -156,10 +161,9 @@ def build_graph(n: int, raw_edges) -> Graph:
         e = (u, v) if u < v else (v, u)
         if e in seen:
             raise DuplicateEdge(f"edge {e} listed twice")
-        seen.add(e)
-        edges.append(e)
-    edges.sort()
-    return Graph(n, tuple(edges))
+        seen[e] = None
+    edges = sorted(seen)
+    return Graph(n, tuple(map(itemgetter(0), edges)), tuple(map(itemgetter(1), edges)))
 
 
 def require_regular(g: Graph, d: int) -> None:
@@ -187,7 +191,7 @@ class Component:
 def incident_edges(g: Graph) -> list[list[int]]:
     """Edge indices at each vertex, aligned with adjacency[v]: both follow the edge order."""
     incident: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
+    for i, u, v in zip(count(), g.tails, g.heads):
         incident[u].append(i)
         incident[v].append(i)
     return incident
@@ -215,7 +219,7 @@ def connected_components(g: Graph) -> list[Component]:
             return [Component(tuple(range(g.n)), g, range(g.m))]
         members.append(queue)
     edge_ids: list[list[int]] = [[] for _ in members]
-    for i, (u, _) in enumerate(g.edges):
+    for i, u in enumerate(g.tails):
         edge_ids[label[u]].append(i)
     shapes: dict = {}
     return [induced_on(g, verts, ids, shapes, label) for verts, ids in zip(members, edge_ids)]
@@ -226,13 +230,14 @@ def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict, label: lis
 
     Relabeling in ascending host order keeps the host's edge order, so local
     edge i is host edge edge_ids[i] and the edges come out sorted.
-    ``shapes`` maps each (order, edges) shape built so far to its one Graph;
+    ``shapes`` maps each (order, tails, heads) shape built so far to its one Graph;
     the host-sized ``label`` list is overwritten with each vertex's local index.
     """
     verts = tuple(sorted(vertices))
     for i, v in enumerate(verts):
         label[v] = i
-    shape = len(verts), tuple((label[u], label[v]) for u, v in map(g.edges.__getitem__, edge_ids))
+    shape = len(verts), *(tuple(map(label.__getitem__, map(ends.__getitem__, edge_ids)))
+                          for ends in (g.tails, g.heads))
     if shape not in shapes:
         shapes[shape] = Graph(*shape)
     return Component(verts, shapes[shape], tuple(edge_ids))
@@ -353,7 +358,7 @@ def subgraph_degrees(g: Graph, s: EdgeSubset) -> list[int]:
     if s.m != g.m:
         raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
     deg = [0] * g.n
-    for u, v in compress(g.edges, bin(s.bits)[:1:-1].encode().translate(_BIT_FLAGS)):
+    for u, v in compress(zip(g.tails, g.heads), bin(s.bits)[:1:-1].encode().translate(_BIT_FLAGS)):
         deg[u] += 1
         deg[v] += 1
     return deg

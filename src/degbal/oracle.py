@@ -51,7 +51,7 @@ def _frontier_order(g: Graph) -> list[int]:
         pos[v] = k
         for w in g.adjacency[v]:
             placed[w] += 1
-    return sorted(range(g.m), key=lambda i: sorted((pos[x] for x in g.edges[i]), reverse=True))
+    return sorted(range(g.m), key=lambda i: sorted((pos[g.tails[i]], pos[g.heads[i]]))[::-1])
 
 
 def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityReport:
@@ -81,12 +81,12 @@ def achievable_profiles(g: Graph, edge_cap: int | None = None) -> AchievabilityR
     c = n.bit_length()
     low = (1 << b) - 1
     order = _frontier_order(g)
-    last = {v: k for k, i in enumerate(order) for v in g.edges[i]}  # final at step k
+    last = {v: k for k, i in enumerate(order) for v in (g.tails[i], g.heads[i])}  # final at step k
     above = 1 << g.m  # larger than every mask in any frame
     # A vertex without edges (every vertex when m = 0) is final at degree 0.
     groups = {0: (0, 0, {n - len(last): 0}, False)}
     for k, i in enumerate(order):
-        u, v = g.edges[i]
+        u, v = g.tails[i], g.heads[i]
         ou, ov = u * b, v * b
         step, bit = (1 << ou) + (1 << ov), 1 << i
         ends = [f for f, w in ((ou, u), (ov, v)) if last[w] == k]
@@ -151,7 +151,7 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
         return None
     size = degree_sum // 2
     m = g.m
-    edges = g.edges
+    tails, heads = g.tails, g.heads
     final_at: list[list[int]] = [[] for _ in range(m)]
     for v in range(g.n):
         final_at[g.edge_index(v, g.adjacency[v][0])].append(v)
@@ -170,7 +170,7 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
             for v in final_at[i]:
                 final[deg[v]] -= 1
             if c:
-                u, v = edges[i]
+                u, v = tails[i], heads[i]
                 deg[u] -= 1
                 deg[v] -= 1
                 chosen -= 1
@@ -181,7 +181,7 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
             continue
         c = choice[i] = c + 1
         if c:
-            u, v = edges[i]
+            u, v = tails[i], heads[i]
             deg[u] += 1
             deg[v] += 1
             chosen += 1

@@ -126,6 +126,23 @@ class TestDecomposeCommand:
         assert code == 0
         assert json.loads(out)["achieved_profile"] == [0, 0, 2, 2]
 
+    @pytest.mark.parametrize(
+        "text, code, err",
+        [
+            ("-4 0\n", 4, "parse error: {path}: negative vertex count -4\n"),
+            ("+4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n", 0, ""),
+            ("-x\n", 4, "parse error: {path}:1: character '-' out of graph6 range 63..126\n"),
+        ],
+        ids=["negative-order", "plus-signed-order", "sign-then-letter"],
+    )
+    def test_signed_integer_opens_an_edge_list(self, capsys, tmp_path, text, code, err):
+        path = tmp_path / "signed.txt"
+        path.write_text(text)
+        got, out, stderr = run_cli(capsys, "decompose", "--input", str(path), "-s", "ii")
+        assert (got, stderr) == (code, err.format(path=path))
+        if code == 0:
+            assert json.loads(out)["achieved_profile"] == [0, 0, 2, 2]
+
     def test_tsv_single_header(self, capsys, tmp_path):
         path = tmp_path / "two.g6"
         path.write_text(encode_graph6(named("CUBE")) + "\n" + encode_graph6(named("CUBE")) + "\n")
@@ -404,6 +421,12 @@ class TestGenCommand:
         code, out, _ = run_cli(capsys, "gen", "--cycles", "3,4")
         assert parse_graph6(out.strip()).n == 7
 
+    @pytest.mark.parametrize("lengths, field", [("", "''"), ("3,x", "'x'"), ("3,,4", "''")])
+    def test_bad_cycle_length_is_parse_error_exit_4(self, capsys, lengths, field):
+        code, out, err = run_cli(capsys, "gen", "--cycles", lengths)
+        assert code == 4 and out == ""
+        assert err == f"parse error: --cycles needs integer lengths, got field {field}\n"
+
     def test_random_deterministic(self, capsys):
         code, out1, _ = run_cli(capsys, "gen", "--random", "12", "--count", "3", "--seed", "5")
         code, out2, _ = run_cli(capsys, "gen", "--random", "12", "--count", "3", "--seed", "5")
@@ -513,7 +536,7 @@ class TestBatchCommand:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)  # imported lazily
         monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
         path = tmp_path / "corpus.g6"
         path.write_text((encode_graph6(named("PETERSEN")) + "\n") * records)
@@ -637,6 +660,17 @@ class TestBatchCorpus:
 
 
 class TestEntryPoint:
+    def test_only_a_pool_imports_multiprocessing(self):
+        code = (
+            "import sys\n"
+            "from degbal.cli import main\n"
+            "assert main(['decompose', '--named', 'petersen']) == 0\n"
+            "assert main(['gen', '--random', '8']) == 0\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_parser_built_once(self, capsys, monkeypatch):
         import degbal.cli as cli_mod
 

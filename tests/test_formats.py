@@ -337,11 +337,11 @@ class TestEdgeList:
     def test_negative_order(self, tmp_path, capsys):
         with pytest.raises(VertexOutOfRange, match="negative vertex count -4"):
             parse_edge_list("-4 0\n")
-        # The CLI reads a text that starts with '-' as graph6, and refuses it there.
+        # The CLI reads a text that starts with a signed integer as an edge list.
         path = tmp_path / "negative.txt"
         path.write_text("-4 0\n")
         assert main(["decompose", "-i", str(path)]) == 4
-        assert "character '-' out of graph6 range" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"parse error: {path}: negative vertex count -4\n"
 
 
 class TestRational:

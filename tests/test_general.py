@@ -42,7 +42,7 @@ from degbal.graphs import (
     connected_components,
     profile_of,
 )
-from degbal.oracle import achievable_profiles, find_witness
+from degbal.oracle import achievable_profiles, find_witness, min_max_deviation
 
 from conftest import K4_TUPLES, K33_TUPLES, corpus_lines
 from test_acceptance import partitions_min3
@@ -484,6 +484,22 @@ class TestDecomposeTwoRegular:
                 assert_two_regular_within_bound(parts)
                 graphs += 1
         assert graphs == 5094
+
+    def test_deviation_is_the_exact_minimum_to_26(self):
+        # Criterion 7 checks the bound; here no spanning subgraph of any union does better.
+        compared, refused = 0, []
+        for n in range(3, 27):
+            for parts in partitions_min3(n):
+                g = cycles(parts)
+                try:
+                    res = decompose(g, "TWO_REGULAR")
+                except ExceptionGraph as exc:
+                    refused.append((parts, exc.kind))
+                    continue
+                assert res.max_deviation == min_max_deviation(g), parts
+                compared += 1
+        assert compared == 858
+        assert refused == [([3, 3], ExceptionKind.TWO_C3), ([4, 4], ExceptionKind.TWO_C4)]
 
 
 class TestFlatTrace:

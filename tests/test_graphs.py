@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -86,6 +87,22 @@ class TestBuildGraph:
     def test_canonical_order(self):
         g = build_graph(4, [(3, 2), (1, 0), (2, 0)])
         assert g.edges == ((0, 1), (0, 2), (2, 3))
+        assert (g.tails, g.heads) == ((0, 0, 2), (1, 2, 3))
+
+    @pytest.mark.parametrize("g", [build_graph(0, []), named("PETERSEN"), random_cubic(300, 4),
+                                   cycles([3, 4, 5])], ids=["empty", "petersen", "random", "cycles"])
+    def test_edges_view_is_the_zipped_endpoints(self, g):
+        assert g.edges == tuple(zip(g.tails, g.heads))
+        assert g.m == len(g.tails) == len(g.heads)
+
+    @pytest.mark.parametrize("g", [build_graph(0, []), named("PETERSEN"), random_cubic(300, 4)],
+                             ids=["empty", "petersen", "random"])
+    def test_pickle_round_trip(self, g):
+        # batch -j sends graphs to its workers by pickle.
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert (copy.edges, copy.adjacency) == (g.edges, g.adjacency)
+        assert copy != random_cubic(300, 5)
 
 
 def assert_rows_ascending(g):
