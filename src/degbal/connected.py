@@ -45,7 +45,6 @@ from .graphs import (
     require_regular,
     shortest_cycle,
     small_class,
-    subgraph_degrees,
     triangle_at_zero,
 )
 from .oracle import find_witness
@@ -134,9 +133,11 @@ class ColoringState:
 
     colored[i] is 1 iff canonical edge i has color 1, i.e. lies in H; subset()
     packs it into a bitmask once.  deg1[v] is the number of color-1 edges at
-    v; sizes[k] = |V_k|.  Stage 1 works in vertex space (_V3Growth) and
-    writes colored once, at its end; stage 2 colors through its rule finders
-    (_RuleFinders); stage 3 colors with color_edge alone.
+    v; sizes[k] = |V_k|; both move by increments, and no stage recounts them:
+    the stages assert the paper's size identities, and general.decompose
+    counts the result's profile once.  Stage 1 works in vertex space
+    (_V3Growth) and writes colored at its end; stage 2 colors through
+    _RuleFinders, stage 3 with color_edge alone.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
@@ -166,12 +167,6 @@ class ColoringState:
         deg1[y] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (sizes[1] + sizes[3]) % 2 == 0
-
-    def assert_consistent(self) -> None:
-        deg = subgraph_degrees(self.host, self.subset())
-        assert deg == self.deg1, "incremental degree bookkeeping drifted"
-        for k in range(4):
-            assert self.sizes[k] == deg.count(k)
 
     def subset(self) -> EdgeSubset:
         return EdgeSubset.from_member(self.colored)
@@ -245,7 +240,6 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
         for i in state.incident[v]:
             colored[i] = 1
 
-    state.assert_consistent()
     e_v3 = sum(deg1[w] == 3 for v in v3 for w in adjacency[v]) // 2
     out_v3 = 3 * n3 - 2 * e_v3
     girth = len(state.cycle)
@@ -423,7 +417,6 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
                 _run_rule(rules, "R3", edges, (-3, 2, 1, 0))
                 continue
         raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={state.sizes[2]} of {state.n2}")
-    state.assert_consistent()
     assert state.sizes[1] <= state.n1, "stage 2 must finish with |V1| <= n1"
     return state
 
@@ -449,7 +442,6 @@ def stage3_fill_v1(state: ColoringState) -> ColoringState:
         else:
             raise InternalStuck("stage 3: no V0-V0 edge (should be impossible)")
     assert sizes == expected, f"stage 3: sizes {sizes}, expected {expected}"
-    state.assert_consistent()
     return state
 
 

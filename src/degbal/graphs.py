@@ -103,18 +103,22 @@ class EdgeSubset:
 
     def indices(self) -> list[int]:
         """Member edge indices, ascending, from one pass over the bits."""
-        return list(compress(count(), bin(self.bits)[:1:-1].encode().translate(_BIT_FLAGS)))
+        return list(compress(count(), _flags(self.bits)))
 
     def edges(self, g: Graph) -> list[tuple[int, int]]:
         """Materialize the member edges of this subset within its host."""
         if g.m != self.m:
             raise SizeMismatch(f"subset over {self.m} edges, host has {g.m}")
-        pairs = zip(g.tails, g.heads)
-        return list(compress(pairs, bin(self.bits)[:1:-1].encode().translate(_BIT_FLAGS)))
+        return list(compress(zip(g.tails, g.heads), _flags(self.bits)))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(bits: int) -> bytes:
+    """Byte i is 1 iff bit i of bits is set, up to the highest set bit."""
+    return bin(bits)[:1:-1].encode().translate(_BIT_FLAGS)
 
 
 @dataclass(frozen=True)
@@ -354,24 +358,16 @@ def complement_within(g: Graph, s: EdgeSubset) -> EdgeSubset:
     return EdgeSubset(g.m, s.bits ^ ((1 << g.m) - 1))
 
 
-def subgraph_degrees(g: Graph, s: EdgeSubset) -> list[int]:
-    if s.m != g.m:
-        raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
-    deg = [0] * g.n
-    for u, v in compress(zip(g.tails, g.heads), bin(s.bits)[:1:-1].encode().translate(_BIT_FLAGS)):
-        deg[u] += 1
-        deg[v] += 1
-    return deg
-
-
 def profile_of(g: Graph, s: EdgeSubset) -> DegreeProfile:
     """Degree profile (n_d, ..., n_0) of the spanning subgraph s within g."""
     d = inferred_degree(g)
-    deg = subgraph_degrees(g, s)
-    counts = [0] * (d + 1)
-    for x in deg:
-        counts[x] += 1
-    return DegreeProfile(tuple(reversed(counts)))
+    if s.m != g.m:
+        raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
+    deg = [0] * g.n
+    for u, v in compress(zip(g.tails, g.heads), _flags(s.bits)):
+        deg[u] += 1
+        deg[v] += 1
+    return DegreeProfile(tuple(map(deg.count, range(d, -1, -1))))
 
 
 def classify_small(g: Graph) -> SmallClass:

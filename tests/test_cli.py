@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -718,3 +720,51 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "failures=0" in proc.stdout
+
+
+class TestFuzz:
+    """Seeded byte mutations of the named catalog's graph6 lines and of one
+    edge list, read from stdin by four commands: each exits 0-4, and no
+    exception escapes main."""
+
+    COMMANDS = (
+        ["decompose"],
+        ["decompose", "-s", "two-regular"],
+        ["oracle", "--min-deviation"],
+        ["batch"],
+    )
+
+    @staticmethod
+    def mutate(rng, data):
+        # At most three one-byte edits keep a header's n below 10^5.
+        data = bytearray(data)
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(data) + 1), rng.randrange(4)
+            if op == 0:
+                data.insert(i, rng.choice(b"0123456789 \n-+_?~") if rng.random() < 0.5
+                            else rng.randrange(256))
+            elif op == 1:
+                del data[i:i + rng.randint(1, 4)]
+            elif i < len(data):
+                if op == 2:  # a digit stays a digit, a graph6 byte a graph6 byte
+                    c = data[i]
+                    data[i] = (rng.randrange(48, 58) if 48 <= c < 58 else
+                               rng.randrange(63, 127) if 63 <= c < 127 else rng.randrange(256))
+                else:
+                    data[i - 1:i + 1] = data[i - 1:i + 1][::-1]
+        return bytes(data)
+
+    def test_mutated_inputs_exit_0_to_4(self, monkeypatch):
+        lines = (FIXTURES / "named_catalog.g6").read_bytes().splitlines()
+        petersen = named("PETERSEN")
+        edge_list = "".join(f"{u} {v}\n" for u, v in petersen.edges)
+        edge_list = f"{petersen.n} {petersen.m}\n{edge_list}".encode()
+        rng = random.Random(20240601)
+        for case in range(1000):
+            data = self.mutate(rng, edge_list if case % 2 else rng.choice(lines))
+            for command in self.COMMANDS:
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main([*command, "-i", "-"])
+                assert 0 <= code <= 4, (data, command, err.getvalue())

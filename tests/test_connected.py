@@ -1,4 +1,8 @@
+import json
 import random
+import subprocess
+import sys
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from degbal.errors import (
     SpecialCaseNeeded,
 )
 from degbal.gen import cycles, disjoint_union, named, random_cubic
+from degbal.general import decompose
 from degbal.graphs import (
     DegreeProfile,
     build_graph,
@@ -177,22 +182,6 @@ class TestStaged:
                 assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
                 assert not trace.fallback_used, (name, s)
 
-    def test_stage1_invariants_on_corpus(self, connected_corpus):
-        for name, g in connected_corpus:
-            if g.n < 8:
-                continue
-            for s in applicable_statements(g.n):
-                _, trace = decompose_connected_traced(g, s)
-                st1 = trace.stage1
-                n3 = target_profile(g.n, s).counts[0]
-                assert st1.out_v3 == 3 * n3 - 2 * st1.e_v3, (name, s)
-                assert st1.out_v3 <= n3 + 2, (name, s)
-                assert 2 * st1.v2_size + st1.v1_size == st1.out_v3, (name, s)
-                assert st1.e_v3 >= n3 - 1, (name, s)
-                if st1.girth <= n3:
-                    assert st1.e_v3 >= n3, (name, s)
-                assert st1.girth <= g.n / 2, (name, s)
-
     def test_cube_statement_i_first_two_cycle_vertices(self):
         g = named("CUBE")
         _, trace = decompose_connected_traced(g, Statement.I)
@@ -217,7 +206,12 @@ class TestStaged:
 
         def checked(state, i):
             color_edge(state, i)
-            state.assert_consistent()
+            deg = [0] * state.host.n
+            for j in compress(range(state.host.m), state.colored):
+                deg[state.tails[j]] += 1
+                deg[state.heads[j]] += 1
+            assert deg == state.deg1, "incremental degree bookkeeping drifted"
+            assert state.sizes == [deg.count(k) for k in range(4)]
             colored.append(i)
 
         monkeypatch.setattr(_V3Growth, "add", checked_add)
@@ -421,3 +415,151 @@ class TestFallbackSearch:
         a = fallback_search(g, DegreeProfile((2, 2, 2, 2)))
         b = fallback_search(g, DegreeProfile((2, 2, 2, 2)))
         assert a.bits == b.bits
+
+
+def _drift_in_stage(stage_name, drifted_color):
+    """Drift installer: the first color_edge call inside stage_name, per
+    decomposition, runs drifted_color(state, color_edge, i) instead."""
+    def install(monkeypatch, fired):
+        stage = getattr(connected_mod, stage_name)
+
+        def wrapped(state):
+            color_edge = state.color_edge
+
+            def once(i):
+                if fired:
+                    return color_edge(i)
+                fired.append(i)
+                return drifted_color(state, color_edge, i)
+
+            state.color_edge = once
+            try:
+                return stage(state)
+            finally:
+                del state.color_edge
+
+        monkeypatch.setattr(connected_mod, stage_name, wrapped)
+    return install
+
+
+def _written_not_bookkept(state, color_edge, i):
+    state.colored[i] = 1
+
+
+def _bookkept_not_written(state, color_edge, i):
+    color_edge(i)
+    state.colored[i] = 0
+
+
+def _stage1_deg1_lags(monkeypatch, fired):
+    # The first addition leaves one raised neighbor's deg1 where it was; sizes moves.
+    add = _V3Growth.add
+
+    def lagging(grow, v):
+        deg1 = grow.state.deg1
+        before = {w: deg1[w] for w in grow.state.host.adjacency[v] if deg1[w] < 3}
+        add(grow, v)
+        if before and not fired:
+            w = min(before)
+            fired.append(w)
+            deg1[w] = before[w]
+
+    monkeypatch.setattr(_V3Growth, "add", lagging)
+
+
+def _stage1_colored_lags(monkeypatch, fired):
+    # Stage 1 writes every edge of V3 but its last: bookkept, not written.
+    stage1 = connected_mod.stage1_grow_v3
+
+    def unwritten(state):
+        stage1(state)
+        if not fired:
+            i = state.colored.rindex(1)
+            fired.append(i)
+            state.colored[i] = 0
+        return state
+
+    monkeypatch.setattr(connected_mod, "stage1_grow_v3", unwritten)
+
+
+# Each drift leaves deg1 behind colored, or colored behind deg1, in one stage.
+DRIFTS = {
+    "stage1-deg1-lags": _stage1_deg1_lags,
+    "stage1-colored-lags": _stage1_colored_lags,
+    "stage2-deg1-lags": _drift_in_stage("stage2_fill_v2", _written_not_bookkept),
+    "stage2-colored-lags": _drift_in_stage("stage2_fill_v2", _bookkept_not_written),
+    "stage3-deg1-lags": _drift_in_stage("stage3_fill_v1", _written_not_bookkept),
+    "stage3-colored-lags": _drift_in_stage("stage3_fill_v1", _bookkept_not_written),
+}
+
+
+class TestDrift:
+    """With the stages' bookkeeping drifted once, decompose stops (a stage
+    assert or its own profile count) or returns a result on target."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, catalog_graphs):
+        return [g for _, g in catalog_graphs] + [
+            random_cubic(n, seed) for n in range(8, 63, 2) for seed in range(3)]
+
+    @pytest.mark.parametrize("drift", sorted(DRIFTS))
+    def test_drift_is_stopped(self, monkeypatch, inputs, drift):
+        fired = []
+        DRIFTS[drift](monkeypatch, fired)
+        stopped = 0
+        for g in inputs:
+            for s in applicable_statements(g.n):
+                fired.clear()
+                try:
+                    res = decompose(g, s.value)
+                except ExceptionGraph:
+                    assert not fired
+                    continue
+                except (InternalStuck, AssertionError):
+                    assert fired, (g, s)
+                    stopped += 1
+                    continue
+                assert profile_of(g, res.subset) == res.target, (g, s)
+        assert stopped
+
+    def test_stage3_drift_without_asserts(self):
+        # Under python -O only decompose's own count is left: a stage-3 edge
+        # written without bookkeeping must end every run it touches in
+        # InternalStuck (exit 5), with nothing on stdout.
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from degbal import cli, connected\n"
+            "from degbal.formats import encode_graph6\n"
+            "from degbal.gen import random_cubic\n"
+            "stage3, fired = connected.stage3_fill_v1, []\n"
+            "def drifted(state):\n"
+            "    def written_not_bookkept(i):\n"
+            "        fired.append(i)\n"
+            "        state.colored[i] = 1\n"
+            "        del state.color_edge\n"
+            "    state.color_edge = written_not_bookkept\n"
+            "    return stage3(state)\n"
+            "connected.stage3_fill_v1 = drifted\n"
+            "runs = []\n"
+            "for n in range(8, 63, 2):\n"
+            "    for seed in range(3):\n"
+            "        fired.clear()\n"
+            "        sys.stdin = io.StringIO(encode_graph6(random_cubic(n, seed)))\n"
+            "        out, err = io.StringIO(), io.StringIO()\n"
+            "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "            status = cli.main(['decompose', '-i', '-'])\n"
+            "        runs.append((bool(fired), status, out.getvalue(), err.getvalue()))\n"
+            "print(json.dumps([__debug__, runs]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        debug, runs = json.loads(proc.stdout)
+        assert debug is False
+        assert any(fired for fired, *_ in runs)
+        for fired, status, out, err in runs:
+            if fired:
+                assert (status, out) == (5, ""), err
+                assert err.startswith("internal invariant failure: BALANCED: achieved"), err
+            else:
+                assert status == 0 and json.loads(out)["statement"] == "BALANCED"
