@@ -182,6 +182,22 @@ class TestStaged:
                 assert profile_of(g, sub) == target_profile(g.n, s), (name, s)
                 assert not trace.fallback_used, (name, s)
 
+    def test_stage1_invariants_on_corpus(self, connected_corpus):
+        for name, g in connected_corpus:
+            if g.n < 8:
+                continue
+            for s in applicable_statements(g.n):
+                _, trace = decompose_connected_traced(g, s)
+                st1 = trace.stage1
+                n3 = target_profile(g.n, s).counts[0]
+                assert st1.out_v3 == 3 * n3 - 2 * st1.e_v3, (name, s)
+                assert st1.out_v3 <= n3 + 2, (name, s)
+                assert 2 * st1.v2_size + st1.v1_size == st1.out_v3, (name, s)
+                assert st1.e_v3 >= n3 - 1, (name, s)
+                if st1.girth <= n3:
+                    assert st1.e_v3 >= n3, (name, s)
+                assert st1.girth <= g.n / 2, (name, s)
+
     def test_cube_statement_i_first_two_cycle_vertices(self):
         g = named("CUBE")
         _, trace = decompose_connected_traced(g, Statement.I)
