@@ -34,16 +34,28 @@ class SmallClass(Enum):
     OTHER = "OTHER"
 
 
+# A memo field's value until its first computation.  The field stays off
+# __init__, so a Graph reads this class default and stores nothing until then.
+_UNSEEN = object()
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph whose edges (tails[i], heads[i]) come in canonical order
-    (u < v, sorted); adjacency rows are read off in that order, so each row is ascending."""
+    (u < v, sorted); adjacency rows are read off in that order, so each row is ascending.
+
+    Two analyses are kept on the object the first time they run:
+    connected_components' split (None for a connected graph, which is its own
+    component) and shortest_cycle's cycle.  Pickles carry the edges alone.
+    """
 
     n: int
     tails: tuple[int, ...]
     heads: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False, default=())
     _degrees: frozenset = field(compare=False, repr=False, default=frozenset())
+    _parts: tuple | None = field(default=_UNSEEN, init=False, compare=False, repr=False)
+    _cycle: list | None = field(default=_UNSEEN, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -52,6 +64,10 @@ class Graph:
             adj[v].append(u)
         object.__setattr__(self, "adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
+
+    def __reduce__(self):
+        # The rows, degrees and memos are derived from the edges, so rebuild them.
+        return type(self), (self.n, self.tails, self.heads)
 
     edges = property(lambda g: tuple(zip(g.tails, g.heads)), doc="(u, v) pairs, built per access")
 
@@ -204,8 +220,22 @@ def incident_edges(g: Graph) -> list[list[int]]:
 def connected_components(g: Graph) -> list[Component]:
     """Maximal connected vertex sets, ordered by smallest original label.
 
-    Components of equal shape may share one Graph, built once per call.
+    Components of equal shape may share one Graph.  The split is found once
+    per Graph object and kept on it; each call returns a fresh list.
     """
+    parts = g._parts
+    if parts is _UNSEEN:
+        parts = _find_components(g)
+        object.__setattr__(g, "_parts", parts)
+    if parts is None:
+        # Connected: the host is its own component.  The memo holds no
+        # Component, which would refer back to g.
+        return [Component(tuple(range(g.n)), g, range(g.m))]
+    return list(parts)
+
+
+def _find_components(g: Graph) -> tuple[Component, ...] | None:
+    """The components of g, or None if g is connected and not empty."""
     label = [-1] * g.n
     members: list[list[int]] = []
     for start in range(g.n):
@@ -219,14 +249,13 @@ def connected_components(g: Graph) -> list[Component]:
                     label[w] = c
                     queue.append(w)
         if len(queue) == g.n:
-            # Connected: the host is its own component, so skip the rebuild.
-            return [Component(tuple(range(g.n)), g, range(g.m))]
+            return None
         members.append(queue)
     edge_ids: list[list[int]] = [[] for _ in members]
     for i, u in enumerate(g.tails):
         edge_ids[label[u]].append(i)
     shapes: dict = {}
-    return [induced_on(g, verts, ids, shapes, label) for verts, ids in zip(members, edge_ids)]
+    return tuple(induced_on(g, verts, ids, shapes, label) for verts, ids in zip(members, edge_ids))
 
 
 def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict, label: list) -> Component:
@@ -249,6 +278,18 @@ def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict, label: lis
 
 def shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle of g as a vertex sequence, or None for forests.
+
+    Found once per Graph object and kept on it; each call returns a fresh list.
+    """
+    cycle = g._cycle
+    if cycle is _UNSEEN:
+        cycle = _find_cycle(g)
+        object.__setattr__(g, "_cycle", cycle)
+    return None if cycle is None else list(cycle)
+
+
+def _find_cycle(g: Graph) -> list[int] | None:
+    """shortest_cycle's search.
 
     Deterministic: the cycle comes from the breadth-first search rooted at
     the lowest vertex label that attains the girth, scanning neighbors in

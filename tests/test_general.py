@@ -17,6 +17,7 @@ from degbal.connected import (
     target_profile,
 )
 from degbal.errors import (
+    DegbalError,
     ExceptionGraph,
     InternalStuck,
     NoSuchTuple,
@@ -37,6 +38,7 @@ from degbal.general import (
 )
 from degbal.graphs import (
     EdgeSubset,
+    Graph,
     SmallClass,
     build_graph,
     connected_components,
@@ -407,6 +409,66 @@ class TestOneSplit:
 
         assert self.splits(monkeypatch, PATTERN_14, run) == 0
         assert traces[0].fallback_used
+
+
+def outcome(call, g, statement):
+    """call(g, statement), or the class and message of what it raised."""
+    try:
+        return call(g, statement)
+    except DegbalError as exc:
+        return type(exc), str(exc)
+
+
+class TestKeptAnalyses:
+    """A Graph keeps its component split and shortest cycle once found, so a
+    later decompose or statement_target on the same object searches for
+    neither.  What each call returns must not depend on what ran before it."""
+
+    @staticmethod
+    def graphs():
+        k4 = named("K4")
+        yield from (parse_graph6(line) for line in corpus_lines())
+        yield from (k4, disjoint_union([k4] * 3), build_graph(0, []), random_cubic(202, 5),
+                    disjoint_union([named("PETERSEN"), k4, named("PETERSEN"), named("K33"),
+                                    random_cubic(40, 1), named("PRISM")]))
+
+    def test_results_match_a_fresh_copy_in_any_order(self):
+        kinds = set()
+        for g in self.graphs():
+            statements = [s.value for s in applicable_statements(g.n)] + ["BALANCED"]
+            order = statements + statements[::-1]
+            for s, after in zip(order, order[1:] + order[:1]):
+                got = outcome(decompose, g, s)
+                assert got == outcome(decompose, Graph(g.n, g.tails, g.heads), s), (g, s)
+                kinds.add(type(got))
+                # statement_target in between: it reads the same kept split.
+                assert (outcome(statement_target, g, after)
+                        == outcome(statement_target, Graph(g.n, g.tails, g.heads), after))
+            assert connected_components(g) == connected_components(Graph(g.n, g.tails, g.heads))
+        assert kinds == {tuple, general_mod.DecompositionResult}  # refusals were met too
+
+    @pytest.mark.parametrize("build", [
+        lambda: random_cubic(400, 2), lambda: random_cubic(402, 2),
+        lambda: disjoint_union([named("PETERSEN")] * 3 + [random_cubic(30, 4)]),
+    ], ids=["n=400", "n=402", "union"])
+    def test_each_search_runs_once_per_graph(self, monkeypatch, build):
+        g, searched = build(), []
+        for name in ("_find_components", "_find_cycle"):
+            search = getattr(graphs_mod, name)
+
+            def counted(h, search=search, name=name):
+                searched.append((name, id(h)))
+                return search(h)
+
+            monkeypatch.setattr(graphs_mod, name, counted)
+        for s in [s.value for s in applicable_statements(g.n)] * 2 + ["BALANCED"]:
+            statement_target(g, s)
+            decompose(g, s)
+        assert len(searched) == len(set(searched))
+        # The host's split, then one cycle per distinct connected shape.
+        shapes = {c.graph for c in connected_components(g)}
+        names = sorted(name for name, _ in searched)
+        assert names == ["_find_components"] + ["_find_cycle"] * len(shapes)
 
 
 class TestDecomposeTwoRegular:

@@ -1,6 +1,10 @@
+import gc
 import hashlib
+import inspect
 import pickle
 import random
+import weakref
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -17,9 +21,11 @@ from degbal.errors import (
     VertexOutOfRange,
 )
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
+from degbal.general import decompose
 from degbal.graphs import (
     DegreeProfile,
     EdgeSubset,
+    Graph,
     SmallClass,
     build_graph,
     classify_small,
@@ -95,14 +101,23 @@ class TestBuildGraph:
         assert g.edges == tuple(zip(g.tails, g.heads))
         assert g.m == len(g.tails) == len(g.heads)
 
-    @pytest.mark.parametrize("g", [build_graph(0, []), named("PETERSEN"), random_cubic(300, 4)],
-                             ids=["empty", "petersen", "random"])
-    def test_pickle_round_trip(self, g):
+    # default_bytes: the size of the default dataclass pickle, which also
+    # carried the adjacency rows and the degree set (Python 3.11).
+    @pytest.mark.parametrize("g, default_bytes", [
+        (build_graph(0, []), 97), (named("PETERSEN"), 245), (random_cubic(300, 4), 4570),
+        (random_cubic(3000, 1), 58_570),
+    ], ids=["empty", "petersen", "random", "random-3000"])
+    def test_pickle_round_trip(self, g, default_bytes):
         # batch -j sends graphs to its workers by pickle.
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g and hash(copy) == hash(g)
         assert (copy.edges, copy.adjacency) == (g.edges, g.adjacency)
         assert copy != random_cubic(300, 5)
+        # A pickle holds the edges alone, so what decomposing keeps on g stays out.
+        fresh = pickle.dumps(Graph(g.n, g.tails, g.heads))
+        decompose(g, "BALANCED")
+        assert pickle.dumps(g) == fresh
+        assert 2 * len(fresh) < default_bytes
 
 
 def assert_rows_ascending(g):
@@ -304,6 +319,70 @@ class TestShortestCycle:
     def test_deterministic(self):
         g = named("DESARGUES")
         assert shortest_cycle(g) == shortest_cycle(g)
+
+
+# Cubic graphs of each kind the kept analyses serve: connected, staged at
+# two residues of n mod 4, a multi-component union with two equal shapes, and empty.
+KEPT_CASES = {
+    "random-200": lambda: random_cubic(200, 3),
+    "random-202": lambda: random_cubic(202, 3),
+    "union": lambda: disjoint_union([named("PETERSEN"), named("K4"), named("PETERSEN"),
+                                     random_cubic(30, 2), named("PRISM")]),
+    "empty": lambda: build_graph(0, []),
+}
+
+
+def analyse(g):
+    """Run everything that keeps an analysis on g."""
+    shortest_cycle(g)
+    connected_components(g)
+    decompose(g, "BALANCED")
+
+
+class TestKeptAnalyses:
+    """connected_components and shortest_cycle search once per Graph object and
+    keep the answer; every call still hands out a list of its own."""
+
+    @pytest.mark.parametrize("case", KEPT_CASES)
+    def test_returned_lists_are_fresh(self, case):
+        g, fresh = KEPT_CASES[case](), KEPT_CASES[case]()
+        statements = ["BALANCED", "I" if g.n % 4 == 0 else "III"]
+        expected = (shortest_cycle(fresh), connected_components(fresh),
+                    [decompose(fresh, s) for s in statements])
+        for mutate in (lambda xs: xs.append(xs[0] if xs else 0), list.clear):
+            for found in (shortest_cycle(g), connected_components(g)):
+                if found is not None:
+                    mutate(found)
+            assert shortest_cycle(g) == expected[0]
+            assert connected_components(g) == expected[1]
+            assert connected_components(g) is not connected_components(g)
+            assert [decompose(g, s) for s in statements] == expected[2]
+
+    @pytest.mark.parametrize("case", KEPT_CASES)
+    def test_kept_analyses_hold_no_reference_cycle(self, case):
+        # Freed by reference counting alone once the caller drops it.
+        g = KEPT_CASES[case]()
+        analyse(g)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_graph_interface_is_unchanged(self):
+        assert list(inspect.signature(Graph).parameters) == ["n", "tails", "heads", "adjacency",
+                                                             "_degrees"]
+        assert [f.name for f in fields(Graph) if f.compare or f.repr] == ["n", "tails", "heads"]
+        k4 = Graph(4, (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
+        assert repr(k4) == "Graph(n=4, tails=(0, 0, 0, 1, 1, 2), heads=(1, 2, 3, 2, 3, 3))"
+        for case in KEPT_CASES:
+            g, fresh = KEPT_CASES[case](), KEPT_CASES[case]()
+            before = hash(g), repr(g)
+            analyse(g)
+            assert (hash(g), repr(g)) == before == (hash(fresh), repr(fresh))
+            assert g == fresh and fresh == g and len({g, fresh}) == 1
 
 
 class TestComplement:
