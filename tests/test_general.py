@@ -119,17 +119,21 @@ class TestTupleTables:
             assert t in K33_TUPLES
             assert tuple(reversed(t)) in K33_TUPLES
 
-    def test_frozen_masks_match_fresh_enumeration(self):
-        # the constants were frozen from a rank-order search; re-derive them
-        from degbal.general import _K4_BASE, _K33_BASE
+    def test_tables_match_plain_enumeration(self):
+        # each base tuple's entry is its first witness in rank order, found by
+        # the plain loop; every other entry is a base tuple's reversal,
+        # realized as the complement of that tuple's entry
         from test_oracle import reference_first_witnesses
 
-        ref4 = reference_first_witnesses(CANONICAL_K4)
-        for counts, bits in _K4_BASE.items():
-            assert ref4[counts] == bits
-        ref33 = reference_first_witnesses(CANONICAL_K33)
-        for counts, bits in _K33_BASE.items():
-            assert ref33[counts] == bits
+        for cls, base in ((SmallClass.K4, K4_BASE_TUPLES), (SmallClass.K33, K33_BASE_TUPLES)):
+            canon, table = general_mod._TABLES[cls]
+            ref, full = reference_first_witnesses(canon), (1 << canon.m) - 1
+            for counts in base:
+                assert table[counts] == ref[counts], counts
+            for counts, bits in table.items():
+                if counts not in base:
+                    assert counts[::-1] in base, counts
+                    assert bits == table[counts[::-1]] ^ full, counts
 
     def test_oracle_achieves_all_table_entries(self):
         ach4 = {p.counts for p in achievable_profiles(CANONICAL_K4).achievable}
