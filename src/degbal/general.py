@@ -44,52 +44,33 @@ from .graphs import (
     require_regular,
     small_class,
 )
+from .oracle import achievable_profiles
 
 CANONICAL_K4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 CANONICAL_K33 = build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
 
-# Edge subsets realizing each listed decomposition tuple of K4 / K3,3,
-# as bitmasks over the canonical edge order.  Frozen from an exhaustive
-# rank-order search (first witness); tests re-derive them from scratch.
-_K4_BASE = {
-    (0, 0, 0, 4): 0b000000,
-    (0, 0, 2, 2): 0b000001,
-    (0, 0, 4, 0): 0b001100,
-    (0, 1, 2, 1): 0b000011,
-    (0, 2, 2, 0): 0b001101,
-    (0, 3, 0, 1): 0b001011,
-}
-_K33_BASE = {
-    (0, 0, 0, 6): 0b000000000,
-    (0, 0, 2, 4): 0b000000001,
-    (0, 0, 4, 2): 0b000001010,
-    (0, 0, 6, 0): 0b001010100,
-    (0, 1, 2, 3): 0b000000011,
-    (0, 1, 4, 1): 0b000001110,
-    (0, 2, 2, 2): 0b000001011,
-    (0, 3, 2, 1): 0b000011101,
-    (0, 4, 0, 2): 0b000011011,
-    (0, 4, 2, 0): 0b001011110,
-    (1, 0, 3, 2): 0b000000111,
-    (1, 1, 3, 1): 0b000001111,
-}
+# The decomposition tuples listed for K4 / K3,3; each table adds their reversals.
+_K4_BASE = ((0, 0, 0, 4), (0, 0, 2, 2), (0, 0, 4, 0), (0, 1, 2, 1), (0, 2, 2, 0), (0, 3, 0, 1))
+_K33_BASE = (
+    (0, 0, 0, 6), (0, 0, 2, 4), (0, 0, 4, 2), (0, 0, 6, 0), (0, 1, 2, 3), (0, 1, 4, 1),
+    (0, 2, 2, 2), (0, 3, 2, 1), (0, 4, 0, 2), (0, 4, 2, 0), (1, 0, 3, 2), (1, 1, 3, 1),
+)
 
 
-def _close_under_reversal(base: dict, m: int) -> dict:
-    """Add each tuple's reversal, realized as the complement of its entry."""
-    table = dict(base)
-    full = (1 << m) - 1
-    for counts, bits in base.items():
-        rev = tuple(reversed(counts))
-        if rev not in table:
-            table[rev] = bits ^ full
+def _table(canon: Graph, base: tuple) -> dict:
+    """Listed tuple -> bitmask over canon's edges: a base tuple's first witness
+    in rank order, and the complement of its entry for a reversal not listed."""
+    witness, full = achievable_profiles(canon).witness, (1 << canon.m) - 1
+    table = {counts: witness[DegreeProfile(counts)].bits for counts in base}
+    for counts in base:
+        table.setdefault(counts[::-1], table[counts] ^ full)
     return table
 
 
-# Each small class's canonical graph and table: listed tuple -> bitmask.
+# Each small class's canonical graph and table.
 _TABLES = {
-    SmallClass.K4: (CANONICAL_K4, _close_under_reversal(_K4_BASE, CANONICAL_K4.m)),
-    SmallClass.K33: (CANONICAL_K33, _close_under_reversal(_K33_BASE, CANONICAL_K33.m)),
+    SmallClass.K4: (CANONICAL_K4, _table(CANONICAL_K4, _K4_BASE)),
+    SmallClass.K33: (CANONICAL_K33, _table(CANONICAL_K33, _K33_BASE)),
 }
 
 

@@ -123,9 +123,14 @@ class EdgeSubset:
 
     def edges(self, g: Graph) -> list[tuple[int, int]]:
         """Materialize the member edges of this subset within its host."""
-        if g.m != self.m:
-            raise SizeMismatch(f"subset over {self.m} edges, host has {g.m}")
+        _require_host(g, self)
         return list(compress(zip(g.tails, g.heads), _flags(self.bits)))
+
+
+def _require_host(g: Graph, s: EdgeSubset) -> None:
+    """SizeMismatch unless s is over as many edges as g has."""
+    if s.m != g.m:
+        raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -203,7 +208,7 @@ def inferred_degree(g: Graph) -> int:
 class Component:
     """One connected component: host vertices, induced graph, host edges."""
 
-    vertices: tuple[int, ...]          # host labels, ascending
+    vertices: Sequence[int]            # host labels, ascending
     graph: Graph                       # relabeled 0..k-1 in that order
     edges: Sequence[int]               # local edge i -> host edge index, ascending
 
@@ -230,7 +235,7 @@ def connected_components(g: Graph) -> list[Component]:
     if parts is None:
         # Connected: the host is its own component.  The memo holds no
         # Component, which would refer back to g.
-        return [Component(tuple(range(g.n)), g, range(g.m))]
+        return [Component(range(g.n), g, range(g.m))]
     return list(parts)
 
 
@@ -394,16 +399,14 @@ def _is_chordless_cycle(g: Graph, cycle: list[int]) -> bool:
 
 def complement_within(g: Graph, s: EdgeSubset) -> EdgeSubset:
     """Bitwise complement of s over g's edge set (an involution)."""
-    if s.m != g.m:
-        raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
+    _require_host(g, s)
     return EdgeSubset(g.m, s.bits ^ ((1 << g.m) - 1))
 
 
 def profile_of(g: Graph, s: EdgeSubset) -> DegreeProfile:
     """Degree profile (n_d, ..., n_0) of the spanning subgraph s within g."""
     d = inferred_degree(g)
-    if s.m != g.m:
-        raise SizeMismatch(f"subset over {s.m} edges, host has {g.m}")
+    _require_host(g, s)
     deg = [0] * g.n
     for u, v in compress(zip(g.tails, g.heads), _flags(s.bits)):
         deg[u] += 1

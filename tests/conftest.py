@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from degbal.connected import Statement
 from degbal.formats import parse_graph6
 from degbal.general import _TABLES
 from degbal.graphs import Graph, SmallClass, build_graph
@@ -49,6 +50,11 @@ def connected_corpus(catalog_graphs) -> list[tuple[str, Graph]]:
 def full_corpus(connected_corpus) -> list[tuple[str, Graph]]:
     """Everything with n <= 12, including the disconnected unions."""
     return connected_corpus + load_corpus_file("unions_n_le_12.g6")
+
+
+def applicable_statements(n: int) -> tuple[Statement, Statement]:
+    """The two statements whose parity fits n: I and II when 4 | n, else III and IV."""
+    return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
 
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Graph:

@@ -32,7 +32,7 @@ from degbal.graphs import (
 )
 from degbal.oracle import achievable_profiles, find_witness, min_max_deviation
 
-from conftest import K4_TUPLES, K33_TUPLES, corpus_lines
+from conftest import K4_TUPLES, K33_TUPLES, applicable_statements, corpus_lines
 from test_connected import PATTERN_14
 
 
@@ -46,10 +46,6 @@ def criterion(num: int, description: str):
         raise
     elapsed = time.perf_counter() - start
     print(f"\nACCEPTANCE {num}: PASS - {description} ({elapsed:.2f}s)", flush=True)
-
-
-def applicable_statements(n):
-    return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
 
 
 def test_criterion_1_base_case_realizations():

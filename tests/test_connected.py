@@ -42,6 +42,8 @@ from degbal.graphs import (
 )
 from degbal.oracle import find_witness
 
+from conftest import applicable_statements
+
 # 14-vertex cubic graph containing the blocked-configuration pattern:
 # K4 on {0,1,2,3} with edge (0,1) subdivided by vertex 4, whose single
 # outside edge reaches 5; the rest is an arbitrary cubic completion.
@@ -159,10 +161,6 @@ class TestValidation:
     def test_parity(self):
         with pytest.raises(ParityMismatch):
             decompose_connected_traced(named("CUBE"), Statement.III)[0]
-
-
-def applicable_statements(n):
-    return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
 
 
 class TestStaged:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import degbal.connected as connected
 from degbal.connected import (
     ColoringState,
-    Statement,
     _RuleFinders,
     _V3Growth,
     stage1_grow_v3,
@@ -34,7 +33,7 @@ from degbal.errors import SpecialCaseNeeded
 from degbal.gen import random_cubic
 from degbal.graphs import connected_components, profile_of, shortest_cycle
 
-from conftest import FIXTURES, load_corpus_file
+from conftest import FIXTURES, applicable_statements, load_corpus_file
 
 
 def is_stage1_candidate(state, v):
@@ -211,10 +210,6 @@ def check_rules_in_random_order(g, rng, check_from=0):
     for i in edges:
         rules.color(i)
     return state
-
-
-def applicable_statements(n):
-    return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,9 +14,8 @@ from degbal.connected import _RuleFinders, _V3Growth
 from degbal.gen import random_cubic
 from degbal.graphs import connected_components
 
-from conftest import FIXTURES, load_corpus_file
+from conftest import FIXTURES, applicable_statements, load_corpus_file
 from test_finders import (
-    applicable_statements,
     check_growth_in_random_order,
     check_rules_in_random_order,
     run_checked,

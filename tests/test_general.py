@@ -46,14 +46,10 @@ from degbal.graphs import (
 )
 from degbal.oracle import achievable_profiles, find_witness, min_max_deviation
 
-from conftest import K4_TUPLES, K33_TUPLES, corpus_lines
+from conftest import K4_TUPLES, K33_TUPLES, applicable_statements, corpus_lines
 from test_acceptance import partitions_min3
 from test_connected import PATTERN_14
 from test_oracle import K33_BASE_TUPLES, K4_BASE_TUPLES
-
-
-def applicable_statements(n):
-    return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
 
 
 def two_regular_bound(n):

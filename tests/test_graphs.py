@@ -234,7 +234,7 @@ class TestConnectedComponents:
         assert len(comps) == 1 and comps[0].graph.n == 10
         # A connected host is its own component, labels unchanged.
         assert comps[0].graph is g
-        assert comps[0].vertices == tuple(range(10))
+        assert tuple(comps[0].vertices) == tuple(range(10))
         assert comps[0].edges == range(g.m)
 
     def test_empty(self):
