@@ -317,6 +317,45 @@ class TestRules:
         assert (state.sizes[1] + state.sizes[3]) % 2 == 0
 
 
+def _v1_v1_uncolored(state, i):
+    return not state.colored[i] and state.deg1[state.tails[i]] == state.deg1[state.heads[i]] == 1
+
+
+def _v1_v0(state, i):
+    return state.deg1[state.tails[i]] + state.deg1[state.heads[i]] == 1
+
+
+class TestRuleSizeChecks:
+    """Stage 2 checks each rule's effect on |V_k|: a finder that answers the
+    wrong kind of edge once stops the run, naming the rule."""
+
+    # Every V1 vertex is color-1-attached to V2 or V3, so R1 takes each
+    # uncolored V1-V1 edge before R2 is asked; for R2's case R1 declines
+    # until the wrong answer has fired.
+    @pytest.mark.parametrize("finder, wrong, held", [
+        ("r2", _v1_v1_uncolored, "r1"),
+        ("r1", _v1_v0, None),
+    ])
+    def test_wrong_edge_names_the_rule(self, monkeypatch, finder, wrong, held):
+        find, fired = getattr(_RuleFinders, finder), []
+
+        def once(rules):
+            if not fired:
+                state = rules.state
+                fired.extend(i for i in range(state.host.m) if wrong(state, i))
+                if fired:
+                    return fired[0]
+            return find(rules)
+
+        monkeypatch.setattr(_RuleFinders, finder, once)
+        if held is not None:
+            hold = getattr(_RuleFinders, held)
+            monkeypatch.setattr(_RuleFinders, held, lambda rules: hold(rules) if fired else None)
+        with pytest.raises(AssertionError, match=rf"^{finder.upper()}: sizes changed by"):
+            decompose_connected_traced(random_cubic(402, 21), Statement.III)
+        assert fired
+
+
 class TestSpecial14:
     def test_pattern_graph(self):
         sub = special_14_construction(PATTERN_14)
