@@ -185,18 +185,18 @@ class _V3Growth:
 
     def __init__(self, state: ColoringState):
         self.state, self.v3, self.cursor, self.heap = state, [], 0, []
+        self.deg1, self.sizes, self.adjacency = state.deg1, state.sizes, state.host.adjacency
 
     def add(self, v: int) -> None:
-        state = self.state
-        deg1, sizes, nbrs = state.deg1, state.sizes, state.host.adjacency[v]
+        deg1, sizes, adjacency = self.deg1, self.sizes, self.adjacency
         d = deg1[v]
         assert d != 3, "an addition must add exactly one 3-vertex"
         sizes[d] -= 1
         sizes[3] += 1
         deg1[v] = 3
         self.v3.append(v)
-        cursor, adjacency = self.cursor, state.host.adjacency
-        for w in nbrs:
+        cursor = self.cursor
+        for w in adjacency[v]:
             d = deg1[w]
             if d != 3:
                 assert d < 2, "an addition must add exactly one 3-vertex"
@@ -210,14 +210,18 @@ class _V3Growth:
 
     def lowest(self) -> int | None:
         """Lowest vertex outside V3, adjacent to V3, with no neighbor in V2."""
-        deg1, adjacency, heap = self.state.deg1, self.state.host.adjacency, self.heap
+        deg1, adjacency, heap = self.deg1, self.adjacency, self.heap
         while heap:
             if _is_stage1_candidate(deg1, adjacency, heap[0]):
                 return heap[0]
             heappop(heap)
         i, n = self.cursor, len(deg1)
-        # deg1 0 (no V3 neighbor) or 3 (in V3) rules a vertex out without a call.
-        while i < n and (deg1[i] in (0, 3) or not _is_stage1_candidate(deg1, adjacency, i)):
+        # _is_stage1_candidate, inline: a call costs more than most vertices' test.
+        while i < n:
+            if 0 < deg1[i] < 3:
+                a, b, c = adjacency[i]
+                if deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2:
+                    break
             i += 1
         self.cursor = i
         return i if i < n else None
@@ -240,7 +244,9 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
         for i in state.incident[v]:
             colored[i] = 1
 
-    e_v3 = sum(deg1[w] == 3 for v in v3 for w in adjacency[v]) // 2
+    # Recounted from deg1 in one pass: each V3-V3 edge shows up at both ends.
+    near_v3 = itertools.chain.from_iterable(map(adjacency.__getitem__, v3))
+    e_v3 = list(map(deg1.__getitem__, near_v3)).count(3) // 2
     out_v3 = 3 * n3 - 2 * e_v3
     girth = len(state.cycle)
     assert e_v3 >= n3 - 1, "V3 must induce a connected subgraph"
@@ -286,69 +292,72 @@ class _RuleFinders:
 
     def __init__(self, state: ColoringState):
         self.state = state
-        host, deg1, cycle = state.host, state.deg1, state.cycle
+        self.deg1 = deg1 = state.deg1
+        self.colored, self.incident = state.colored, state.incident
+        self.tails, self.heads, self.adjacency = state.tails, state.heads, state.host.adjacency
+        cycle, edge_index = state.cycle, state.host.edge_index
         # deg1 never decreases, so a cycle edge with both ends out of V0 is never R2's again.
-        self.cycle_edges = sorted(i for i in map(host.edge_index, cycle, cycle[1:] + cycle[:1])
-                                  if min(deg1[host.tails[i]], deg1[host.heads[i]]) == 0)
+        self.cycle_edges = sorted([edge_index(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])
+                                   if deg1[u] == 0 or deg1[v] == 0])
         self.r1_cursor = self.r2_cursor = self.r3_cursor = 0
         self.r1_heap, self.r2_heap = [], []
 
     def color(self, i: int) -> None:
-        state = self.state
-        state.color_edge(i)
-        host, deg1, colored, incident = state.host, state.deg1, state.colored, state.incident
+        self.state.color_edge(i)
+        deg1, colored, adjacency, incident = self.deg1, self.colored, self.adjacency, self.incident
         r1_cursor, r2_cursor = self.r1_cursor, self.r2_cursor
-        for x in (state.tails[i], state.heads[i]):
+        for x in (self.tails[i], self.heads[i]):
             d = deg1[x]
             if d == 1:  # x entered V1; its one color-1 edge is i
-                for z, e in zip(host.adjacency[x], incident[x]):
+                for z, e in zip(adjacency[x], incident[x]):
                     if deg1[z] == 0:
                         if e < r2_cursor:
                             heappush(self.r2_heap, e)
-                    elif deg1[z] == 1 and e < r1_cursor and _is_r1(state, e):
+                    elif deg1[z] == 1 and e < r1_cursor and _is_r1(self, e):
                         heappush(self.r1_heap, e)
             elif d == 2:  # x left V1: each color-1 neighbor w in V1 is now attached to V2
-                for w, e in zip(host.adjacency[x], incident[x]):
+                for w, e in zip(adjacency[x], incident[x]):
                     if colored[e] and deg1[w] == 1:
-                        for z, f in zip(host.adjacency[w], incident[w]):
+                        for z, f in zip(adjacency[w], incident[w]):
                             if deg1[z] == 1 and f < r1_cursor:
                                 heappush(self.r1_heap, f)
 
     def r1(self) -> int | None:
         """Lowest uncolored V1-V1 edge with an endpoint color-1-attached to V2 or V3."""
-        state, heap = self.state, self.r1_heap
+        heap = self.r1_heap
         while heap:
-            if _is_r1(state, heap[0]):
+            if _is_r1(self, heap[0]):
                 return heap[0]
             heappop(heap)
-        i, m, deg1 = self.r1_cursor, state.host.m, state.deg1
-        tails, heads = state.tails, state.heads
+        i, deg1, tails, heads = self.r1_cursor, self.deg1, self.tails, self.heads
+        m = len(tails)
         # Test the V1-V1 part inline; a call costs more than most edges' test.
-        while i < m and not (deg1[tails[i]] == deg1[heads[i]] == 1 and _is_r1(state, i)):
+        while i < m and not (deg1[tails[i]] == deg1[heads[i]] == 1 and _is_r1(self, i)):
             i += 1
         self.r1_cursor = i
         return i if i < m else None
 
     def r2(self) -> int | None:
         """Lowest V1-V0 edge of the stage-1 cycle, else lowest V1-V0 edge."""
-        state, heap = self.state, self.r2_heap
+        deg1, tails, heads, heap = self.deg1, self.tails, self.heads, self.r2_heap
+        # A V1-V0 edge is the one kind whose two deg1 values sum to 1.
         for i in self.cycle_edges:
-            if _is_r2(state, i):
+            if deg1[tails[i]] + deg1[heads[i]] == 1:
                 return i
         while heap:
-            if _is_r2(state, heap[0]):
-                return heap[0]
+            i = heap[0]
+            if deg1[tails[i]] + deg1[heads[i]] == 1:
+                return i
             heappop(heap)
-        i, m, deg1 = self.r2_cursor, state.host.m, state.deg1
-        tails, heads = state.tails, state.heads
-        while i < m and deg1[tails[i]] + deg1[heads[i]] != 1:  # _is_r2, inline
+        i, m = self.r2_cursor, len(tails)
+        while i < m and deg1[tails[i]] + deg1[heads[i]] != 1:
             i += 1
         self.r2_cursor = i
         return i if i < m else None
 
     def r3(self) -> tuple[int, int, int] | None:
         """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
-        deg1, adjacency = self.state.deg1, self.state.host.adjacency
+        deg1, adjacency = self.deg1, self.adjacency
         for v in range(self.r3_cursor, len(deg1)):
             if deg1[v] == 0:
                 zeros = [w for w in adjacency[v] if deg1[w] == 0]
@@ -359,14 +368,14 @@ class _RuleFinders:
         return None
 
 
-def _is_r1(state: ColoringState, i: int) -> bool:
-    colored, deg1 = state.colored, state.deg1
+def _is_r1(rules: _RuleFinders, i: int) -> bool:
+    colored, deg1 = rules.colored, rules.deg1
     if colored[i]:
         return False
-    u, v = state.tails[i], state.heads[i]
+    u, v = rules.tails[i], rules.heads[i]
     if deg1[u] != 1 or deg1[v] != 1:
         return False
-    adjacency, incident = state.host.adjacency, state.incident
+    adjacency, incident = rules.adjacency, rules.incident
     for x in (u, v):
         for w, e in zip(adjacency[x], incident[x]):
             if colored[e] and deg1[w] >= 2:
@@ -374,50 +383,36 @@ def _is_r1(state: ColoringState, i: int) -> bool:
     return False
 
 
-def _is_r2(state: ColoringState, i: int) -> bool:
-    return state.deg1[state.tails[i]] + state.deg1[state.heads[i]] == 1
-
-
-def _run_rule(rules: _RuleFinders, name: str, edge_indices: list[int],
-              deltas: tuple[int, int, int, int]) -> None:
-    """Color the rule's edges and check its advertised effect on |V_k|."""
-    before = rules.state.sizes[:]
-    for i in edge_indices:
-        rules.color(i)
-    change = tuple(map(sub, rules.state.sizes, before))
-    assert change == deltas, f"{name}: sizes changed by {change}, expected {deltas}"
-    rules.state.rule_counts[name] += 1
-
-
 def stage2_fill_v2(state: ColoringState) -> ColoringState:
     """Reach |V2| = n2 via rules R1/R2/R3; raise SpecialCaseNeeded if stuck.
 
-    Size effects, ordered (|V0|, |V1|, |V2|, |V3|):
+    Size effects, ordered (|V0|, |V1|, |V2|, |V3|), each asserted per rule:
       R1 colors a V1-V1 edge        -> (0, -2, +2, 0)
       R2 colors a V1-V0 edge        -> (-1, 0, +1, 0), cycle edges preferred
       R3 colors two V0-V0 edges     -> (-3, +2, +1, 0), only while |V1| < n1
     """
-    host = state.host
     rules = _RuleFinders(state)
-    while state.sizes[2] < state.n2:
-        if state.sizes[2] < state.n2 - 1:
-            i = rules.r1()
-            if i is not None:
-                _run_rule(rules, "R1", [i], (0, -2, 2, 0))
-                continue
-        i = rules.r2()
-        if i is not None:
-            _run_rule(rules, "R2", [i], (-1, 0, 1, 0))
-            continue
-        if state.sizes[1] < state.n1:
-            found = rules.r3()
-            if found is not None:
-                v, u, w = found
-                edges = [host.edge_index(v, u), host.edge_index(v, w)]
-                _run_rule(rules, "R3", edges, (-3, 2, 1, 0))
-                continue
-        raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={state.sizes[2]} of {state.n2}")
-    assert state.sizes[1] <= state.n1, "stage 2 must finish with |V1| <= n1"
+    sizes, n1, n2, counts = state.sizes, state.n1, state.n2, state.rule_counts
+    edge_index = state.host.edge_index
+    while sizes[2] < n2:
+        before = sizes[:]
+        if sizes[2] < n2 - 1 and (i := rules.r1()) is not None:
+            rules.color(i)
+            name, deltas = "R1", (0, -2, 2, 0)
+        elif (i := rules.r2()) is not None:
+            rules.color(i)
+            name, deltas = "R2", (-1, 0, 1, 0)
+        elif sizes[1] < n1 and (found := rules.r3()) is not None:
+            v, u, w = found
+            rules.color(edge_index(v, u))
+            rules.color(edge_index(v, w))
+            name, deltas = "R3", (-3, 2, 1, 0)
+        else:
+            raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={sizes[2]} of {n2}")
+        assert tuple(map(sub, sizes, before)) == deltas, \
+            f"{name}: sizes changed by {tuple(map(sub, sizes, before))}, expected {deltas}"
+        counts[name] += 1
+    assert sizes[1] <= n1, "stage 2 must finish with |V1| <= n1"
     return state
 
 

@@ -356,6 +356,53 @@ class TestRuleSizeChecks:
         assert fired
 
 
+class TestCallsPerStep:
+    """Stages 1 and 2 keep their Python-level calls per step low.
+
+    A clock-free guard: sys.setprofile counts each "call" event made inside
+    stage1_grow_v3 and stage2_fill_v2, which depends on the code alone, not
+    on the machine.  Per vertex added, stage 1 makes about 4.9 such calls,
+    and stage 2 about 4.4 per rule applied; with a helper call per finder
+    test, size check or recount they were 7.9 and 7.6.
+    """
+
+    STAGES = ("stage1_grow_v3", "stage2_fill_v2")
+
+    def _calls_inside_stages(self, g, s):
+        counts, inside = dict.fromkeys(self.STAGES, 0), []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                if inside:
+                    counts[inside[0].f_code.co_name] += 1
+                elif frame.f_code.co_name in counts:
+                    inside.append(frame)
+            elif event == "return" and inside and frame is inside[0]:
+                inside.pop()
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            _, trace = decompose_connected_traced(g, s)
+        finally:
+            sys.setprofile(previous)
+        return counts, trace
+
+    def test_calls_per_addition_and_per_rule(self):
+        calls, additions, rules = dict.fromkeys(self.STAGES, 0), 0, 0
+        for n, seed in ((1002, 1), (1400, 2), (402, 21)):
+            g = random_cubic(n, seed)
+            for s in applicable_statements(n):
+                counts, trace = self._calls_inside_stages(g, s)
+                for stage in self.STAGES:
+                    calls[stage] += counts[stage]
+                additions += target_profile(n, s).counts[0]
+                rules += sum(trace.rule_counts.values())
+        assert additions > 1000 and rules > 800
+        assert calls["stage1_grow_v3"] / additions <= 5.5, (calls, additions)
+        assert calls["stage2_fill_v2"] / rules <= 5.0, (calls, rules)
+
+
 class TestSpecial14:
     def test_pattern_graph(self):
         sub = special_14_construction(PATTERN_14)

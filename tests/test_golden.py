@@ -10,7 +10,10 @@ digest too, as the kind of exception raised.
 
 import hashlib
 import itertools
+import json
 import random
+import subprocess
+import sys
 
 from degbal.cli import _document
 from degbal.connected import Statement, decompose_connected_traced, target_profile
@@ -417,3 +420,42 @@ def test_random_cubic_edges_match_golden_digest():
     assert count == 19 * 30 + 9 + 4
     assert random_cubic(20, -1).edges == random_cubic(20, 2**64 - 1).edges
     assert digest.hexdigest() == RANDOM_CUBIC_SHA256
+
+
+# The stages assert their size identities; python -O strips those asserts.
+# Every document must come out byte-identical either way, so no assert may
+# carry a side effect the construction relies on.
+OPTIMIZED_RUN = """
+import json, sys
+from degbal.cli import _document
+from degbal.errors import ExceptionGraph
+from degbal.formats import parse_graph6, render_result
+from degbal.gen import disjoint_union, named, random_cubic
+from degbal.general import decompose
+
+union = disjoint_union([random_cubic(102, seed) for seed in range(4)]
+                       + [named(p) for p in ("PETERSEN", "HEAWOOD", "PRISM", "CUBE")])
+inputs = [("R3_GRAPH6", parse_graph6("Iac`K`BJ?")), ("random_cubic:1002:1", random_cubic(1002, 1)),
+          ("random_cubic:1400:2", random_cubic(1400, 2)), ("union", union)]
+lines = []
+for name, g in inputs:
+    for statement in ("BALANCED",) + (("I", "II") if g.n % 4 == 0 else ("III", "IV")):
+        try:
+            lines.append(render_result(_document(name, g, decompose(g, statement))))
+        except ExceptionGraph as exc:
+            lines.append(f"{name}\t{statement}\texception:{exc.kind.value}")
+print(json.dumps([__debug__, lines]))
+"""
+
+
+def test_documents_are_byte_identical_under_python_O():
+    runs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_RUN], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    (debug, lines), (optimized_debug, optimized_lines) = map(json.loads, runs)
+    assert (debug, optimized_debug) == (True, False)
+    assert len(lines) == 12 and not any("exception:" in line for line in lines)
+    assert optimized_lines == lines
