@@ -203,20 +203,28 @@ class _V3Growth:
                 sizes[d] -= 1
                 sizes[d + 1] += 1
                 deg1[w] = d + 1
-                # A later neighbor's update can only invalidate w, never validate it.
-                if w < cursor and _is_stage1_candidate(deg1, adjacency, w):
-                    heappush(self.heap, w)
+                # w is now adjacent to V3; offer it if it is a candidate, which a
+                # later neighbor's update can only undo, never bring about.
+                if w < cursor:
+                    a, b, c = adjacency[w]
+                    if deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2:
+                        heappush(self.heap, w)
         assert (sizes[1] + sizes[3]) % 2 == 0
 
     def lowest(self) -> int | None:
         """Lowest vertex outside V3, adjacent to V3, with no neighbor in V2."""
+        # A candidate is outside V3 and adjacent to it (deg1 counts V3
+        # neighbors) with no neighbor in V2; g is cubic.  The tests are
+        # inline: a call costs more than most vertices' test.
         deg1, adjacency, heap = self.deg1, self.adjacency, self.heap
         while heap:
-            if _is_stage1_candidate(deg1, adjacency, heap[0]):
-                return heap[0]
+            v = heap[0]
+            if 0 < deg1[v] < 3:
+                a, b, c = adjacency[v]
+                if deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2:
+                    return v
             heappop(heap)
         i, n = self.cursor, len(deg1)
-        # _is_stage1_candidate, inline: a call costs more than most vertices' test.
         while i < n:
             if 0 < deg1[i] < 3:
                 a, b, c = adjacency[i]
@@ -259,14 +267,6 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
     assert _v3_connected(state, v3)
     state.stage1 = Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
     return state
-
-
-def _is_stage1_candidate(deg1: list[int], adjacency, v: int) -> bool:
-    # Outside V3 and adjacent to it (deg1 counts V3 neighbors), no neighbor in V2; g is cubic.
-    if not 0 < deg1[v] < 3:
-        return False
-    a, b, c = adjacency[v]
-    return deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2
 
 
 def _v3_connected(state: ColoringState, v3: list[int]) -> bool:

@@ -361,9 +361,10 @@ class TestCallsPerStep:
 
     A clock-free guard: sys.setprofile counts each "call" event made inside
     stage1_grow_v3 and stage2_fill_v2, which depends on the code alone, not
-    on the machine.  Per vertex added, stage 1 makes about 4.9 such calls,
-    and stage 2 about 4.4 per rule applied; with a helper call per finder
-    test, size check or recount they were 7.9 and 7.6.
+    on the machine.  Per vertex added, stage 1 makes about 2.0 such calls
+    (add and lowest), and stage 2 about 4.4 per rule applied; with a helper
+    call per finder test, size check or recount they were 7.9 and 7.6.
+    Python 3.12 inlines comprehensions, so it counts no more than 3.11.
     """
 
     STAGES = ("stage1_grow_v3", "stage2_fill_v2")
@@ -399,7 +400,7 @@ class TestCallsPerStep:
                 additions += target_profile(n, s).counts[0]
                 rules += sum(trace.rule_counts.values())
         assert additions > 1000 and rules > 800
-        assert calls["stage1_grow_v3"] / additions <= 5.5, (calls, additions)
+        assert calls["stage1_grow_v3"] / additions <= 2.5, (calls, additions)
         assert calls["stage2_fill_v2"] / rules <= 5.0, (calls, rules)
 
 
