@@ -24,7 +24,6 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
-from operator import sub
 
 from .errors import (
     CapExceeded,
@@ -253,8 +252,11 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
             colored[i] = 1
 
     # Recounted from deg1 in one pass: each V3-V3 edge shows up at both ends.
-    near_v3 = itertools.chain.from_iterable(map(adjacency.__getitem__, v3))
-    e_v3 = list(map(deg1.__getitem__, near_v3)).count(3) // 2
+    ends = 0
+    for v in v3:
+        a, b, c = adjacency[v]
+        ends += (deg1[a] == 3) + (deg1[b] == 3) + (deg1[c] == 3)
+    e_v3 = ends // 2
     out_v3 = 3 * n3 - 2 * e_v3
     girth = len(state.cycle)
     assert e_v3 >= n3 - 1, "V3 must induce a connected subgraph"
@@ -395,7 +397,7 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
     sizes, n1, n2, counts = state.sizes, state.n1, state.n2, state.rule_counts
     edge_index = state.host.edge_index
     while sizes[2] < n2:
-        before = sizes[:]
+        v0, v1, v2, v3 = sizes
         if sizes[2] < n2 - 1 and (i := rules.r1()) is not None:
             rules.color(i)
             name, deltas = "R1", (0, -2, 2, 0)
@@ -409,8 +411,8 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
             name, deltas = "R3", (-3, 2, 1, 0)
         else:
             raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={sizes[2]} of {n2}")
-        assert tuple(map(sub, sizes, before)) == deltas, \
-            f"{name}: sizes changed by {tuple(map(sub, sizes, before))}, expected {deltas}"
+        change = (sizes[0] - v0, sizes[1] - v1, sizes[2] - v2, sizes[3] - v3)
+        assert change == deltas, f"{name}: sizes changed by {change}, expected {deltas}"
         counts[name] += 1
     assert sizes[1] <= n1, "stage 2 must finish with |V1| <= n1"
     return state
