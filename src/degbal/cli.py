@@ -135,14 +135,10 @@ def cmd_decompose(args) -> int:
 
 def _profile_diffs(claimed: DegreeProfile, actual: DegreeProfile) -> list[str]:
     """Per-degree count differences; a degree beyond a profile counts 0."""
-
-    def count(p: DegreeProfile, k: int) -> int:
-        return p.count(k) if k <= p.degree else 0
-
     return [
-        f"degree {k}: document {count(claimed, k)}, recomputed {count(actual, k)}"
+        f"degree {k}: document {claimed.count(k)}, recomputed {actual.count(k)}"
         for k in range(max(claimed.degree, actual.degree), -1, -1)
-        if count(claimed, k) != count(actual, k)
+        if claimed.count(k) != actual.count(k)
     ]
 
 

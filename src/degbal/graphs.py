@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, compress, count
 from operator import itemgetter
 
@@ -34,17 +35,13 @@ class SmallClass(Enum):
     OTHER = "OTHER"
 
 
-# A memo field's value until its first computation.  The field stays off
-# __init__, so a Graph reads this class default and stores nothing until then.
-_UNSEEN = object()
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph whose edges (tails[i], heads[i]) come in canonical order
     (u < v, sorted); adjacency rows are read off in that order, so each row is ascending.
 
-    Two analyses are kept on the object the first time they run:
+    The rows and the degree set are built with the graph.  Two analyses are
+    cached properties, kept on the object the first time they are read:
     connected_components' split (None for a connected graph, which is its own
     component) and shortest_cycle's cycle.  Pickles carry the edges alone.
     """
@@ -52,10 +49,11 @@ class Graph:
     n: int
     tails: tuple[int, ...]
     heads: tuple[int, ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False, repr=False, default=())
-    _degrees: frozenset = field(compare=False, repr=False, default=frozenset())
-    _parts: tuple | None = field(default=_UNSEEN, init=False, compare=False, repr=False)
-    _cycle: list | None = field(default=_UNSEEN, init=False, compare=False, repr=False)
+    adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    _degrees: frozenset = field(init=False, compare=False, repr=False)
+    # Through a lambda: the searches are defined below, and looked up at each first read.
+    _parts = cached_property(lambda g: _find_components(g))
+    _cycle = cached_property(lambda g: _find_cycle(g))
 
     def __post_init__(self):
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -66,7 +64,7 @@ class Graph:
         object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
 
     def __reduce__(self):
-        # The rows, degrees and memos are derived from the edges, so rebuild them.
+        # The rows, degrees and kept analyses are derived from the edges, so rebuild them.
         return type(self), (self.n, self.tails, self.heads)
 
     edges = property(lambda g: tuple(zip(g.tails, g.heads)), doc="(u, v) pairs, built per access")
@@ -112,7 +110,7 @@ class EdgeSubset:
         return cls.from_member(member)
 
     def __contains__(self, index: int) -> bool:
-        return bool(self.bits >> index & 1)
+        return index >= 0 and bool(self.bits >> index & 1)
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -161,8 +159,8 @@ class DegreeProfile:
         return sum(self.counts)
 
     def count(self, k: int) -> int:
-        """Number of vertices of degree k."""
-        return self.counts[self.degree - k]
+        """Number of vertices of degree k; 0 for k outside 0..degree."""
+        return self.counts[self.degree - k] if 0 <= k <= self.degree else 0
 
     def max_deviation(self) -> Fraction:
         """max_k |count(k) - n/(d+1)| as an exact rational."""
@@ -228,15 +226,11 @@ def connected_components(g: Graph) -> list[Component]:
     Components of equal shape may share one Graph.  The split is found once
     per Graph object and kept on it; each call returns a fresh list.
     """
-    parts = g._parts
-    if parts is _UNSEEN:
-        parts = _find_components(g)
-        object.__setattr__(g, "_parts", parts)
-    if parts is None:
-        # Connected: the host is its own component.  The memo holds no
+    if g._parts is None:
+        # Connected: the host is its own component.  The kept split holds no
         # Component, which would refer back to g.
         return [Component(range(g.n), g, range(g.m))]
-    return list(parts)
+    return list(g._parts)
 
 
 def _find_components(g: Graph) -> tuple[Component, ...] | None:
@@ -286,11 +280,7 @@ def shortest_cycle(g: Graph) -> list[int] | None:
 
     Found once per Graph object and kept on it; each call returns a fresh list.
     """
-    cycle = g._cycle
-    if cycle is _UNSEEN:
-        cycle = _find_cycle(g)
-        object.__setattr__(g, "_cycle", cycle)
-    return None if cycle is None else list(cycle)
+    return None if g._cycle is None else list(g._cycle)
 
 
 def _find_cycle(g: Graph) -> list[int] | None:

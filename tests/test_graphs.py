@@ -20,6 +20,7 @@ from degbal.errors import (
     SizeMismatch,
     VertexOutOfRange,
 )
+from degbal.formats import encode_graph6
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import decompose
 from degbal.graphs import (
@@ -371,9 +372,23 @@ class TestKeptAnalyses:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("case", KEPT_CASES)
+    def test_nothing_is_kept_until_asked(self, case):
+        g = KEPT_CASES[case]()
+        built = {"n", "tails", "heads", "adjacency", "_degrees"}
+        assert set(vars(g)) == built
+        encode_graph6(g)
+        assert set(vars(g)) == built
+        connected_components(g)
+        assert set(vars(g)) == built | {"_parts"}
+        shortest_cycle(g)
+        assert set(vars(g)) == built | {"_parts", "_cycle"}
+        g = KEPT_CASES[case]()
+        shortest_cycle(g)
+        assert set(vars(g)) == built | {"_cycle"}
+
     def test_graph_interface_is_unchanged(self):
-        assert list(inspect.signature(Graph).parameters) == ["n", "tails", "heads", "adjacency",
-                                                             "_degrees"]
+        assert list(inspect.signature(Graph).parameters) == ["n", "tails", "heads"]
         assert [f.name for f in fields(Graph) if f.compare or f.repr] == ["n", "tails", "heads"]
         k4 = Graph(4, (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
         assert repr(k4) == "Graph(n=4, tails=(0, 0, 0, 1, 1, 2), heads=(1, 2, 3, 2, 3, 3))"
@@ -430,6 +445,11 @@ class TestFromMember:
         assert EdgeSubset.from_member(bytearray([1]) * m) == EdgeSubset(m, (1 << m) - 1)
 
 
+class TestEdgeSubsetContains:
+    def test_members_only(self):
+        assert [i for i in range(-3, 6) if i in EdgeSubset(3, 5)] == [0, 2]
+
+
 class TestProfileOf:
     def test_k4_single_edge(self):
         assert profile_of(build_graph(4, K4_EDGES), EdgeSubset(6, 1)).counts == (0, 0, 2, 2)
@@ -474,6 +494,10 @@ class TestDegreeProfile:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             DegreeProfile((1, -1, 1, 1))
+
+    def test_count_is_zero_outside_the_degrees(self):
+        p = DegreeProfile((1, 2, 1, 2))
+        assert [p.count(k) for k in range(-2, 6)] == [0, 0, 2, 1, 2, 1, 0, 0]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_max_deviation_matches_fraction_formula(self, d):
