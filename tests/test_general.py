@@ -25,11 +25,13 @@ from degbal.errors import (
     ParityMismatch,
     SpecialCaseNeeded,
 )
-from degbal.formats import parse_graph6
+from degbal.cli import _document
+from degbal.formats import parse_graph6, render_result
 from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import (
     CANONICAL_K33,
     CANONICAL_K4,
+    DecompositionResult,
     decompose,
     decompose_traced,
     detect_exception,
@@ -37,6 +39,7 @@ from degbal.general import (
     statement_target,
 )
 from degbal.graphs import (
+    DegreeProfile,
     EdgeSubset,
     Graph,
     SmallClass,
@@ -242,6 +245,40 @@ class TestDecompose:
     def test_deterministic(self):
         g = disjoint_union([named("PRISM"), named("CUBE"), named("K4")])
         assert decompose(g, Statement.III.value).subset.bits == decompose(g, Statement.III.value).subset.bits
+
+
+class TestEmptyGraph:
+    """The graph with no vertices: the empty subset reaches every target that
+    fits n = 0, and II-IV, which need n >= 4 or n = 4t+2, refuse it."""
+
+    @pytest.mark.parametrize("statement, trace, k", [
+        ("I", ("empty",), 4),
+        ("BALANCED", ("balanced:I", "empty"), 4),
+        ("TWO_REGULAR", ("empty",), 3),
+    ])
+    def test_whole_result(self, statement, trace, k):
+        g = build_graph(0, [])
+        zero = DegreeProfile((0,) * k)
+        assert decompose(g, statement) == DecompositionResult(
+            statement, EdgeSubset(0), zero, zero, Fraction(0), trace, False
+        )
+        assert statement_target(g, statement) == zero
+
+    @pytest.mark.parametrize("statement", ["II", "III", "IV"])
+    def test_parity_refusals(self, statement):
+        g = build_graph(0, [])
+        with pytest.raises(ParityMismatch):
+            decompose(g, statement)
+        with pytest.raises(ParityMismatch):
+            statement_target(g, statement)
+
+    def test_balanced_document_bytes(self):
+        g = build_graph(0, [])
+        assert render_result(_document("empty", g, decompose(g, "BALANCED"))) == (
+            '{"input_name":"empty","n":0,"statement":"BALANCED","target_profile":[0,0,0,0],'
+            '"achieved_profile":[0,0,0,0],"subgraph_edges":[],"max_deviation":"0",'
+            '"branch_trace":["balanced:I","empty"],"fallback_used":false}'
+        )
 
 
 class TestDecomposeBalanced:
