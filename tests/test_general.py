@@ -395,6 +395,29 @@ class TestOneRunPerShape:
         warned = [r for r in caplog.records if r.getMessage().startswith("fallback used")]
         assert len(warned) == len(calls) < 6
 
+    @pytest.mark.parametrize("parts, cubes", [
+        (("CUBE", "PETERSEN", "PETERSEN"), 1),  # the cube is peeled
+        (("PETERSEN", "PETERSEN", "CUBE"), 1),  # the cube is the tail
+        (("CUBE", "CUBE", "PETERSEN", "PETERSEN"), 2),
+        (("PETERSEN",) * 4, 0),
+    ])
+    def test_fallback_flag_follows_the_blocked_component(self, monkeypatch, parts, cubes):
+        # Only the cubes block, so the flag is set by their runs and no other.
+        stage2 = connected_mod.stage2_fill_v2
+
+        def block_cubes(state):
+            if state.host.n == 8:
+                raise SpecialCaseNeeded("forced")
+            return stage2(state)
+
+        monkeypatch.setattr(connected_mod, "stage2_fill_v2", block_cubes)
+        g = disjoint_union([named(p) for p in parts])
+        for s in applicable_statements(g.n):
+            res = decompose(g, s.value)
+            assert res.fallback_used is (cubes > 0), (parts, s)
+            assert sum(t.endswith("staged:blocked->fallback") for t in res.branch_trace) == cubes
+            assert res.achieved == profile_of(g, res.subset) == target_profile(g.n, s)
+
 
 class TestOneSplit:
     """decompose(g, "BALANCED") splits g into components exactly once, and
