@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .connected import (
     ExceptionKind,
@@ -118,9 +119,9 @@ _CASE1 = {
 
 
 def decompose_traced(g: Graph, s: Statement, split) -> tuple[EdgeSubset, list[str], bool]:
-    """Subset of any cubic g meant to realize target_profile(n, s), its branch
-    trace and whether the fallback ran, from _plan's work: s, whose parity
-    _plan has checked, and g's _split.  decompose counts the subset's profile.
+    """Subset of a cubic g with n > 0 meant to realize target_profile(n, s),
+    its branch trace and whether the fallback ran, from _plan's work: s, whose
+    parity _plan has checked, and g's _split.  decompose counts the subset's profile.
 
     The trace of a multi-component graph is flat: one label per peeled
     component, then the entries of what was left prefixed "rest:", then
@@ -130,8 +131,6 @@ def decompose_traced(g: Graph, s: Statement, split) -> tuple[EdgeSubset, list[st
     kind = refusal(s, classes)[0]
     if kind is not None:
         raise ExceptionGraph(kind)
-    if g.n == 0:
-        return EdgeSubset(0), ["empty"], False
     if len(comps) == 1:
         sub, trace = decompose_connected_traced(g, s)
         return sub, trace.branch, trace.fallback_used
@@ -163,21 +162,16 @@ def _compose(
     """
     big = [i for i, cls in enumerate(classes) if cls in (SmallClass.PRISM, SmallClass.OTHER)]
     peels = big[: len(comps) - 1]
-    peeled = set(peels)
-    tail = [i for i in range(len(comps)) if i not in peeled]
+    tail = [i for i, cls in enumerate(classes)
+            if cls in (SmallClass.K4, SmallClass.K33)] or big[-1:]
     tail_is_2k4 = len(tail) == 2 and all(classes[i] is SmallClass.K4 for i in tail)
 
     labels: list[str] = []
     h_trace: list[str] = []
     member = bytearray(g.m)
-    flip = rest_is_2k4 = False
+    flip = rest_is_2k4 = fallback = False
     n_left, stmt = g.n, s
-    runs: dict = {}  # (graph, statement) -> its decompose_connected_traced result
-
-    def run(graph: Graph, statement: Statement):
-        if (graph, statement) not in runs:
-            runs[graph, statement] = decompose_connected_traced(graph, statement)
-        return runs[graph, statement]
+    run, realize = cache(decompose_connected_traced), cache(realize_tuple_on)
 
     for i in peels:
         comp = comps[i]
@@ -197,12 +191,14 @@ def _compose(
             )
         flip ^= compl_whole
         h_sub, trace = run(comp.graph, h_stmt)
+        fallback |= trace.fallback_used
         h_trace.extend(f"H:{t}" for t in trace.branch)
         _lift(member, comp, h_sub, compl_h ^ flip)
 
     if len(tail) == 1:
         comp = comps[tail[0]]
         sub, trace = run(comp.graph, stmt)
+        fallback |= trace.fallback_used
         tail_trace = trace.branch
         _lift(member, comp, sub, flip)
     else:
@@ -210,14 +206,11 @@ def _compose(
         k33s = [comps[i] for i in tail if classes[i] is SmallClass.K33]
         label, assignments = _case2_assignments(stmt, k4s, k33s)
         tail_trace = [] if rest_is_2k4 else [label]
-        realized: dict = {}  # (graph, tuple) -> its realize_tuple_on subset
         for comp, cls, counts in assignments:
-            if (comp.graph, counts) not in realized:
-                realized[comp.graph, counts] = realize_tuple_on(comp.graph, cls, counts)
-            _lift(member, comp, realized[comp.graph, counts], flip)
+            _lift(member, comp, realize(comp.graph, cls, counts), flip)
 
     trace = labels + [f"rest:{t}" for t in tail_trace] + h_trace if peels else tail_trace
-    return EdgeSubset.from_member(member), trace, any(t.fallback_used for _, t in runs.values())
+    return EdgeSubset.from_member(member), trace, fallback
 
 
 # Case-2 dispatch: (#K4 mod 2, #K3,3 mod 2, statement) -> rows of
@@ -281,34 +274,24 @@ class DecompositionResult:
     fallback_used: bool
 
 
-def _result(g: Graph, statement: str, subset: EdgeSubset, target: DegreeProfile,
-            trace, fallback: bool) -> DecompositionResult:
-    """The one place a result is built: subset's profile is counted here, once,
-    and must be the target.  At n = 0 the only subset, the empty one, is taken to reach it."""
-    achieved = profile_of(g, subset) if g.n else target
-    if achieved != target:
-        raise InternalStuck(f"{statement}: achieved {achieved.counts}, target {target.counts}")
-    return DecompositionResult(
-        statement, subset, target, achieved, achieved.max_deviation(), tuple(trace), fallback
-    )
-
-
 def _plan(g: Graph, statement: str):
     """Every check and choice decompose(g, statement) makes before it builds a
-    subgraph: (target, leading trace labels, work), where work is (cycles,
-    full, hosts) for TWO_REGULAR and (statement run, split) otherwise.
+    subgraph: (target, leading trace labels, build), where build() gives the
+    subset, the rest of its trace and whether the fallback ran.
 
     BALANCED runs I or III by n mod 4, or on an exception graph its best
     effort; I-IV keep their formula on an exception graph, which
     decompose_traced then refuses.  Refusals for degree, parity or a
-    2C3/2C4 are raised here.
+    2C3/2C4 are raised here.  The empty graph's one subset is built here too.
     """
     if statement == "TWO_REGULAR":
         require_regular(g, 2)
         cycles = _cycle_edges(g)
         counts, (full, hosts) = _two_regular_plan([len(c) for c in cycles], g.n)
         labels = [f"two-regular:full={full}", f"paths={hosts}"] if g.n else ["empty"]
-        return DegreeProfile(counts), labels, (cycles, full, hosts)
+        return DegreeProfile(counts), labels, lambda: (
+            _build_two_regular(g, cycles, full, hosts), [], False
+        )
     split = _split(g)
     if statement == "BALANCED":
         s = Statement.I if g.n % 4 == 0 else Statement.III
@@ -318,7 +301,9 @@ def _plan(g: Graph, statement: str):
                   else f"exception:{kind.value}:best-effort:{run.value}"]
     else:
         run, labels = Statement(statement), []
-    return target_profile(g.n, run), labels, (run, split)
+    if g.n == 0:
+        return target_profile(0, run), labels, lambda: (EdgeSubset(0), ["empty"], False)
+    return target_profile(g.n, run), labels, lambda: decompose_traced(g, run, split)
 
 
 def decompose(g: Graph, statement: str) -> DecompositionResult:
@@ -331,12 +316,15 @@ def decompose(g: Graph, statement: str) -> DecompositionResult:
     respectively.  TWO_REGULAR asks a disjoint union of cycles for a
     balanced spanning subgraph (see _two_regular_plan).
     """
-    target, labels, work = _plan(g, statement)
-    if statement == "TWO_REGULAR":
-        subset, trace, fallback = _build_two_regular(g, *work), [], False
-    else:
-        subset, trace, fallback = decompose_traced(g, *work)
-    return _result(g, statement, subset, target, labels + trace, fallback)
+    target, labels, build = _plan(g, statement)
+    subset, trace, fallback = build()
+    # The one count of the subset's profile; at n = 0 the only subset, the
+    # empty one, is taken to reach the target.
+    achieved = profile_of(g, subset) if g.n else target
+    if achieved != target:
+        raise InternalStuck(f"{statement}: achieved {achieved.counts}, target {target.counts}")
+    return DecompositionResult(statement, subset, target, achieved, achieved.max_deviation(),
+                               tuple(labels + trace), fallback)
 
 
 # bench/run.py calls these three by name; the next benchmark change deletes them.
