@@ -61,3 +61,10 @@ def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
     """The circulant C_n(jumps): vertex i adjacent to i ± j mod n for each jump j."""
     edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}
     return build_graph(n, sorted(edges))
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): outer cycle 0..n-1, spokes i ~ n+i, inner edges n+i ~ n+(i+k) mod n."""
+    return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
+                       + [(i, n + i) for i in range(n)]
+                       + [(n + i, n + (i + k) % n) for i in range(n)])

@@ -40,7 +40,7 @@ from degbal.graphs import (
     _path_to_root,
 )
 
-from conftest import FIXTURES, load_corpus_file
+from conftest import FIXTURES, generalized_petersen, load_corpus_file
 
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -624,13 +624,6 @@ def unrestricted_shortest_cycle(g):
         return None
     left, right = found
     return left[::-1] + right[:-1]
-
-
-def generalized_petersen(n, k):
-    """GP(n, k): outer cycle 0..n-1, spokes i ~ n+i, inner edges n+i ~ n+(i+k) mod n."""
-    return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
-                       + [(i, n + i) for i in range(n)]
-                       + [(n + i, n + (i + k) % n) for i in range(n)])
 
 
 def test_shortest_cycle_matches_the_unrestricted_search_on_random_cubic_graphs():
