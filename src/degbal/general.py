@@ -162,6 +162,7 @@ def _compose(
     """
     big = [i for i, cls in enumerate(classes) if cls in (SmallClass.PRISM, SmallClass.OTHER)]
     peels = big[: len(comps) - 1]
+    # What is left: every K4 and K3,3, or the last component when none is one.
     tail = [i for i, cls in enumerate(classes)
             if cls in (SmallClass.K4, SmallClass.K33)] or big[-1:]
     tail_is_2k4 = len(tail) == 2 and all(classes[i] is SmallClass.K4 for i in tail)
