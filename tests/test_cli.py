@@ -588,6 +588,45 @@ class TestBatchCommand:
         assert out == ""
         assert "parse error: empty input" in err
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_every_outcome_kind_counted(self, capsys, tmp_path, jobs):
+        # Under statement I: an exception graph, a decomposition, a parity
+        # refusal (n = 10 is not 4t) and a 2-regular graph, which fails.
+        path = tmp_path / "mixed.g6"
+        graphs = [named("K4"), named("CUBE"), named("PETERSEN"), cycles([4])]
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        code, out, err = run_cli(
+            capsys, "batch", "-i", str(path), "-s", "i", "--no-timing", "--jobs", jobs
+        )
+        assert code == 1 and err == ""
+        assert out == (
+            "name\tn\tstatement\tstatus\tdeviation\tfallback_used\tms\n"
+            f"{path}:1\t4\ti\texception:K4_I\t-\t-\t-\n"
+            f"{path}:2\t8\ti\tok\t0\tfalse\t-\n"
+            f"{path}:3\t10\ti\tparity-mismatch\t-\t-\t-\n"
+            f"{path}:4\t4\ti\tfailed:NotRegular\t-\t-\t-\n"
+            "# total=4 ok=1 exceptions=1 parity-skipped=1 failures=1\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("gen", "--random", "8", "--count", "0"), "error: count must be >= 1\n"),
+        (("batch", "-i", "{path}", "--jobs", "0"), "error: jobs must be >= 1\n"),
+        (
+            ("batch", "-i", "{path}", "-s", "bogus"),
+            "statement must be i/ii/iii/iv/balanced/two-regular, got 'bogus'\n",
+        ),
+    ],
+    ids=["gen-count-0", "batch-jobs-0", "batch-bogus-statement"],
+)
+def test_usage_error_is_one_stderr_line_exit_1(capsys, tmp_path, argv, message):
+    path = tmp_path / "k4.g6"
+    path.write_text(encode_graph6(named("K4")) + "\n")
+    code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out, err) == (1, "", message)
+
 
 # SHA-256 of `batch --no-timing` stdout over every fixture corpus in name
 # order, each fed on stdin so row names read `stdin:N` wherever the
