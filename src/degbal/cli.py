@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 from . import gen, oracle
 from .errors import (
@@ -120,16 +121,12 @@ def _document(name: str, g: Graph, res: DecompositionResult) -> ResultDocument:
 
 
 def cmd_decompose(args) -> int:
-    graphs = _load_graphs(args)
-    first = True
-    for name, g in graphs:
-        res = decompose(g, args.statement)
-        doc = _document(name, g, res)
+    for i, (name, g) in enumerate(_load_graphs(args)):
+        doc = _document(name, g, decompose(g, args.statement))
         text = render_result(doc, args.format)
-        if args.format == "tsv" and not first:
+        if args.format == "tsv" and i:
             text = text.split("\n", 1)[1]  # keep one header per stream
         print(text)
-        first = False
     return EXIT_OK
 
 
@@ -238,8 +235,7 @@ def cmd_gen(args) -> int:
         graphs.append(gen.disjoint_union([gen.named(p) for p in args.union.split(",")]))
     else:
         if args.count < 1:
-            print("error: count must be >= 1", file=sys.stderr)
-            return EXIT_FAIL
+            raise DegbalError("count must be >= 1")
         seed = args.seed
         while len(graphs) < args.count:
             g = gen.random_cubic(args.random, seed)
@@ -271,13 +267,8 @@ def _batch_worker(task: tuple[str, Graph, str]) -> tuple[str, int, str, str, str
 
 def cmd_batch(args) -> int:
     if args.jobs < 1:
-        print("error: jobs must be >= 1", file=sys.stderr)
-        return EXIT_FAIL
-    try:
-        statement = _statement_arg(args.statement_raw)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_FAIL
+        raise DegbalError("jobs must be >= 1")
+    statement = _statement_arg(args.statement_raw)
     tasks = [(name, g, statement) for name, g in _load_graphs(args)]
     # The pool may start every worker at once, so ask for no idle ones.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
@@ -289,23 +280,16 @@ def cmd_batch(args) -> int:
         rows = [_batch_worker(t) for t in tasks]
 
     print("name\tn\tstatement\tstatus\tdeviation\tfallback_used\tms")
-    ok = exceptions = skipped = failures = 0
     for name, n, status, dev, fb, ms in rows:
-        if status == "ok":
-            ok += 1
-        elif status.startswith("exception:"):
-            exceptions += 1
-        elif status == "parity-mismatch":
-            skipped += 1
-        else:
-            failures += 1
         ms_text = "-" if args.no_timing else str(ms)
         print(f"{name}\t{n}\t{args.statement_raw}\t{status}\t{dev}\t{fb}\t{ms_text}")
+    # A status is its kind, then ':' and a detail for exception and failed.
+    kinds = Counter(status.partition(":")[0] for _, _, status, *_ in rows)
     print(
-        f"# total={len(rows)} ok={ok} exceptions={exceptions}"
-        f" parity-skipped={skipped} failures={failures}"
+        f"# total={len(rows)} ok={kinds['ok']} exceptions={kinds['exception']}"
+        f" parity-skipped={kinds['parity-mismatch']} failures={kinds['failed']}"
     )
-    return EXIT_FAIL if failures else EXIT_OK
+    return EXIT_FAIL if kinds["failed"] else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +368,7 @@ def main(argv=None) -> int:
     except (InternalStuck, AssertionError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, DegbalError, OSError) as exc:
+    except (ValueError, DegbalError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

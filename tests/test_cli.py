@@ -616,7 +616,7 @@ class TestBatchCommand:
         (("batch", "-i", "{path}", "--jobs", "0"), "error: jobs must be >= 1\n"),
         (
             ("batch", "-i", "{path}", "-s", "bogus"),
-            "statement must be i/ii/iii/iv/balanced/two-regular, got 'bogus'\n",
+            "error: statement must be i/ii/iii/iv/balanced/two-regular, got 'bogus'\n",
         ),
     ],
     ids=["gen-count-0", "batch-jobs-0", "batch-bogus-statement"],
