@@ -171,13 +171,13 @@ def _compose(
     h_trace: list[str] = []
     member = bytearray(g.m)
     flip = rest_is_2k4 = fallback = False
-    n_left, stmt = g.n, s
+    stmt = s
     run, realize = cache(decompose_connected_traced), cache(realize_tuple_on)
 
     for i in peels:
         comp = comps[i]
-        n_left -= comp.graph.n
-        rest_is_2k4 = n_left == 8 and tail_is_2k4
+        # Only the last peel leaves no component but the tail.
+        rest_is_2k4 = tail_is_2k4 and i == peels[-1]
         if rest_is_2k4:
             # The rest's statement-I pairs, _PAIR's K4 pair, give (2,2,2,2):
             # target(n, s) - target(n - 8, s) for every s, so H keeps s.
