@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -9,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from degbal.cli import main
-from degbal.formats import encode_graph6, parse_graph6
+from degbal.cli import _document, main
+from degbal.formats import encode_graph6, parse_graph6, render_result
 from degbal.gen import cycles, disjoint_union, named
+from degbal.general import decompose
 
 from conftest import FIXTURES
 
@@ -38,6 +40,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_stdout(argv, stdin=""):
+    """main's exit code and stdout for argv, with stdin reading the given text."""
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            return main(list(argv)), out.getvalue()
+    finally:
+        sys.stdin = saved
+
+
 class TestDecomposeCommand:
     def test_petersen_balanced(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--named", "petersen", "--statement", "balanced")
@@ -46,10 +58,12 @@ class TestDecomposeCommand:
         assert doc["max_deviation"] == "1/2"
         assert doc["statement"] == "BALANCED"
 
-    def test_k33_iii_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, "decompose", "--named", "k33", "--statement", "iii")
+    @pytest.mark.parametrize("name, statement, kind", [("k33", "iii", "K33_III"), ("k4", "i", "K4_I")],
+                             ids=["k33-iii", "k4-i"])
+    def test_exception_graph_exit_2(self, capsys, name, statement, kind):
+        code, _, err = run_cli(capsys, "decompose", "--named", name, "--statement", statement)
         assert code == 2
-        assert "K33_III" in err
+        assert kind in err
 
     def test_prism_iii_profile(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--named", "prism", "--statement", "iii")
@@ -288,13 +302,15 @@ class TestVerifyCommand:
         assert err.startswith("parity mismatch: ")
 
     def test_every_decompose_output_verifies(self, capsys, tmp_path):
-        for name in ("k4", "k33", "prism", "cube", "petersen", "heawood"):
-            code, out, _ = run_cli(capsys, "decompose", "--named", name, "--statement", "balanced")
+        # Under BALANCED, and the small base cases read off vertex 0.
+        runs = [(name, "balanced") for name in ("k4", "k33", "prism", "cube", "petersen", "heawood")]
+        for name, statement in runs + [("prism", "iii"), ("k33", "iv")]:
+            code, out, _ = run_cli(capsys, "decompose", "--named", name, "--statement", statement)
             assert code == 0
-            path = tmp_path / f"{name}.json"
+            path = tmp_path / f"{name}-{statement}.json"
             path.write_text(out)
             code, out, _ = run_cli(capsys, "verify", "--named", name, "--result", str(path))
-            assert code == 0, (name, out)
+            assert code == 0, (name, statement, out)
         host = tmp_path / "c345.g6"
         host.write_text(encode_graph6(cycles([3, 4, 5])) + "\n")
         code, out, _ = run_cli(capsys, "decompose", "-i", str(host), "-s", "two-regular")
@@ -366,21 +382,23 @@ class TestOracleCommand:
         assert code == 4 and not out
         assert "--profile" in err
 
-    def test_k4_profile_queries_return_the_report_witnesses(self, capsys):
-        # (0,0,0,4)'s witness is the empty subgraph, [], not null.
-        _, out, _ = run_cli(capsys, "oracle", "--named", "k4")
-        witnesses = json.loads(out)["witnesses"]
-        assert witnesses["0,0,0,4"] == []
+    @pytest.mark.parametrize("graph", ["k4", "r16"])
+    def test_profile_queries_return_the_report_witnesses(self, graph):
+        # K4's (0,0,0,4) witness is [], not null.  On r16 (m = 24) the report's
+        # dynamic program and the query's search agree on all, (4,4,4,4) too.
+        argv, stdin = (("--named", "k4"), "") if graph == "k4" else (("-i", "-"), stdin_text(R16))
+        witnesses = json.loads(cli_stdout(("oracle", *argv), stdin)[1])["witnesses"]
+        if graph == "k4":
+            assert witnesses["0,0,0,4"] == []
         for profile, witness in witnesses.items():
-            code, out, _ = run_cli(capsys, "oracle", "--named", "k4", "--profile", profile)
+            code, out = cli_stdout(("oracle", *argv, "--profile", profile), stdin)
             doc = json.loads(out)
             assert code == 0 and doc["achievable"] is True, profile
             assert doc["witness"] == witness, profile
 
-    def test_graph_with_no_vertices_profile_query(self, capsys, monkeypatch):
+    def test_graph_with_no_vertices_profile_query(self):
         # The full report lists [[0]]; the query for (0) agrees.
-        monkeypatch.setattr(sys, "stdin", io.StringIO("0 0\n"))
-        code, out, _ = run_cli(capsys, "oracle", "-i", "-", "--profile", "0")
+        code, out = cli_stdout(("oracle", "-i", "-", "--profile", "0"), "0 0\n")
         assert code == 0
         assert json.loads(out) == {
             "input_name": "stdin", "n": 0, "profile": [0], "achievable": True, "witness": [],
@@ -580,13 +598,15 @@ class TestBatchCommand:
             "# total=1 ok=1 exceptions=0 parity-skipped=0 failures=0",
         ]
 
-    def test_empty_input_exit_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["batch", "decompose"])
+    def test_empty_input_exit_4(self, capsys, tmp_path, monkeypatch, command):
         path = tmp_path / "empty.g6"
         path.write_text("\n  \n")
-        code, out, err = run_cli(capsys, "batch", "--input", str(path))
-        assert code == 4
-        assert out == ""
-        assert "parse error: empty input" in err
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        for source in (str(path), "-"):
+            code, out, err = run_cli(capsys, command, "--input", source)
+            assert (code, out) == (4, "")
+            assert "parse error: empty input" in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_every_outcome_kind_counted(self, capsys, tmp_path, jobs):
@@ -641,14 +661,102 @@ BATCH_SHA256 = {
 
 
 @pytest.mark.parametrize("statement", sorted(BATCH_SHA256))
-def test_batch_output_digest(capsys, monkeypatch, statement):
+def test_batch_output_digest(statement):
     digest = hashlib.sha256()
     for path in sorted(FIXTURES.glob("*.g6")):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
-        code, out, _ = run_cli(capsys, "batch", "-i", "-", "-s", statement, "--no-timing")
+        code, out = cli_stdout(("batch", "-i", "-", "-s", statement, "--no-timing"), path.read_text())
         assert code == 0, path.name
         digest.update(f"{path.name}\n{out}".encode("ascii"))
     assert digest.hexdigest() == BATCH_SHA256[statement]
+
+
+@functools.cache
+def stdin_text(source):
+    """A CLI_PINS row's stdin: a literal text, or the stdout of a gen argv."""
+    return source if isinstance(source, str) else cli_stdout(source)[1]
+
+
+R3002 = ("gen", "--random", "3002", "--seed", "7")
+R3000 = ("gen", "--random", "3000", "--seed", "7", "--connected")
+R16 = ("gen", "--random", "16", "--seed", "1", "--connected")
+CASE1 = ("gen", "--union", ",".join(["petersen"] * 60 + ["prism"] * 40))
+CASE2 = ("gen", "--union", ",".join(["k4"] * 31 + ["k33"] * 20))
+DECOMPOSE = ("decompose", "-i", "-", "-s")
+
+# SHA-256 of main's stdout, the same on every Python: (argv, stdin source,
+# digest).  Documents read stdin, since input_name holds an input's path.
+CLI_PINS = {
+    # random_cubic's packed splitmix64 kernel matches the scalar stream.
+    "gen-r3002": (R3002, "", "abde8bbe95193023be90221e39dc3a957cb3882e3c48a12192aaa03cb7ae3687"),
+    "gen-r8x50": (("gen", "--random", "8", "--count", "50", "--seed", "0"), "",
+                  "2c16ce4426daed6692d09828feea479d5208916a7ae1f8f55f04a54f76c31858"),
+    # The connected path (shortest cycle, stages 1-3, render): BALANCED and
+    # IV at n = 3002, and BALANCED (statement I) and II at n = 3000 = 4t.
+    "r3002-balanced": ((*DECOMPOSE, "balanced"), R3002,
+                       "68240e40bd0ea7edf432790170153ab856d3324dc831a72c1575abec4b76a76f"),
+    "r3002-iv": ((*DECOMPOSE, "iv"), R3002,
+                 "338aa2534a62c158de85bc8e6510c1d9977e6c3e9cde7b7281f485406942022e"),
+    "r3000-balanced": ((*DECOMPOSE, "balanced"), R3000,
+                       "8a9d55d69e5926481dcab708d4a7da26defc86b1c5b6b267f94b3c04e528acba"),
+    "r3000-ii": ((*DECOMPOSE, "ii"), R3000,
+                 "b15e1c2db79222c455601b789bef2d240a00df49dffa7615bda647eed89c00b0"),
+    # Many components: case 1's peel order (60 Petersen + 40 prism) and
+    # case 2's K4/K3,3 tables (31 K4 + 20 K3,3).
+    "case1-balanced": ((*DECOMPOSE, "balanced"), CASE1,
+                       "73d81ee5b07404fe996aeaa679b3607d98e3033da4abe9a6d51f150b0ac8bc7f"),
+    "case1-ii": ((*DECOMPOSE, "ii"), CASE1,
+                 "880ad0f811d1e266aa6af972b38385f348e6a123606e9fc42765ef905ebdeb12"),
+    "case2-balanced": ((*DECOMPOSE, "balanced"), CASE2,
+                       "8591f89d4b3668c2cef6974e154e9700c5235f8dd639a5709403978978c20db5"),
+    "case2-ii": ((*DECOMPOSE, "ii"), CASE2,
+                 "2abc851f39fdab823d248a646af1f4084733b09291abfdd98e732f9b9112044c"),
+    # TWO_REGULAR: twelve triangles (full cycles), and three triangles with
+    # a C31 (a host with four paths).
+    "c3x12-two-regular": ((*DECOMPOSE, "two-regular"), ("gen", "--cycles", ",".join(["3"] * 12)),
+                          "dba6d97fd0aa998ad3f92e210d0f74b9675854b6f24116a4f24a24aa14475d04"),
+    "c3x3+c31-two-regular": ((*DECOMPOSE, "two-regular"), ("gen", "--cycles", "3,3,3,31"),
+                             "cbf0c33aaf047588e50f4f6db26587ee91ebb6d87beda161eee69d734af16871"),
+    # Oracle reports: r16 (m = 24), and the d = 4 circulant C13(1,5)
+    # (m = 26), whose groups meet in frames that differ in both directions.
+    "r16-oracle": (("oracle", "-i", "-"), R16,
+                   "77c0cf17f51e80fac2f6961776f7ec67038c52b8b130d07b63dcc9da2d054753"),
+    "c13-oracle": (("oracle", "-i", "-"), "LhEIHEPQHGaPaP\n",
+                   "c443616e4f8c3245feda65c0c8a2c3536ba72de277157b947dbffbbcc27eae42"),
+    "heawood-oracle": (("oracle", "--named", "heawood"), "",
+                       "b75522547e05af9a65238ae877abdc42bfd2e7e192593475ce60475632316e7e"),
+}
+DECOMPOSE_ROWS = [row for row, (argv, _, _) in CLI_PINS.items() if argv[0] == "decompose"]
+
+
+@pytest.mark.parametrize("row", list(CLI_PINS))
+def test_cli_output_digest(tmp_path, row):
+    argv, source, want = CLI_PINS[row]
+    code, out = cli_stdout(argv, stdin_text(source))
+    got = hashlib.sha256(out.encode("ascii")).hexdigest()
+    assert (code, got) == (0, want), f"{row}: sha256 {got}"
+    if row in DECOMPOSE_ROWS:
+        path = tmp_path / "result.json"
+        path.write_text(out)
+        code, report = cli_stdout(("verify", "-i", "-", "-r", str(path)), stdin_text(source))
+        assert code == 0 and report.startswith("PASS"), (row, report)
+
+
+# One parsed Graph decomposed under several statements in turn keeps its
+# component split and shortest cycle, and each document its row's bytes.
+SAME_GRAPH = (("r3000-balanced", "r3000-ii", "r3000-balanced"), ("r3002-balanced", "r3002-iv"))
+
+
+def decompose_digests():
+    """[row, sha256] for each decompose row through main, then for each SAME_GRAPH
+    row on one parsed Graph.  tests/test_golden.py runs it with and without -O."""
+    texts = [(row, cli_stdout(CLI_PINS[row][0], stdin_text(CLI_PINS[row][1]))[1])
+             for row in DECOMPOSE_ROWS]
+    for rows in SAME_GRAPH:
+        g = parse_graph6(stdin_text(CLI_PINS[rows[0]][1]).strip())
+        for row in rows:
+            doc = _document("stdin:1", g, decompose(g, CLI_PINS[row][0][-1].upper()))
+            texts.append((row, render_result(doc) + "\n"))
+    return [[row, hashlib.sha256(text.encode("ascii")).hexdigest()] for row, text in texts]
 
 
 class TestBatchCorpus:

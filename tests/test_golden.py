@@ -33,6 +33,7 @@ from degbal.graphs import (
 from degbal.oracle import achievable_profiles, find_witness
 
 from conftest import FIXTURES, K4_TUPLES, K33_TUPLES, circulant, load_corpus_file
+from test_cli import CLI_PINS, DECOMPOSE_ROWS, SAME_GRAPH
 
 GOLDEN_SHA256 = "37fef6abfee445724f6e499e957e7984e2b635ed054445cafc126365e36ea7a3"
 
@@ -424,9 +425,12 @@ def test_random_cubic_edges_match_golden_digest():
 
 # The stages assert their size identities; python -O strips those asserts.
 # Every document must come out byte-identical either way, so no assert may
-# carry a side effect the construction relies on.
+# carry a side effect the construction relies on.  Each run also hashes the
+# pinned decompose documents of tests/test_cli.py.
 OPTIMIZED_RUN = """
-import json
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_cli import decompose_digests
 from degbal.cli import _document
 from degbal.formats import parse_graph6, render_result
 from degbal.gen import disjoint_union, named, random_cubic
@@ -440,18 +444,21 @@ lines = []
 for name, g in inputs:
     for statement in ("BALANCED",) + (("I", "II") if g.n % 4 == 0 else ("III", "IV")):
         lines.append(render_result(_document(name, g, decompose(g, statement))))
-print(json.dumps([__debug__, lines]))
+print(json.dumps([__debug__, lines, decompose_digests()]))
 """
 
 
 def test_documents_are_byte_identical_under_python_O():
     runs = []
     for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_RUN], capture_output=True,
-                              text=True, timeout=60)
+        proc = subprocess.run([sys.executable, *flags, "-c", OPTIMIZED_RUN, str(FIXTURES.parent)],
+                              capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         runs.append(proc.stdout)
-    (debug, lines), (optimized_debug, optimized_lines) = map(json.loads, runs)
+    (debug, lines, digests), (optimized_debug, optimized_lines, optimized_digests) = map(json.loads, runs)
     assert (debug, optimized_debug) == (True, False)
     assert len(lines) == 12
     assert optimized_lines == lines
+    pinned = [[row, CLI_PINS[row][2]] for row in itertools.chain(DECOMPOSE_ROWS, *SAME_GRAPH)]
+    assert digests == pinned
+    assert optimized_digests == pinned
