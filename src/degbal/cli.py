@@ -26,7 +26,6 @@ from .formats import (
     STATEMENTS,
     ResultDocument,
     encode_graph6,
-    format_rational,
     parse_edge_list,
     parse_graph6,
     parse_result_json,
@@ -164,8 +163,7 @@ def cmd_verify(args) -> int:
         true_dev = achieved.max_deviation()
         if true_dev != doc.max_deviation:
             problems.append(
-                f"deviation mismatch: document {format_rational(doc.max_deviation)},"
-                f" recomputed {format_rational(true_dev)}"
+                f"deviation mismatch: document {doc.max_deviation}, recomputed {true_dev}"
             )
         if not problems:
             expected = statement_target(g, doc.statement)  # refuses where decompose would
@@ -181,35 +179,28 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     name, g = _one_graph(args)
+    doc = {"input_name": name, "n": g.n}
     if args.profile is not None:
         fields, size = args.profile.split(","), inferred_degree(g) + 1
         if len(fields) != size or not all(x.strip().isdecimal() for x in fields):
             raise ParseError(f"--profile needs {size} non-negative integers, got {args.profile!r}")
         counts = tuple(map(int, fields))
         witness = oracle.find_witness(g, DegreeProfile(counts), args.edge_cap)
-        doc = {
-            "input_name": name,
-            "n": g.n,
+        doc |= {
             "profile": list(counts),
             "achievable": witness is not None,
             "witness": [list(e) for e in witness.edges(g)] if witness is not None else None,
         }
     elif args.min_deviation:
-        doc = {
-            "input_name": name,
-            "n": g.n,
-            "min_max_deviation": format_rational(oracle.min_max_deviation(g, args.edge_cap)),
-        }
+        doc["min_max_deviation"] = str(oracle.min_max_deviation(g, args.edge_cap))
     else:
         report = oracle.achievable_profiles(g, args.edge_cap)
-        doc = {
-            "input_name": name,
-            "n": report.graph_order,
+        doc |= {
             "degree": report.degree,
             "edge_count": report.edge_count,
             "achievable_count": len(report.achievable),
             "achievable": [list(p.counts) for p in report.achievable],
-            "min_max_deviation": format_rational(report.min_max_deviation),
+            "min_max_deviation": str(report.min_max_deviation),
             "witnesses": {
                 ",".join(map(str, p.counts)): [list(e) for e in report.witness[p].edges(g)]
                 for p in report.achievable
@@ -259,7 +250,7 @@ def _batch_worker(task: tuple[str, Graph, str]) -> tuple[str, int, str, str, str
     except DegbalError as exc:
         status, dev, fallback = f"failed:{type(exc).__name__}", "-", "-"
     else:
-        status, dev = "ok", format_rational(res.max_deviation)
+        status, dev = "ok", str(res.max_deviation)
         fallback = "true" if res.fallback_used else "false"
     ms = int((time.perf_counter() - start) * 1000)
     return name, g.n, status, dev, fallback, ms

@@ -57,7 +57,7 @@ class Statement(Enum):
     III = "III"
     IV = "IV"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:  # ParityMismatch messages name the statement
         return self.value
 
 
@@ -130,13 +130,14 @@ class ConnectedTrace:
 class ColoringState:
     """Mutable 2-coloring bookkeeping for the staged construction.
 
-    colored[i] is 1 iff canonical edge i has color 1, i.e. lies in H; subset()
-    packs it into a bitmask once.  deg1[v] is the number of color-1 edges at
-    v; sizes[k] = |V_k|; both move by increments, and no stage recounts them:
-    the stages assert the paper's size identities, and general.decompose
-    counts the result's profile once.  Stage 1 works in vertex space
-    (_V3Growth) and writes colored at its end; stage 2 colors through
-    _RuleFinders, stage 3 with color_edge alone.
+    colored[i] is 1 iff canonical edge i has color 1, i.e. lies in H;
+    EdgeSubset.from_member packs it into a bitmask once.  deg1[v] is the
+    number of color-1 edges at v; sizes[k] = |V_k|; both move by
+    increments, and no stage recounts them: the stages assert the paper's
+    size identities, and general.decompose counts the result's profile
+    once.  Stage 1 works in vertex space (_V3Growth) and writes colored at
+    its end; stage 2 colors through _RuleFinders, stage 3 with color_edge
+    alone.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
@@ -166,9 +167,6 @@ class ColoringState:
         deg1[y] = d + 1
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (sizes[1] + sizes[3]) % 2 == 0
-
-    def subset(self) -> EdgeSubset:
-        return EdgeSubset.from_member(self.colored)
 
 
 class _V3Growth:
@@ -537,10 +535,9 @@ def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
         trace.branch.append("base:K4:single-edge")
         return EdgeSubset(g.m, 1)  # lowest edge: H = 2K1 u K2
     if s is Statement.IV:
-        # H = 3K1 u P3: the two lowest edges at vertex 0.
-        a, b = g.adjacency[0][:2]
+        # H = 3K1 u P3: the two lowest edges at vertex 0, which are edges 0 and 1.
         trace.branch.append(f"base:{cls.value}:P3")
-        return EdgeSubset.from_edges(g, [(0, a), (0, b)])
+        return EdgeSubset(g.m, 0b11)
     # prism, statement III: the triangle at vertex 0 plus its third edge there.
     assert cls is SmallClass.PRISM and s is Statement.III
     trace.branch.append("base:PRISM:triangle+pendant")
@@ -560,7 +557,7 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
         return _blocked_dispatch(g, s, target, state, trace)
     stage3_fill_v1(state)
     trace.branch.append(f"staged:{s.value}:girth={len(cycle)}")
-    return state.subset()
+    return EdgeSubset.from_member(state.colored)
 
 
 def _blocked_dispatch(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,

@@ -50,9 +50,9 @@ class ParityMismatch(DegbalError):
 class ExceptionGraph(DegbalError):
     """The graph provably has no decomposition for this statement."""
 
-    def __init__(self, kind, message=None):
+    def __init__(self, kind):
         self.kind = kind
-        super().__init__(message or f"exception graph: {kind.name}")
+        super().__init__(f"exception graph: {kind.name}")
 
 
 class InternalStuck(DegbalError):

@@ -27,15 +27,9 @@ _TO_CHAR = bytes.maketrans(bytes(range(64)), _GRAPH6_CHARS)
 _SET_BITS = {63 + v: [j for j in range(6) if v << j & 32] for v in range(64)}
 
 
-def parse_graph6(line: str | bytes) -> Graph:
+def parse_graph6(line: str) -> Graph:
     """Decode one graph6 record (optionally header-prefixed)."""
-    s = line
-    if isinstance(line, bytes):
-        try:
-            s = line.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"graph6 line is not ascii: {exc}") from None
-    s = s.strip()
+    s = line.strip()
     if s.startswith(GRAPH6_HEADER):
         s = s[len(GRAPH6_HEADER):]
     if not s:
@@ -114,11 +108,6 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def format_rational(x: Fraction) -> str:
-    """Exact rational as 'p/q', or just 'p' for integers."""
-    return str(x)
-
-
 def parse_rational(s: str) -> Fraction:
     if "/" in s:
         p, q = s.split("/", 1)
@@ -151,7 +140,7 @@ def render_result(r: ResultDocument, format: str = "json") -> str:
             "target_profile": list(r.target_profile.counts),
             "achieved_profile": list(r.achieved_profile.counts),
             "subgraph_edges": [list(e) for e in r.subgraph_edges],
-            "max_deviation": format_rational(r.max_deviation),
+            "max_deviation": str(r.max_deviation),
             "branch_trace": list(r.branch_trace),
             "fallback_used": r.fallback_used,
         }
@@ -163,7 +152,7 @@ def render_result(r: ResultDocument, format: str = "json") -> str:
             "statement": r.statement,
             "target_profile": ",".join(map(str, r.target_profile.counts)),
             "achieved_profile": ",".join(map(str, r.achieved_profile.counts)),
-            "max_deviation": format_rational(r.max_deviation),
+            "max_deviation": str(r.max_deviation),
             "fallback_used": "true" if r.fallback_used else "false",
             "branch_trace": ";".join(r.branch_trace),
             "subgraph_edges": " ".join(f"{u}-{v}" for u, v in r.subgraph_edges),

@@ -91,7 +91,7 @@ def lcf_graph(pattern: list[int], repeats: int) -> Graph:
     for i in range(n):
         j = (i + pattern[i % len(pattern)]) % n
         edges.add((i, j) if i < j else (j, i))
-    return build_graph(n, sorted(edges))
+    return build_graph(n, edges)
 
 
 _CATALOG = {
@@ -164,4 +164,4 @@ def cycles(partition: list[int]) -> Graph:
     for a in partition:
         edges.extend((offset + i, offset + (i + 1) % a) for i in range(a))
         offset += a
-    return build_graph(offset, [(min(u, v), max(u, v)) for u, v in edges])
+    return build_graph(offset, edges)

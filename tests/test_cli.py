@@ -86,6 +86,9 @@ class TestDecomposeCommand:
         code, _, err = run_cli(capsys, "decompose", "--input", str(bad))
         assert code == 4
         assert ":2" in err  # failing line number
+        assert run_cli(capsys, "decompose") == (
+            4, "", "parse error: no input: pass --named NAME or --input PATH (or '-')\n"
+        )
 
     @pytest.mark.parametrize(
         "text, message",
@@ -638,13 +641,17 @@ class TestBatchCommand:
             ("batch", "-i", "{path}", "-s", "bogus"),
             "error: statement must be i/ii/iii/iv/balanced/two-regular, got 'bogus'\n",
         ),
+        (("oracle", "-i", "{pair}"), "error: oracle expects exactly one graph\n"),
+        (("verify", "-i", "{pair}", "-r", "{path}"), "error: verify expects exactly one graph\n"),
     ],
-    ids=["gen-count-0", "batch-jobs-0", "batch-bogus-statement"],
+    ids=["gen-count-0", "batch-jobs-0", "batch-bogus-statement", "oracle-two-graphs",
+         "verify-two-graphs"],
 )
 def test_usage_error_is_one_stderr_line_exit_1(capsys, tmp_path, argv, message):
-    path = tmp_path / "k4.g6"
+    path, pair = tmp_path / "k4.g6", tmp_path / "pair.g6"
     path.write_text(encode_graph6(named("K4")) + "\n")
-    code, out, err = run_cli(capsys, *(arg.format(path=path) for arg in argv))
+    pair.write_text(2 * path.read_text())
+    code, out, err = run_cli(capsys, *(arg.format(path=path, pair=pair) for arg in argv))
     assert (code, out, err) == (1, "", message)
 
 

@@ -31,7 +31,7 @@ from degbal.connected import (
 )
 from degbal.errors import SpecialCaseNeeded
 from degbal.gen import random_cubic
-from degbal.graphs import connected_components, profile_of, shortest_cycle
+from degbal.graphs import EdgeSubset, connected_components, profile_of, shortest_cycle
 
 from conftest import FIXTURES, applicable_statements, load_corpus_file
 
@@ -179,7 +179,7 @@ def run_checked(g, s, check_from=0):
     assert state.checks[1] == expected_checks(stage1_vertices, check_from), state.checks
     assert state.checks[2] == expected_checks(stage2_edges, check_from), state.checks
     assert state.checks[3] == deficit // 2, state.checks
-    assert profile_of(g, state.subset()) == target
+    assert profile_of(g, EdgeSubset.from_member(state.colored)) == target
     return state
 
 

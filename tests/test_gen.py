@@ -55,6 +55,7 @@ class TestNamed:
     def test_case_insensitive(self):
         assert named("petersen").edges == named("PETERSEN").edges
         assert named("k3,3").edges == named("K33").edges
+        assert named("K3_3") == named("k3-3") == named("K33")
 
     def test_unknown(self):
         with pytest.raises(UnknownName):

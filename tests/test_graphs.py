@@ -419,6 +419,9 @@ class TestComplement:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             complement_within(build_graph(4, K4_EDGES), EdgeSubset(5))
+        for bits in (8, -1):  # a bit beyond the 3 edges, and a negative bitset
+            with pytest.raises(SizeMismatch):
+                EdgeSubset(3, bits)
 
     @settings(max_examples=50)
     @given(seed=st.integers(0, 10_000), bits=st.integers(0, (1 << 15) - 1))
