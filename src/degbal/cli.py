@@ -54,9 +54,8 @@ def _statement_arg(value: str) -> str:
     name = value.strip().upper().replace("-", "_")
     if name in STATEMENTS:
         return name
-    raise argparse.ArgumentTypeError(
-        f"statement must be i/ii/iii/iv/balanced/two-regular, got {value!r}"
-    )
+    choices = "/".join(s.lower().replace("_", "-") for s in STATEMENTS)
+    raise argparse.ArgumentTypeError(f"statement must be {choices}, got {value!r}")
 
 
 def _read_text(path: str) -> str:
@@ -238,22 +237,24 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _batch_worker(task: tuple[str, Graph, str]) -> tuple[str, int, str, str, str, int]:
+def _batch_worker(task: tuple[str, Graph, str]) -> tuple[str, int, str, str, str, str, int]:
+    """One batch row; its status is a kind and a detail, '' where it has none."""
     name, g, statement = task
     start = time.perf_counter()
+    detail, dev, fallback = "", "-", "-"
     try:
         res = decompose(g, statement)
     except ExceptionGraph as exc:
-        status, dev, fallback = f"exception:{exc.kind.value}", "-", "-"
+        kind, detail = "exception", exc.kind.value
     except ParityMismatch:
-        status, dev, fallback = "parity-mismatch", "-", "-"
+        kind = "parity-mismatch"
     except DegbalError as exc:
-        status, dev, fallback = f"failed:{type(exc).__name__}", "-", "-"
+        kind, detail = "failed", type(exc).__name__
     else:
-        status, dev = "ok", str(res.max_deviation)
+        kind, dev = "ok", str(res.max_deviation)
         fallback = "true" if res.fallback_used else "false"
     ms = int((time.perf_counter() - start) * 1000)
-    return name, g.n, status, dev, fallback, ms
+    return name, g.n, kind, detail, dev, fallback, ms
 
 
 def cmd_batch(args) -> int:
@@ -271,11 +272,11 @@ def cmd_batch(args) -> int:
         rows = [_batch_worker(t) for t in tasks]
 
     print("name\tn\tstatement\tstatus\tdeviation\tfallback_used\tms")
-    for name, n, status, dev, fb, ms in rows:
+    for name, n, kind, detail, dev, fb, ms in rows:
+        status = f"{kind}:{detail}" if detail else kind
         ms_text = "-" if args.no_timing else str(ms)
         print(f"{name}\t{n}\t{args.statement_raw}\t{status}\t{dev}\t{fb}\t{ms_text}")
-    # A status is its kind, then ':' and a detail for exception and failed.
-    kinds = Counter(status.partition(":")[0] for _, _, status, *_ in rows)
+    kinds = Counter(kind for _, _, kind, *_ in rows)
     print(
         f"# total={len(rows)} ok={kinds['ok']} exceptions={kinds['exception']}"
         f" parity-skipped={kinds['parity-mismatch']} failures={kinds['failed']}"

@@ -31,7 +31,6 @@ from .errors import (
     InternalStuck,
     ParityMismatch,
     PreconditionViolated,
-    SpecialCaseNeeded,
 )
 from .graphs import (
     DegreeProfile,
@@ -150,7 +149,6 @@ class ColoringState:
         self.deg1 = [0] * host.n
         self.sizes = [host.n, 0, 0, 0]
         self.rule_counts = {"R1": 0, "R2": 0, "R3": 0}
-        self.stage1: Stage1Stats | None = None
 
     def color_edge(self, i: int) -> None:
         colored, deg1, sizes = self.colored, self.deg1, self.sizes
@@ -232,7 +230,7 @@ class _V3Growth:
         return i if i < n else None
 
 
-def stage1_grow_v3(state: ColoringState) -> ColoringState:
+def stage1_grow_v3(state: ColoringState) -> Stage1Stats:
     """Grow a connected V3 of target size starting along a shortest cycle."""
     n3 = state.n3
     assert n3 >= 1
@@ -265,8 +263,7 @@ def stage1_grow_v3(state: ColoringState) -> ColoringState:
     assert state.sizes[2] <= state.n2
     assert state.sizes[1] <= n3 + 2
     assert _v3_connected(state, v3)
-    state.stage1 = Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
-    return state
+    return Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
 
 
 def _v3_connected(state: ColoringState, v3: list[int]) -> bool:
@@ -355,15 +352,15 @@ class _RuleFinders:
         self.r2_cursor = i
         return i if i < m else None
 
-    def r3(self) -> tuple[int, int, int] | None:
-        """Lowest 0-vertex with two 0-neighbors, plus its two lowest such."""
-        deg1, adjacency = self.deg1, self.adjacency
+    def r3(self) -> tuple[int, int] | None:
+        """The edges from the lowest 0-vertex with two 0-neighbors to its two lowest such."""
+        deg1, adjacency, incident = self.deg1, self.adjacency, self.incident
         for v in range(self.r3_cursor, len(deg1)):
             if deg1[v] == 0:
-                zeros = [w for w in adjacency[v] if deg1[w] == 0]
+                zeros = [e for w, e in zip(adjacency[v], incident[v]) if deg1[w] == 0]
                 if len(zeros) >= 2:
                     self.r3_cursor = v
-                    return v, zeros[0], zeros[1]
+                    return zeros[0], zeros[1]
         self.r3_cursor = len(deg1)
         return None
 
@@ -383,8 +380,8 @@ def _is_r1(rules: _RuleFinders, i: int) -> bool:
     return False
 
 
-def stage2_fill_v2(state: ColoringState) -> ColoringState:
-    """Reach |V2| = n2 via rules R1/R2/R3; raise SpecialCaseNeeded if stuck.
+def stage2_fill_v2(state: ColoringState) -> bool:
+    """Reach |V2| = n2 via rules R1/R2/R3: True once there, False where none applies.
 
     Size effects, ordered (|V0|, |V1|, |V2|, |V3|), each asserted per rule:
       R1 colors a V1-V1 edge        -> (0, -2, +2, 0)
@@ -393,7 +390,6 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
     """
     rules = _RuleFinders(state)
     sizes, n1, n2, counts = state.sizes, state.n1, state.n2, state.rule_counts
-    edge_index = state.host.edge_index
     while sizes[2] < n2:
         v0, v1, v2, v3 = sizes
         if sizes[2] < n2 - 1 and (i := rules.r1()) is not None:
@@ -402,21 +398,20 @@ def stage2_fill_v2(state: ColoringState) -> ColoringState:
         elif (i := rules.r2()) is not None:
             rules.color(i)
             name, deltas = "R2", (-1, 0, 1, 0)
-        elif sizes[1] < n1 and (found := rules.r3()) is not None:
-            v, u, w = found
-            rules.color(edge_index(v, u))
-            rules.color(edge_index(v, w))
+        elif sizes[1] < n1 and (pair := rules.r3()) is not None:
+            rules.color(pair[0])
+            rules.color(pair[1])
             name, deltas = "R3", (-3, 2, 1, 0)
         else:
-            raise SpecialCaseNeeded(f"stage 2 blocked at |V2|={sizes[2]} of {n2}")
+            return False
         change = (sizes[0] - v0, sizes[1] - v1, sizes[2] - v2, sizes[3] - v3)
         assert change == deltas, f"{name}: sizes changed by {change}, expected {deltas}"
         counts[name] += 1
     assert sizes[1] <= n1, "stage 2 must finish with |V1| <= n1"
-    return state
+    return True
 
 
-def stage3_fill_v1(state: ColoringState) -> ColoringState:
+def stage3_fill_v1(state: ColoringState) -> None:
     """Raise |V1| to n1 two at a time by coloring the lowest V0-V0 edge.
 
     One forward pass finds each in turn: coloring only raises deg1, so an
@@ -437,7 +432,6 @@ def stage3_fill_v1(state: ColoringState) -> ColoringState:
         else:
             raise InternalStuck("stage 3: no V0-V0 edge (should be impossible)")
     assert sizes == expected, f"stage 3: sizes {sizes}, expected {expected}"
-    return state
 
 
 def special_14_construction(g: Graph) -> EdgeSubset:
@@ -471,10 +465,7 @@ def special_14_construction(g: Graph) -> EdgeSubset:
             if w is None:
                 continue
             u1 = u2
-        edges = []
-        for x, y in itertools.combinations(sorted(block), 2):
-            if g.has_edge(x, y):
-                edges.append((x, y))
+        edges = [(x, y) for x, y in itertools.combinations(block, 2) if g.has_edge(x, y)]
         drop = (v, max(a, b)) if v < max(a, b) else (max(a, b), v)
         edges.remove(drop)
         edges.append((v, u) if v < u else (u, v))
@@ -549,11 +540,8 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
     assert cycle is not None, "a cubic graph always contains a cycle"
     state = ColoringState(g, target, cycle)
     trace.rule_counts = state.rule_counts  # counted in place from here on
-    stage1_grow_v3(state)
-    trace.stage1 = state.stage1
-    try:
-        stage2_fill_v2(state)
-    except SpecialCaseNeeded:
+    trace.stage1 = stage1_grow_v3(state)
+    if not stage2_fill_v2(state):
         return _blocked_dispatch(g, s, target, state, trace)
     stage3_fill_v1(state)
     trace.branch.append(f"staged:{s.value}:girth={len(cycle)}")

@@ -54,13 +54,12 @@ class ExceptionGraph(DegbalError):
         self.kind = kind
         super().__init__(f"exception graph: {kind.name}")
 
+    def __reduce__(self):  # rebuilt from its kind, not from its message
+        return ExceptionGraph, (self.kind,)
+
 
 class InternalStuck(DegbalError):
     """A stage reached a state the underlying argument rules out (a bug)."""
-
-
-class SpecialCaseNeeded(DegbalError):
-    """Stage 2 blocked; the oracle's witness search for the target takes over."""
 
 
 class PreconditionViolated(DegbalError):

@@ -29,7 +29,6 @@ from degbal.connected import (
     stage3_fill_v1,
     target_profile,
 )
-from degbal.errors import SpecialCaseNeeded
 from degbal.gen import random_cubic
 from degbal.graphs import EdgeSubset, connected_components, profile_of, shortest_cycle
 
@@ -84,7 +83,7 @@ def scan_r3(state):
             continue
         zeros = [w for w in state.host.adjacency[v] if deg1[w] == 0]
         if len(zeros) >= 2:
-            return v, zeros[0], zeros[1]
+            return state.host.edge_index(v, zeros[0]), state.host.edge_index(v, zeros[1])
     return None
 
 
@@ -167,9 +166,7 @@ def run_checked(g, s, check_from=0):
         stage1_grow_v3(state)
         stage1_vertices, stage1_edges = state.sizes[3], sum(state.colored)
         state.stage = 2
-        try:
-            stage2_fill_v2(state)
-        except SpecialCaseNeeded:
+        if not stage2_fill_v2(state):
             return None
     stage2_edges = sum(state.colored) - stage1_edges
     state.stage = 3

@@ -1,5 +1,7 @@
 import math
+import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -23,7 +25,6 @@ from degbal.errors import (
     NoSuchTuple,
     NotRegular,
     ParityMismatch,
-    SpecialCaseNeeded,
 )
 from degbal.cli import _document
 from degbal.formats import parse_graph6, render_result
@@ -99,6 +100,23 @@ class TestDetectException:
     def test_not_regular(self):
         with pytest.raises(NotRegular):
             detect_exception(cycles([4]), Statement.I)
+
+    def test_canonical_graphs(self):
+        assert CANONICAL_K4 == build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        assert CANONICAL_K33 == build_graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+
+    @pytest.mark.parametrize("kind", ExceptionKind)
+    def test_exception_graph_pickles(self, kind):
+        exc = ExceptionGraph(kind)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is ExceptionGraph and back.kind is kind and str(back) == str(exc)
+
+    def test_exception_graph_crosses_a_process_pool(self):
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            with pytest.raises(ExceptionGraph) as raised:
+                list(pool.map(decompose, [named("K4")], ["I"]))
+        assert raised.value.kind is ExceptionKind.K4_I
+        assert str(raised.value) == "exception graph: K4_I"
 
 
 class TestTupleTables:
@@ -384,10 +402,7 @@ class TestOneRunPerShape:
             assert sorted(calls) == sorted(2 * list(distinct))
 
     def test_forced_block_warns_once_per_shape(self, monkeypatch, caplog):
-        def block(state):
-            raise SpecialCaseNeeded("forced")
-
-        monkeypatch.setattr(connected_mod, "stage2_fill_v2", block)
+        monkeypatch.setattr(connected_mod, "stage2_fill_v2", lambda state: False)
         calls = self.runs(monkeypatch)
         g = disjoint_union([named("CUBE")] * 6)
         res = decompose(g, "I")
@@ -406,9 +421,7 @@ class TestOneRunPerShape:
         stage2 = connected_mod.stage2_fill_v2
 
         def block_cubes(state):
-            if state.host.n == 8:
-                raise SpecialCaseNeeded("forced")
-            return stage2(state)
+            return state.host.n != 8 and stage2(state)
 
         monkeypatch.setattr(connected_mod, "stage2_fill_v2", block_cubes)
         g = disjoint_union([named(p) for p in parts])
@@ -458,10 +471,7 @@ class TestOneSplit:
         assert results[0].branch_trace[0] == label
 
     def test_special_14_block(self, monkeypatch):
-        def block(state):
-            raise SpecialCaseNeeded("forced")
-
-        monkeypatch.setattr(connected_mod, "stage2_fill_v2", block)
+        monkeypatch.setattr(connected_mod, "stage2_fill_v2", lambda state: False)
         traces = []
 
         def run(g):
