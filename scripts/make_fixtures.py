@@ -1,12 +1,23 @@
 #!/usr/bin/env python3
 """Regenerate the graph6 fixture corpus under tests/fixtures/.
 
-Complete catalogs of connected cubic graphs are collected by seeded
-configuration-model sampling with isomorphism dedup; completeness is
-guaranteed by the known counts of connected cubic graphs per order
-(1, 2, 5, 19, 85 for n = 4, 6, 8, 10, 12 -- OEIS A002851), so the loop
-simply runs until every class has been seen.  Output files are sorted,
-making regeneration byte-stable.
+Every connected cubic graph with n <= 14 is grown from K4 by three
+operations, which generate all of them (cf. Batagelj, *Inductive classes of
+cubic graphs*, 1984; Brinkmann, Goedgebeur and McKay, *Generation of cubic
+graphs*, DMTCS 13(2), 2011):
+
+- edge insertion: subdivide two distinct edges and join the two new vertices;
+- diamond insertion: replace an edge by a path through a diamond (K4 less
+  one edge), whose two degree-2 vertices take the edge's ends;
+- bridge join: subdivide an edge in each of two graphs and join the two new
+  vertices by a bridge.
+
+Each order keeps one graph per isomorphism class, deduplicated by an
+invariant and then by ``isomorphic``, and the run fails unless the counts
+equal OEIS A002851 (1, 2, 5, 19, 85, 509 for n = 4 to 14).  The n = 12 and
+14 classes go to tests/fixtures/catalog/, sorted, so regeneration is
+byte-stable.  The committed n <= 10 files are checked class by class
+against the generator, not rewritten: their lines are pinned by digests.
 """
 
 from __future__ import annotations
@@ -17,32 +28,36 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from degbal.formats import encode_graph6
+from degbal.formats import encode_graph6, parse_graph6
 from degbal.gen import disjoint_union, named, random_cubic
-from degbal.graphs import Graph, connected_components, shortest_cycle
+from degbal.graphs import Graph, build_graph, connected_components
 
-KNOWN_CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+KNOWN_CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
-
-
-def _triangle_counts(g: Graph) -> list[int]:
-    per_vertex = [0] * g.n
-    for a, b, c in combinations(range(g.n), 3):
-        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            per_vertex[a] += 1
-            per_vertex[b] += 1
-            per_vertex[c] += 1
-    return per_vertex
+CATALOG = FIXTURES / "catalog"
 
 
 def _invariant(g: Graph) -> tuple:
-    cyc = shortest_cycle(g)
-    return (
-        g.n,
-        g.m,
-        len(cyc) if cyc else 0,
-        tuple(sorted(_triangle_counts(g))),
-    )
+    """Sorted per-vertex breadth-first profiles: at each distance from the
+    vertex, how many vertices lie there and how many edges join two of them."""
+    profiles = []
+    for root in range(g.n):
+        dist = {root: 0}
+        queue = [root]
+        for u in queue:
+            for w in g.adjacency[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        layers = [0] * (dist[queue[-1]] + 1)
+        inner = [0] * len(layers)
+        for v, d in dist.items():
+            layers[d] += 1
+        for u, v in zip(g.tails, g.heads):
+            if dist[u] == dist[v]:
+                inner[dist[u]] += 1
+        profiles.append((tuple(layers), tuple(inner)))
+    return g.n, tuple(sorted(profiles))
 
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -95,25 +110,68 @@ def isomorphic(g1: Graph, g2: Graph) -> bool:
     return extend(0)
 
 
-def collect_catalog(n: int, want: int) -> list[Graph]:
-    found: list[Graph] = []
-    invariants: list[tuple] = []
-    seed = 1
-    while len(found) < want:
-        g = random_cubic(n, seed)
-        seed += 1
-        if len(connected_components(g)) != 1:
-            continue
-        inv = _invariant(g)
-        if any(
-            inv == invariants[i] and isomorphic(g, found[i]) for i in range(len(found))
-        ):
-            continue
-        found.append(g)
-        invariants.append(inv)
-        if seed > 500_000:
-            raise RuntimeError(f"catalog n={n}: stuck at {len(found)}/{want}")
-    return found
+def _edge_insertions(g: Graph):
+    x, y = g.n, g.n + 1
+    edges = g.edges
+    for (a, b), (c, d) in combinations(edges, 2):
+        rest = [e for e in edges if e != (a, b) and e != (c, d)]
+        yield build_graph(g.n + 2, rest + [(a, x), (x, b), (c, y), (y, d), (x, y)])
+
+
+def _diamond_insertions(g: Graph):
+    p, q, r, s = range(g.n, g.n + 4)
+    diamond = [(p, q), (p, r), (q, r), (q, s), (r, s)]
+    for a, b in g.edges:
+        rest = [e for e in g.edges if e != (a, b)]
+        yield build_graph(g.n + 4, rest + diamond + [(a, p), (s, b)])
+
+
+def _bridge_joins(g: Graph, h: Graph):
+    x, y, k = g.n + h.n, g.n + h.n + 1, g.n
+    for a, b in g.edges:
+        for c, d in h.edges:
+            rest = [e for e in g.edges if e != (a, b)]
+            rest += [(u + k, v + k) for u, v in h.edges if (u, v) != (c, d)]
+            yield build_graph(g.n + h.n + 2, rest + [(a, x), (x, b), (c + k, y), (y, d + k), (x, y)])
+
+
+def connected_cubic_catalog(top: int) -> dict[int, list[Graph]]:
+    """One graph per isomorphism class of connected cubic graphs, n = 4..top.
+
+    Classes keep their first representative in generation order, so the
+    output is deterministic; the run fails unless each count is A002851's.
+    """
+    catalog: dict[int, list[Graph]] = {4: [named("K4")]}
+    for n in range(6, top + 1, 2):
+        found: list[Graph] = []
+        by_invariant: dict[tuple, list[Graph]] = {}
+        candidates = [h for g in catalog[n - 2] for h in _edge_insertions(g)]
+        if n - 4 in catalog:
+            candidates += [h for g in catalog[n - 4] for h in _diamond_insertions(g)]
+        for left in range(4, n - 5, 2):
+            for g in catalog[left]:
+                for h in catalog[n - 2 - left]:
+                    candidates += _bridge_joins(g, h)
+        for h in candidates:
+            bucket = by_invariant.setdefault(_invariant(h), [])
+            if not any(isomorphic(h, other) for other in bucket):
+                bucket.append(h)
+                found.append(h)
+        if len(found) != KNOWN_CONNECTED_CUBIC[n]:
+            raise RuntimeError(f"catalog n={n}: {len(found)} classes, A002851 has "
+                               f"{KNOWN_CONNECTED_CUBIC[n]}")
+        catalog[n] = found
+    return catalog
+
+
+def check_committed(path: Path, classes: list[Graph]) -> None:
+    """Fail unless the file holds exactly one graph of each class."""
+    graphs = [parse_graph6(line) for line in path.read_text().splitlines() if line.strip()]
+    matched = [[i for i, c in enumerate(classes) if isomorphic(g, c)] for g in graphs]
+    if sorted(i for m in matched for i in m) != list(range(len(classes))) or any(
+            len(m) != 1 for m in matched):
+        raise RuntimeError(f"{path.name} does not hold one graph of each class")
+    print(f"checked {path.name}: {len(graphs)} graphs, one per class")
 
 
 def write_lines(path: Path, graphs: list[Graph], sort: bool = True) -> None:
@@ -125,10 +183,12 @@ def write_lines(path: Path, graphs: list[Graph], sort: bool = True) -> None:
 
 
 def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
+    catalog = connected_cubic_catalog(14)
     for n in (4, 6, 8, 10):
-        graphs = collect_catalog(n, KNOWN_CONNECTED_CUBIC[n])
-        write_lines(FIXTURES / f"connected_cubic_{n:02d}.g6", graphs)
+        check_committed(FIXTURES / f"connected_cubic_{n:02d}.g6", catalog[n])
+    CATALOG.mkdir(parents=True, exist_ok=True)
+    for n in (12, 14):
+        write_lines(CATALOG / f"connected_cubic_{n:02d}.g6", catalog[n])
 
     k4, k33, prism, cube = named("K4"), named("K33"), named("PRISM"), named("CUBE")
     unions = [
