@@ -8,10 +8,10 @@ For a connected cubic graph on n vertices the four statements target
 where the tuple counts vertices of subgraph degree (3, 2, 1, 0).
 
 The construction 2-colors edges in three stages, each with its own finders:
-grow a connected set of 3-vertices from a shortest cycle, one vertex at a
-time and in vertex space; top up 2-vertices with three local recoloring
-rules, each found incrementally; then pair up leftover 0-vertices into
-1-vertices in one forward pass over the edges.  A stage-2 block (the
+grow a connected set of 3-vertices from a short chordless cycle found from
+vertex 0, one vertex at a time and in vertex space; top up 2-vertices with
+three local recoloring rules, each found incrementally; then pair up
+leftover 0-vertices into 1-vertices in one forward pass over the edges.  A stage-2 block (the
 paper's one blocked configuration is n = 14, statement III;
 special_14_construction is its lemma) goes to the oracle's exact witness
 search, and over the oracle's edge cap it is an InternalStuck.
@@ -38,10 +38,10 @@ from .graphs import (
     Graph,
     SmallClass,
     connected_components,
+    cycle_from,
     incident_edges,
     profile_of,
     require_regular,
-    shortest_cycle,
     small_class,
     triangle_at_zero,
 )
@@ -109,7 +109,7 @@ def target_profile(n: int, s: Statement) -> DegreeProfile:
 
 @dataclass
 class Stage1Stats:
-    girth: int
+    cycle_length: int
     e_v3: int
     out_v3: int
     v2_size: int
@@ -230,8 +230,53 @@ class _V3Growth:
         return i if i < n else None
 
 
+def seed_cycle(g: Graph) -> list[int]:
+    """Stage 1's seed: a short chordless cycle of a connected cubic g, found from vertex 0.
+
+    Start from cycle_from(g, 0), the shortest cycle one breadth-first search
+    from vertex 0 closes.  While a chord, or an outside vertex with two
+    neighbours on the cycle, closes a strictly shorter cycle, move to the
+    first one the scan meets (cycle position, then neighbour order); the
+    shorter arc is kept, the arc between the two positions on a tie, with
+    the old cycle's vertices in their order.  Every chord closes a shorter
+    cycle, so the seed is chordless, and at length L >= 5 no outside vertex
+    has two neighbours on it, so its L outside neighbours are distinct and
+    L <= n/2.  Each shortening step scans the cycle once: O(L^2) in all.
+    """
+    cycle = cycle_from(g, 0)
+    assert cycle is not None, "a connected cubic graph has a cycle"
+    while (shorter := _shorter_cycle(g.adjacency, cycle)) is not None:
+        cycle = shorter
+    return cycle
+
+
+def _shorter_cycle(adjacency, cycle: list[int]) -> list[int] | None:
+    """The first strictly shorter cycle that a chord or an outside vertex closes, or None."""
+    k = len(cycle)
+    position = {v: i for i, v in enumerate(cycle)}
+    outside: dict[int, list[int]] = {}  # outside vertex -> the cycle positions it is adjacent to
+    for j, v in enumerate(cycle):
+        for w in adjacency[v]:
+            i = position.get(w)
+            if i is None:
+                for i in outside.setdefault(w, []):
+                    if min(j - i, k - j + i) + 2 < k:
+                        return _arc(cycle, i, j, [w])
+                outside[w].append(j)
+            elif i < j - 1 and (i, j) != (0, k - 1):
+                return _arc(cycle, i, j, [])  # a chord always closes a shorter cycle
+    return None
+
+
+def _arc(cycle: list[int], i: int, j: int, via: list[int]) -> list[int]:
+    """The shorter cycle through positions i < j and the vertices via, the arc i..j on a tie."""
+    if 2 * (j - i) <= len(cycle):
+        return cycle[i:j + 1] + via
+    return cycle[:i + 1] + via + cycle[j:]
+
+
 def stage1_grow_v3(state: ColoringState) -> Stage1Stats:
-    """Grow a connected V3 of target size starting along a shortest cycle."""
+    """Grow a connected V3 of target size starting along the seed cycle."""
     n3 = state.n3
     assert n3 >= 1
     grow = _V3Growth(state)
@@ -254,16 +299,16 @@ def stage1_grow_v3(state: ColoringState) -> Stage1Stats:
         ends += (deg1[a] == 3) + (deg1[b] == 3) + (deg1[c] == 3)
     e_v3 = ends // 2
     out_v3 = 3 * n3 - 2 * e_v3
-    girth = len(state.cycle)
+    cycle_length = len(state.cycle)
     assert e_v3 >= n3 - 1, "V3 must induce a connected subgraph"
-    if girth <= n3:
+    if cycle_length <= n3:
         assert e_v3 >= n3, "V3 contains the whole cycle, hence a cycle"
     assert out_v3 <= n3 + 2
     assert 2 * state.sizes[2] + state.sizes[1] == out_v3
     assert state.sizes[2] <= state.n2
     assert state.sizes[1] <= n3 + 2
     assert _v3_connected(state, v3)
-    return Stage1Stats(girth, e_v3, out_v3, state.sizes[2], state.sizes[1])
+    return Stage1Stats(cycle_length, e_v3, out_v3, state.sizes[2], state.sizes[1])
 
 
 def _v3_connected(state: ColoringState, v3: list[int]) -> bool:
@@ -466,12 +511,9 @@ def special_14_construction(g: Graph) -> EdgeSubset:
                 continue
             u1 = u2
         edges = [(x, y) for x, y in itertools.combinations(block, 2) if g.has_edge(x, y)]
-        drop = (v, max(a, b)) if v < max(a, b) else (max(a, b), v)
-        edges.remove(drop)
-        edges.append((v, u) if v < u else (u, v))
-        edges.append((u, u1) if u < u1 else (u1, u))
-        for x in g.adjacency[w][:2]:
-            edges.append((w, x) if w < x else (x, w))
+        # Pairs of the ascending block come as (low, high); from_edges orders the rest itself.
+        edges.remove((v, max(a, b)) if v < max(a, b) else (max(a, b), v))
+        edges += [(v, u), (u, u1)] + [(w, x) for x in g.adjacency[w][:2]]
         subset = EdgeSubset.from_edges(g, edges)
         achieved = profile_of(g, subset)
         assert achieved == DegreeProfile((3, 4, 3, 4)), achieved
@@ -536,15 +578,14 @@ def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
 
 
 def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace) -> EdgeSubset:
-    cycle = shortest_cycle(g)
-    assert cycle is not None, "a cubic graph always contains a cycle"
+    cycle = seed_cycle(g)
     state = ColoringState(g, target, cycle)
     trace.rule_counts = state.rule_counts  # counted in place from here on
     trace.stage1 = stage1_grow_v3(state)
     if not stage2_fill_v2(state):
         return _blocked_dispatch(g, s, target, state, trace)
     stage3_fill_v1(state)
-    trace.branch.append(f"staged:{s.value}:girth={len(cycle)}")
+    trace.branch.append(f"staged:{s.value}:cycle={len(cycle)}")
     return EdgeSubset.from_member(state.colored)
 
 

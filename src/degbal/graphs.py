@@ -40,10 +40,10 @@ class Graph:
     """Simple undirected graph whose edges (tails[i], heads[i]) come in canonical order
     (u < v, sorted); adjacency rows are read off in that order, so each row is ascending.
 
-    The rows and the degree set are built with the graph.  Two analyses are
-    cached properties, kept on the object the first time they are read:
-    connected_components' split (None for a connected graph, which is its own
-    component) and shortest_cycle's cycle.  Pickles carry the edges alone.
+    The rows and the degree set are built with the graph.  connected_components'
+    split is a cached property, kept on the object the first time it is read
+    (None for a connected graph, which is its own component).  Pickles carry
+    the edges alone.
     """
 
     n: int
@@ -51,9 +51,8 @@ class Graph:
     heads: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     _degrees: frozenset = field(init=False, compare=False, repr=False)
-    # Through a lambda: the searches are defined below, and looked up at each first read.
+    # Through a lambda: the search is defined below, and looked up at each first read.
     _parts = cached_property(lambda g: _find_components(g))
-    _cycle = cached_property(lambda g: _find_cycle(g))
 
     def __post_init__(self):
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -64,7 +63,7 @@ class Graph:
         object.__setattr__(self, "_degrees", frozenset(map(len, adj)))
 
     def __reduce__(self):
-        # The rows, degrees and kept analyses are derived from the edges, so rebuild them.
+        # The rows, degrees and kept split are derived from the edges, so rebuild them.
         return type(self), (self.n, self.tails, self.heads)
 
     edges = property(lambda g: tuple(zip(g.tails, g.heads)), doc="(u, v) pairs, built per access")
@@ -278,15 +277,8 @@ def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict, label: lis
 def shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle of g as a vertex sequence, or None for forests.
 
-    Found once per Graph object and kept on it; each call returns a fresh list.
-    """
-    return None if g._cycle is None else list(g._cycle)
-
-
-def _find_cycle(g: Graph) -> list[int] | None:
-    """shortest_cycle's search.
-
-    Deterministic: the cycle comes from the breadth-first search rooted at
+    Searched afresh at each call; the staged construction seeds stage 1
+    from connected.seed_cycle instead.  Deterministic: the cycle comes from the breadth-first search rooted at
     the lowest vertex label that attains the girth, scanning neighbors in
     ascending order.  Each search stops once its layers cannot beat the
     best so far; all share one dist/parent pair, reset where they reached.
@@ -309,38 +301,19 @@ def _find_cycle(g: Graph) -> list[int] | None:
     dist = [-1] * g.n
     parent = [-1] * g.n
     best = g.n + 1
-    found = None
+    cycle = None
     for root in range(g.n):
         if best == 4:
             # Only a triangle can beat a 4-cycle now, so no search is needed.
             triangle = _lowest_triangle(adjacency, root)
             if triangle:
-                best, found = 3, triangle
+                best, cycle = 3, triangle
             break
-        dist[root] = 0
-        parent[root] = -1
-        queue = [root]
-        meet = None
-        for u in queue:
-            du = dist[u]
-            if 2 * du + 1 >= best:
-                break
-            # A vertex found at du + 1 closes walks of length >= 2 * du + 2 only.
-            grow = 2 * du + 2 < best
-            for w in adjacency[u]:
-                dw = dist[w]
-                if dw < 0:
-                    if grow:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        queue.append(w)
-                elif w != parent[u] and du + dw + 1 < best:
-                    best = du + dw + 1
-                    meet = u, w
+        best, meet, queue = _closing_search(adjacency, root, dist, parent, best)
         if meet is not None:
             # Paths u->root and w->root meet only at the root, else a
             # strictly shorter cycle would exist.
-            found = _path_to_root(parent, meet[0]), _path_to_root(parent, meet[1])
+            cycle = _cycle_through(parent, *meet)
         for v in queue:
             dist[v] = -1
         # Later roots skip this one: at distance n it is never queued and
@@ -348,26 +321,76 @@ def _find_cycle(g: Graph) -> list[int] | None:
         dist[root] = g.n
         if best == 3:
             break
-    if found is None:
+    if cycle is None:
         return None
-    left, right = found
-    assert left[-1] == right[-1]
-    cycle = left[::-1] + right[:-1]
     assert len(cycle) == best
     assert _is_chordless_cycle(g, cycle), "shortest cycle must be chordless"
     return cycle
 
 
-def _lowest_triangle(adjacency, start: int) -> tuple[list[int], list[int]] | None:
-    """Paths u->r, w->r where the first root r >= start meets a triangle: with
-    best at 4 its search queues r's neighbours above r in order and meets at
-    the first such u's first neighbour w among them."""
+def cycle_from(g: Graph, root: int) -> list[int] | None:
+    """The shortest cycle one breadth-first search from root closes, or None.
+
+    The search is shortest_cycle's pass at its first root: it scans
+    neighbours in ascending order, stops once its layers cannot close a
+    walk shorter than the best so far, and keeps the first (u, w) pair
+    closing the shortest.  So where root 0 lies on a girth cycle,
+    cycle_from(g, 0) is shortest_cycle(g).  If the tree paths from u and w
+    join below root, the cycle starts where they join.
+    """
+    dist, parent = [-1] * g.n, [-1] * g.n
+    meet = _closing_search(g.adjacency, root, dist, parent, g.n + 1)[1]
+    return None if meet is None else _cycle_through(parent, *meet)
+
+
+def _closing_search(adjacency, root: int, dist: list[int], parent: list[int], best: int):
+    """One breadth-first search from root over the vertices with dist -1.
+
+    Returns the shortest closing length below best it found (else best),
+    the first (u, w) edge closing it (else None), and the vertices queued.
+    """
+    dist[root] = 0
+    parent[root] = -1
+    queue = [root]
+    meet = None
+    for u in queue:
+        du = dist[u]
+        if 2 * du + 1 >= best:
+            break
+        # A vertex found at du + 1 closes walks of length >= 2 * du + 2 only.
+        grow = 2 * du + 2 < best
+        for w in adjacency[u]:
+            dw = dist[w]
+            if dw < 0:
+                if grow:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+            elif w != parent[u] and du + dw + 1 < best:
+                best = du + dw + 1
+                meet = u, w
+    return best, meet, queue
+
+
+def _cycle_through(parent: list[int], u: int, w: int) -> list[int]:
+    """Edge uw and the tree paths from u and w to where they join, listed from there."""
+    left, right = _path_to_root(parent, u), _path_to_root(parent, w)
+    while left[-2] == right[-2]:
+        left.pop()
+        right.pop()
+    return left[::-1] + right[:-1]
+
+
+def _lowest_triangle(adjacency, start: int) -> list[int] | None:
+    """The triangle where the first root r >= start meets one: with best at 4
+    its search queues r's neighbours above r in order and meets at the first
+    such u's first neighbour w among them, so the cycle is r, u, w."""
     for r in range(start, len(adjacency)):
         up = [w for w in adjacency[r] if w > r]
         for u in up:
             for w in adjacency[u]:
                 if w in up:
-                    return [u, r], [w, r]
+                    return [r, u, w]
     return None
 
 

@@ -181,9 +181,9 @@ def test_criterion_6_stage_invariants(connected_corpus):
                 assert st1.out_v3 <= n3 + 2, (name, s)
                 assert 2 * st1.v2_size + st1.v1_size == st1.out_v3, (name, s)
                 assert st1.e_v3 >= n3 - 1, (name, s)
-                if st1.girth <= n3:
+                if st1.cycle_length <= n3:
                     assert st1.e_v3 >= n3, (name, s)
-                assert st1.girth <= g.n / 2, (name, s)
+                assert st1.cycle_length <= g.n / 2, (name, s)
                 # |V1| = |V3| parity is asserted after every vertex stage 1
                 # adds and after every later recoloring, in color_edge
                 assert not trace.fallback_used, (name, s)

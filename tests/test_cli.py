@@ -697,22 +697,22 @@ CLI_PINS = {
     "gen-r3002": (R3002, "", "abde8bbe95193023be90221e39dc3a957cb3882e3c48a12192aaa03cb7ae3687"),
     "gen-r8x50": (("gen", "--random", "8", "--count", "50", "--seed", "0"), "",
                   "2c16ce4426daed6692d09828feea479d5208916a7ae1f8f55f04a54f76c31858"),
-    # The connected path (shortest cycle, stages 1-3, render): BALANCED and
+    # The connected path (seed cycle, stages 1-3, render): BALANCED and
     # IV at n = 3002, and BALANCED (statement I) and II at n = 3000 = 4t.
     "r3002-balanced": ((*DECOMPOSE, "balanced"), R3002,
-                       "68240e40bd0ea7edf432790170153ab856d3324dc831a72c1575abec4b76a76f"),
+                       "20c6b9cf64349ca4b24972f79d1ce57beebdc502e1e7564a716bc923c2fac3a7"),
     "r3002-iv": ((*DECOMPOSE, "iv"), R3002,
-                 "338aa2534a62c158de85bc8e6510c1d9977e6c3e9cde7b7281f485406942022e"),
+                 "8f5d24766ce4da40f96f26fe294c7bcb5a1c523de7f80bbc186376d10f2a063b"),
     "r3000-balanced": ((*DECOMPOSE, "balanced"), R3000,
-                       "8a9d55d69e5926481dcab708d4a7da26defc86b1c5b6b267f94b3c04e528acba"),
+                       "7039a88783e6566f89103003f46dae20061bcd37a06e0cb5c08670253e6c3ef7"),
     "r3000-ii": ((*DECOMPOSE, "ii"), R3000,
-                 "b15e1c2db79222c455601b789bef2d240a00df49dffa7615bda647eed89c00b0"),
+                 "25fdcce0abb0d3dd96bd588ec208aec591e5ef18db81b5c32a7ba2ec08520cd7"),
     # Many components: case 1's peel order (60 Petersen + 40 prism) and
     # case 2's K4/K3,3 tables (31 K4 + 20 K3,3).
     "case1-balanced": ((*DECOMPOSE, "balanced"), CASE1,
-                       "73d81ee5b07404fe996aeaa679b3607d98e3033da4abe9a6d51f150b0ac8bc7f"),
+                       "b7f928483bd4fa3fddbbd84f9f303e03362d03e452bf3e236f9118e3b9ab46a1"),
     "case1-ii": ((*DECOMPOSE, "ii"), CASE1,
-                 "880ad0f811d1e266aa6af972b38385f348e6a123606e9fc42765ef905ebdeb12"),
+                 "8c43b824ebb38b1376c648f34482081f464ed6343257a9890bf378188a0f17f4"),
     "case2-balanced": ((*DECOMPOSE, "balanced"), CASE2,
                        "8591f89d4b3668c2cef6974e154e9700c5235f8dd639a5709403978978c20db5"),
     "case2-ii": ((*DECOMPOSE, "ii"), CASE2,
@@ -749,7 +749,7 @@ def test_cli_output_digest(tmp_path, row):
 
 
 # One parsed Graph decomposed under several statements in turn keeps its
-# component split and shortest cycle, and each document its row's bytes.
+# component split, and each document its row's bytes.
 SAME_GRAPH = (("r3000-balanced", "r3000-ii", "r3000-balanced"), ("r3002-balanced", "r3002-iv"))
 
 

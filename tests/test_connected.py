@@ -15,6 +15,7 @@ from degbal.connected import (
     Statement,
     decompose_connected_traced,
     fallback_search,
+    seed_cycle,
     special_14_construction,
     stage1_grow_v3,
     stage2_fill_v2,
@@ -37,6 +38,7 @@ from degbal.graphs import (
     EdgeSubset,
     build_graph,
     connected_components,
+    cycle_from,
     profile_of,
     shortest_cycle,
 )
@@ -56,8 +58,18 @@ PATTERN_14 = build_graph(
     ],
 )
 
-# catalog graph whose statement-III run exercises rule R3 (fixture line)
-R3_GRAPH6 = "Iac`K`BJ?"
+# Three blobs, each K4 with one edge subdivided, whose subdividing vertices
+# join a centre, vertex 0: its three edges are bridges, so it lies on no
+# cycle.  n = 16 is the smallest order with such a vertex, one past the catalog.
+BRIDGED_16 = build_graph(16, [
+    edge
+    for a, b, c, d, s in (range(1, 6), range(6, 11), range(11, 16))
+    for edge in ((0, s), (a, s), (b, s), (a, c), (a, d), (b, c), (b, d), (c, d))
+])
+
+# random_cubic(10, 40), a relabeled catalog graph whose statement-III run
+# takes rule R3 as its first stage-2 step
+R3_GRAPH6 = "IQOGYeck?"
 
 
 class TestTargetProfile:
@@ -242,11 +254,58 @@ class TestStaged:
         )
 
 
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def assert_seed(g):
+    """seed_cycle(g) is a chordless cycle of at most n/2 vertices and, from
+    length 5 up, no outside vertex has two neighbours on it."""
+    cycle = seed_cycle(g)
+    k, on_cycle = len(cycle), set(cycle)
+    assert len(on_cycle) == k <= g.n / 2, cycle
+    assert all(g.has_edge(u, cycle[i - 1]) for i, u in enumerate(cycle)), cycle
+    for v in range(g.n):
+        touching = sum(w in on_cycle for w in g.adjacency[v])
+        assert touching == 2 if v in on_cycle else touching <= (1 if k >= 5 else 2), (cycle, v)
+    return cycle
+
+
+class TestSeedCycle:
+    def test_girth_cycle_where_vertex_0_lies_on_one(self):
+        for name in ("PETERSEN", "HEAWOOD", "CUBE", "DESARGUES", "PAPPUS", "MOEBIUS_KANTOR"):
+            g = named(name)
+            assert seed_cycle(g) == cycle_from(g, 0) == shortest_cycle(g), name
+
+    def test_vertex_0_on_no_cycle(self):
+        rng = random.Random("bridged-16")
+        for g in [BRIDGED_16] + [relabeled(BRIDGED_16, rng) for _ in range(30)]:
+            cycle = assert_seed(g)
+            assert len(cycle) == 3
+            for s in ("I", "II", "BALANCED"):
+                res = decompose(g, s)
+                assert res.achieved == res.target and not res.fallback_used, s
+        assert 0 not in seed_cycle(BRIDGED_16)
+
+    def test_seed_on_catalog_and_random_graphs(self, connected_corpus):
+        graphs = [g for _, g in connected_corpus if g.n >= 8]
+        graphs += [random_cubic(n, seed) for n in range(8, 401, 6) for seed in range(4)]
+        graphs = [g for g in graphs if len(connected_components(g)) == 1]
+        rng = random.Random("seed-cycle")
+        shortened = 0
+        for g in graphs + [relabeled(g, rng) for g in graphs]:
+            cycle = assert_seed(g)
+            shortened += cycle != cycle_from(g, 0)
+        assert len(graphs) > 250 and shortened > 20, shortened
+
+
 class TestRules:
     """Rule mechanics on the Petersen statement-III trajectory."""
 
     def _after_stage1(self, g, s):
-        state = ColoringState(g, target_profile(g.n, s), shortest_cycle(g))
+        state = ColoringState(g, target_profile(g.n, s), seed_cycle(g))
         stage1_grow_v3(state)
         return state
 

@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -490,9 +491,10 @@ def outcome(call, g, statement):
 
 
 class TestKeptAnalyses:
-    """A Graph keeps its component split and shortest cycle once found, so a
-    later decompose or statement_target on the same object searches for
-    neither.  What each call returns must not depend on what ran before it."""
+    """A Graph keeps its component split once found, so a later decompose or
+    statement_target on the same object does not search again; no cycle is
+    searched for or kept.  What each call returns must not depend on what
+    ran before it."""
 
     @staticmethod
     def graphs():
@@ -523,22 +525,28 @@ class TestKeptAnalyses:
     ], ids=["n=400", "n=402", "union"])
     def test_each_search_runs_once_per_graph(self, monkeypatch, build):
         g, searched = build(), []
-        for name in ("_find_components", "_find_cycle"):
-            search = getattr(graphs_mod, name)
+        search = graphs_mod._find_components
 
-            def counted(h, search=search, name=name):
-                searched.append((name, id(h)))
-                return search(h)
+        def counted(h):
+            searched.append(id(h))
+            return search(h)
 
-            monkeypatch.setattr(graphs_mod, name, counted)
+        def refused(h):
+            raise AssertionError("decompose searched for a shortest cycle")
+
+        monkeypatch.setattr(graphs_mod, "_find_components", counted)
+        # Every degbal module that bound shortest_cycle by name.
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "degbal"]:
+            for attr, value in list(vars(module).items()):
+                if value is graphs_mod.shortest_cycle:
+                    monkeypatch.setattr(module, attr, refused)
         for s in [s.value for s in applicable_statements(g.n)] * 2 + ["BALANCED"]:
             statement_target(g, s)
             decompose(g, s)
-        assert len(searched) == len(set(searched))
-        # The host's split, then one cycle per distinct connected shape.
-        shapes = {c.graph for c in connected_components(g)}
-        names = sorted(name for name, _ in searched)
-        assert names == ["_find_components"] + ["_find_cycle"] * len(shapes)
+        assert searched == [id(g)]  # the host's split, once
+        kept = {"n", "tails", "heads", "adjacency", "_degrees", "_parts"}
+        for h in {g} | {c.graph for c in connected_components(g)}:
+            assert set(vars(h)) <= kept
 
 
 class TestDecomposeTwoRegular:
@@ -643,7 +651,7 @@ class TestFlatTrace:
             "case1:rest=II,H=IV~c|whole~c",
             "case1:rest=2K4-balanced,H=II",
             "H:base:PRISM:P3",
-            "H:staged:II:girth=4",
+            "H:staged:II:cycle=4",
         ]
 
     def test_one_peel_connected_rest(self):
@@ -651,7 +659,7 @@ class TestFlatTrace:
         assert list(decompose(g, "III").branch_trace) == [
             "case1:rest=II,H=IV~c|whole~c",
             "rest:base:K4:single-edge",
-            "H:staged:IV:girth=5",
+            "H:staged:IV:cycle=5",
         ]
 
 

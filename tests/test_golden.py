@@ -35,7 +35,7 @@ from degbal.oracle import achievable_profiles, find_witness
 from conftest import FIXTURES, K4_TUPLES, K33_TUPLES, circulant, load_corpus_file
 from test_cli import CLI_PINS, DECOMPOSE_ROWS, SAME_GRAPH
 
-GOLDEN_SHA256 = "37fef6abfee445724f6e499e957e7984e2b635ed054445cafc126365e36ea7a3"
+GOLDEN_SHA256 = "308bf5755056134772bd32c27615cf1778fa0cdd2d6dd896ad856f6afbcacf3e"
 
 RANDOM_CASES = [(1002, 1), (1002, 2), (1400, 3), (1400, 4)]
 
@@ -72,7 +72,7 @@ def test_result_documents_match_golden_digest():
 # components in a row.  Their digest covers the subsets and fallback flags
 # only: branch_trace is flat, so it reads differently from a nested one
 # once more than one component is peeled.
-DEEP_UNION_SHA256 = "89aeedc7037e1fccbece7a88cdd9a2c0b1d9e3e0b2fa5a08c4cbd5c517f64b63"
+DEEP_UNION_SHA256 = "8a4e6b9005b1f0af5d8df48a82af6cad1da5de0030143d5d2d1ea47aec5a8e78"
 
 DEEP_UNION_CASES = [
     ("PRISM", "CUBE", "K4", "K4"),         # 2K4 tail after two peels
@@ -210,7 +210,7 @@ def test_case2_unions_match_golden_digest():
 # whose components are isomorphic but not equal.  Each graph runs under both
 # statements of its parity; the digest covers subsets, traces and fallback
 # flags.
-REPEATED_UNION_SHA256 = "bb2595a83e453e4a3f2f203448c70d755fd6d3cb84a1c8af185a520cd8292700"
+REPEATED_UNION_SHA256 = "c6020f7356e19dab13f3a495bdcd2ea3cbeabebed3b5e127e8d4c4e531435d3c"
 REPEATED_SHAPES = ("PETERSEN", "PRISM", "CUBE", "HEAWOOD", "random")
 
 
@@ -438,7 +438,7 @@ from degbal.general import decompose
 
 union = disjoint_union([random_cubic(102, seed) for seed in range(4)]
                        + [named(p) for p in ("PETERSEN", "HEAWOOD", "PRISM", "CUBE")])
-inputs = [("R3_GRAPH6", parse_graph6("Iac`K`BJ?")), ("random_cubic:1002:1", random_cubic(1002, 1)),
+inputs = [("R3_GRAPH6", parse_graph6("IQOGYeck?")), ("random_cubic:1002:1", random_cubic(1002, 1)),
           ("random_cubic:1400:2", random_cubic(1400, 2)), ("union", union)]
 lines = []
 for name, g in inputs:

@@ -341,8 +341,9 @@ def analyse(g):
 
 
 class TestKeptAnalyses:
-    """connected_components and shortest_cycle search once per Graph object and
-    keep the answer; every call still hands out a list of its own."""
+    """connected_components searches once per Graph object and keeps the
+    answer; shortest_cycle searches at each call and keeps nothing.  Every
+    call still hands out a list of its own."""
 
     @pytest.mark.parametrize("case", KEPT_CASES)
     def test_returned_lists_are_fresh(self, case):
@@ -379,13 +380,12 @@ class TestKeptAnalyses:
         assert set(vars(g)) == built
         encode_graph6(g)
         assert set(vars(g)) == built
+        shortest_cycle(g)
+        assert set(vars(g)) == built
         connected_components(g)
         assert set(vars(g)) == built | {"_parts"}
-        shortest_cycle(g)
-        assert set(vars(g)) == built | {"_parts", "_cycle"}
-        g = KEPT_CASES[case]()
-        shortest_cycle(g)
-        assert set(vars(g)) == built | {"_cycle"}
+        decompose(g, "BALANCED")
+        assert set(vars(g)) == built | {"_parts"}
 
     def test_graph_interface_is_unchanged(self):
         assert list(inspect.signature(Graph).parameters) == ["n", "tails", "heads"]
@@ -551,8 +551,8 @@ class TestClassifySmall:
             classify_small(cycles([5]))
 
 
-# Exact shortest_cycle sequences, pinned: the staged construction starts
-# from this cycle, so any change to the search must return the same one.
+# Exact shortest_cycle sequences, pinned: the function is public, so any
+# change to the search must return the same one.
 # The seeded cases cover girth 3, 4 and 5, with the girth attained first
 # at root 0 and at high roots.
 SHORTEST_CYCLE_SHA256 = "e1a6084aa3594b5e188ba71855a33dec304c4cf712d7fed9fd4397e234f72fec"
