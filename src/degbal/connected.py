@@ -245,24 +245,30 @@ def seed_cycle(g: Graph) -> list[int]:
     """
     cycle = cycle_from(g, 0)
     assert cycle is not None, "a connected cubic graph has a cycle"
-    while (shorter := _shorter_cycle(g.adjacency, cycle)) is not None:
+    # No cycle is shorter than a triangle.
+    while len(cycle) > 3 and (shorter := _shorter_cycle(g.adjacency, cycle)) is not None:
         cycle = shorter
     return cycle
 
 
 def _shorter_cycle(adjacency, cycle: list[int]) -> list[int] | None:
-    """The first strictly shorter cycle that a chord or an outside vertex closes, or None."""
+    """The first strictly shorter cycle that a chord or an outside vertex closes, or None.
+
+    An outside vertex is tried with the first position it touches only:
+    from length 5 up any two positions close a shorter cycle, and on a
+    4-cycle a vertex touching three positions closes a triangle with its
+    first and third.
+    """
     k = len(cycle)
-    position = {v: i for i, v in enumerate(cycle)}
-    outside: dict[int, list[int]] = {}  # outside vertex -> the cycle positions it is adjacent to
+    position = dict(zip(cycle, range(k)))
+    outside: dict[int, int] = {}  # outside vertex -> the first cycle position it touches
     for j, v in enumerate(cycle):
         for w in adjacency[v]:
             i = position.get(w)
             if i is None:
-                for i in outside.setdefault(w, []):
-                    if min(j - i, k - j + i) + 2 < k:
-                        return _arc(cycle, i, j, [w])
-                outside[w].append(j)
+                i = outside.setdefault(w, j)
+                if i != j and min(j - i, k - j + i) + 2 < k:
+                    return _arc(cycle, i, j, [w])
             elif i < j - 1 and (i, j) != (0, k - 1):
                 return _arc(cycle, i, j, [])  # a chord always closes a shorter cycle
     return None
