@@ -132,7 +132,8 @@ def _bridge_joins(g: Graph, h: Graph):
         for c, d in h.edges:
             rest = [e for e in g.edges if e != (a, b)]
             rest += [(u + k, v + k) for u, v in h.edges if (u, v) != (c, d)]
-            yield build_graph(g.n + h.n + 2, rest + [(a, x), (x, b), (c + k, y), (y, d + k), (x, y)])
+            bridge = [(a, x), (x, b), (c + k, y), (y, d + k), (x, y)]
+            yield build_graph(g.n + h.n + 2, rest + bridge)
 
 
 def connected_cubic_catalog(top: int) -> dict[int, list[Graph]]:

@@ -11,10 +11,10 @@ The construction 2-colors edges in three stages, each with its own finders:
 grow a connected set of 3-vertices from a short chordless cycle found from
 vertex 0, one vertex at a time and in vertex space; top up 2-vertices with
 three local recoloring rules, each found incrementally; then pair up
-leftover 0-vertices into 1-vertices in one forward pass over the edges.  A stage-2 block (the
-paper's one blocked configuration is n = 14, statement III;
-special_14_construction is its lemma) goes to the oracle's exact witness
-search, and over the oracle's edge cap it is an InternalStuck.
+leftover 0-vertices into 1-vertices in one forward pass over the edges.  A
+stage-2 block (the paper's one blocked configuration is n = 14, statement
+III; special_14_construction is its lemma) goes to the oracle's exact
+witness search, and over the oracle's edge cap it is an InternalStuck.
 """
 
 from __future__ import annotations
@@ -233,15 +233,12 @@ class _V3Growth:
 def seed_cycle(g: Graph) -> list[int]:
     """Stage 1's seed: a short chordless cycle of a connected cubic g, found from vertex 0.
 
-    Start from cycle_from(g, 0), the shortest cycle one breadth-first search
-    from vertex 0 closes.  While a chord, or an outside vertex with two
-    neighbours on the cycle, closes a strictly shorter cycle, move to the
-    first one the scan meets (cycle position, then neighbour order); the
-    shorter arc is kept, the arc between the two positions on a tie, with
-    the old cycle's vertices in their order.  Every chord closes a shorter
-    cycle, so the seed is chordless, and at length L >= 5 no outside vertex
-    has two neighbours on it, so its L outside neighbours are distinct and
-    L <= n/2.  Each shortening step scans the cycle once: O(L^2) in all.
+    Start from cycle_from(g, 0).  While a chord, or an outside vertex with
+    two neighbours on the cycle, closes a strictly shorter cycle, move to the
+    first one the scan meets: the shorter arc (the inner one on a tie), its
+    vertices in their old order.  So the seed is chordless and, from length
+    L = 5 up, its L outside neighbours are distinct, so L <= n/2.  Each step
+    scans the cycle once: O(L^2) past the search.
     """
     cycle = cycle_from(g, 0)
     assert cycle is not None, "a connected cubic graph has a cycle"

@@ -277,10 +277,10 @@ def induced_on(g: Graph, vertices, edge_ids: list[int], shapes: dict, label: lis
 def shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle of g as a vertex sequence, or None for forests.
 
-    Searched afresh at each call; the staged construction seeds stage 1
-    from connected.seed_cycle instead.  Deterministic: the cycle comes from the breadth-first search rooted at
-    the lowest vertex label that attains the girth, scanning neighbors in
-    ascending order.  Each search stops once its layers cannot beat the
+    Searched afresh at each call; no decomposition calls it.  Deterministic:
+    the cycle comes from the breadth-first search rooted at the lowest
+    vertex label that attains the girth, scanning neighbors in ascending
+    order.  Each search stops once its layers cannot beat the
     best so far; all share one dist/parent pair, reset where they reached.
     Root r's search skips vertices below r and still finds the cycle a
     search of all of g finds (Itai and Rodeh's minimum-vertex argument).
@@ -331,12 +331,10 @@ def shortest_cycle(g: Graph) -> list[int] | None:
 def cycle_from(g: Graph, root: int) -> list[int] | None:
     """The shortest cycle one breadth-first search from root closes, or None.
 
-    The search is shortest_cycle's pass at its first root: it scans
-    neighbours in ascending order, stops once its layers cannot close a
-    walk shorter than the best so far, and keeps the first (u, w) pair
-    closing the shortest.  So where root 0 lies on a girth cycle,
-    cycle_from(g, 0) is shortest_cycle(g).  If the tree paths from u and w
-    join below root, the cycle starts where they join.
+    The search is shortest_cycle's pass at its first root, so where vertex 0
+    lies on a girth cycle, cycle_from(g, 0) is shortest_cycle(g).  The
+    cycle is listed from where the tree paths of its closing edge join:
+    root, unless the two paths share a stem from root.
     """
     dist, parent = [-1] * g.n, [-1] * g.n
     meet = _closing_search(g.adjacency, root, dist, parent, g.n + 1)[1]

@@ -57,6 +57,13 @@ def applicable_statements(n: int) -> tuple[Statement, Statement]:
     return (Statement.I, Statement.II) if n % 4 == 0 else (Statement.III, Statement.IV)
 
 
+def relabeled(g: Graph, rng) -> Graph:
+    """g with its vertices permuted by rng.shuffle."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
     """The circulant C_n(jumps): vertex i adjacent to i ± j mod n for each jump j."""
     edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}

@@ -123,7 +123,8 @@ def hunt(finders):
             rng = random.Random(f"{name}:{s.value}")
             for _ in range(RANDOM_RUNS):
                 outcomes[g.n, random_run(g, s, finders, rng)] += 1
-    off = {f"n={n} {kind}": count for (n, kind), count in sorted(outcomes.items()) if kind != "done"}
+    off = {f"n={n} {kind}": count
+           for (n, kind), count in sorted(outcomes.items()) if kind != "done"}
     print(f"{finders.__name__}: {off}, runs {sum(outcomes.values())}")
     assert sum(outcomes.values()) > 20000
     return {kind for _, kind in outcomes}

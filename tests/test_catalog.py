@@ -14,9 +14,9 @@ import pytest
 
 from degbal.errors import ExceptionGraph
 from degbal.general import decompose
-from degbal.graphs import build_graph, connected_components, inferred_degree
+from degbal.graphs import connected_components, inferred_degree
 
-from conftest import applicable_statements, load_corpus_file
+from conftest import applicable_statements, load_corpus_file, relabeled
 
 # OEIS A002851: connected cubic graphs on n vertices.
 A002851 = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85, 14: 509}
@@ -26,12 +26,6 @@ REFUSED = {(4, "I"), (6, "III")}
 def catalog(n):
     folder = "catalog/" if n >= 12 else ""
     return load_corpus_file(f"{folder}connected_cubic_{n:02d}.g6")
-
-
-def relabeled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def check_every_statement(name, g):

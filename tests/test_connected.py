@@ -44,7 +44,7 @@ from degbal.graphs import (
 )
 from degbal.oracle import find_witness
 
-from conftest import applicable_statements
+from conftest import applicable_statements, relabeled
 
 # 14-vertex cubic graph containing the blocked-configuration pattern:
 # K4 on {0,1,2,3} with edge (0,1) subdivided by vertex 4, whose single
@@ -252,12 +252,6 @@ class TestStaged:
             decompose_connected_traced(g, Statement.I)[0].bits
             == decompose_connected_traced(g, Statement.I)[0].bits
         )
-
-
-def relabeled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 def assert_seed(g):
