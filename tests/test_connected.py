@@ -283,6 +283,24 @@ class TestSeedCycle:
                 assert res.achieved == res.target and not res.fallback_used, s
         assert 0 not in seed_cycle(BRIDGED_16)
 
+    @pytest.mark.parametrize("extra, shorter", [
+        ([(1, 7)], [0, 1, 7]),               # chord, the wrapping arc shorter
+        ([(0, 4)], [0, 1, 2, 3, 4]),         # chord, a tie: the arc between
+        ([(1, 8), (7, 8)], [0, 1, 8, 7]),    # outside vertex, the wrapping arc
+        ([(2, 8), (6, 8)], [2, 3, 4, 5, 6, 8]),  # outside vertex, a tie
+        ([(0, 8), (4, 8), (4, 9), (0, 9)], [0, 1, 2, 3, 4, 8]),  # the first vertex found
+        ([(0, 8), (2, 9), (6, 9)], [2, 3, 4, 5, 6, 9]),  # 8 touches the cycle once: no cycle
+        ([(0, 8), (4, 9)], None),
+    ])
+    def test_shorter_cycle_on_an_8_cycle(self, extra, shorter):
+        g = build_graph(10, [(i, (i + 1) % 8) for i in range(8)] + extra)
+        assert connected_mod._shorter_cycle(g.adjacency, list(range(8))) == shorter
+
+    def test_an_equally_short_cycle_is_not_taken(self):
+        # Vertex 4 closes another 4-cycle through 0 and 2, and no shorter one.
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 4)])
+        assert connected_mod._shorter_cycle(g.adjacency, [0, 1, 2, 3]) is None
+
     def test_seed_on_catalog_and_random_graphs(self, connected_corpus):
         graphs = [g for _, g in connected_corpus if g.n >= 8]
         graphs += [random_cubic(n, seed) for n in range(8, 401, 6) for seed in range(4)]
