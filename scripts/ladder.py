@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Time decompose at n = 10^3, 10^4 and 10^5 and record the rows in BENCH_ladder.json.
 
-    python3 scripts/ladder.py --label change [--src DIR] [--sizes 1000,10000,100000]
+    python3 scripts/ladder.py --label change [--src DIR] [--out PATH]
 
-Five families, as in tests/test_scaling.py: connected random_cubic(n, 1),
-GP(n/2, 7), Petersen unions, K4/K3,3 unions (all under BALANCED) and C3/C5
-unions (under TWO_REGULAR).  Each row records, apart from the set-up that
-builds its graph:
+The five families are tests/test_scaling.py's FAMILIES: connected
+random_cubic(n, 1), GP(n/2, 7), Petersen unions, K4/K3,3 unions (all under
+BALANCED) and C3/C5 unions (under TWO_REGULAR).  Each row records, apart
+from the set-up that builds its graph:
 
-- decompose_s: the best of --repeats decompose calls in process, each on a
+- decompose_s: the best of three decompose calls in process, each on a
   fresh Graph of the same edges, in process CPU seconds;
 - peak_bytes_per_vertex: tracemalloc's peak over one such call, per vertex;
 - cli_decompose_s and cli_verify_s: the CPU seconds of one `degbal
   decompose` process on an edge-list file, and of one `degbal verify`
-  process on that file and the document;
-- girth: shortest_cycle's length (a C3's 3 for the cycle unions).
+  process on that file and the document.
 
 --src names the src/ directory to import degbal from (default: this
 checkout's), so one machine can time two checkouts in alternation.  Each
@@ -40,28 +39,11 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SIZES = (1000, 10000, 100000)
+REPEATS = 3
 GATE = 1.37
 CLI = "import sys; from degbal.cli import main; sys.exit(main(sys.argv[1:]))"
 COLUMNS = ("setup_s", "decompose_s", "peak_bytes_per_vertex", "cli_decompose_s", "cli_verify_s")
-
-
-def families():
-    from degbal.gen import cycles, disjoint_union, named, random_cubic
-    from degbal.graphs import build_graph
-
-    def gp(n, k):
-        return build_graph(2 * n, [(i, (i + 1) % n) for i in range(n)]
-                           + [(i, n + i) for i in range(n)]
-                           + [(n + i, n + (i + k) % n) for i in range(n)])
-
-    return {
-        "random_cubic": (lambda n: random_cubic(n, 1), "BALANCED"),
-        "GP(n/2, 7)": (lambda n: gp(n // 2, 7), "BALANCED"),
-        "Petersen unions": (lambda n: disjoint_union([named("PETERSEN")] * (n // 10)), "BALANCED"),
-        "K4/K3,3 unions": (lambda n: disjoint_union([named("K4"), named("K33")] * (n // 10)),
-                           "BALANCED"),
-        "C3/C5 unions": (lambda n: cycles([3, 5] * (n // 8)), "TWO_REGULAR"),
-    }
 
 
 def child_cpu_s(argv, src, stdout=None) -> float:
@@ -73,9 +55,9 @@ def child_cpu_s(argv, src, stdout=None) -> float:
     return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
 
 
-def row(family, build, statement, n, src, repeats, tmp):
+def row(family, build, statement, n, src, tmp):
     from degbal.general import decompose
-    from degbal.graphs import Graph, connected_components, shortest_cycle
+    from degbal.graphs import Graph, connected_components
 
     start = time.process_time()
     g = build(n)
@@ -83,7 +65,7 @@ def row(family, build, statement, n, src, repeats, tmp):
     if family == "random_cubic":
         assert len(connected_components(g)) == 1, "random_cubic(n, 1) must be connected"
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         fresh = Graph(g.n, g.tails, g.heads)  # no split kept from an earlier call
         start = time.process_time()
         decompose(fresh, statement)
@@ -101,11 +83,9 @@ def row(family, build, statement, n, src, repeats, tmp):
         cli_decompose_s = child_cpu_s(argv, src, out)
     argv = ["verify", "-i", str(graph), "-r", str(document)]
     cli_verify_s = child_cpu_s(argv, src, subprocess.DEVNULL)
-    cycle = shortest_cycle(g)
     return {"family": family, "n": g.n, "statement": statement, "setup_s": round(setup_s, 4),
             "decompose_s": round(min(times), 4), "peak_bytes_per_vertex": round(peak / g.n, 1),
-            "cli_decompose_s": round(cli_decompose_s, 4), "cli_verify_s": round(cli_verify_s, 4),
-            "girth": len(cycle) if cycle else 0}
+            "cli_decompose_s": round(cli_decompose_s, 4), "cli_verify_s": round(cli_verify_s, 4)}
 
 
 def summarize(runs):
@@ -134,16 +114,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="name of the code timed, e.g. change")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--sizes", default="1000,10000,100000")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_ladder.json")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))  # before the first degbal import
+    sys.path.insert(1, str(ROOT / "tests"))
+    from test_scaling import FAMILIES
+
     rows, src = [], args.src.resolve()
     with tempfile.TemporaryDirectory() as tmp:
-        for family, (build, statement) in families().items():
-            for n in map(int, args.sizes.split(",")):
-                rows.append(row(family, build, statement, n, src, args.repeats, Path(tmp)))
+        for family, (build, statement) in FAMILIES.items():
+            for n in SIZES:
+                rows.append(row(family, build, statement, n, src, Path(tmp)))
                 print(json.dumps(rows[-1]), flush=True)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     doc["description"] = __doc__.split("\n\n")[0]

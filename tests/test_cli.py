@@ -748,6 +748,24 @@ def test_cli_output_digest(tmp_path, row):
         assert code == 0 and report.startswith("PASS"), (row, report)
 
 
+# Case 1's digests before the branch label became cycle=<L>.  Every Petersen
+# component is staged, so each document carries the label 60 times; with
+# girth= written back the documents hash as they did, so no subset moved.
+CASE1_GIRTH_LABEL_SHA256 = {
+    "case1-balanced": "73d81ee5b07404fe996aeaa679b3607d98e3033da4abe9a6d51f150b0ac8bc7f",
+    "case1-ii": "880ad0f811d1e266aa6af972b38385f348e6a123606e9fc42765ef905ebdeb12",
+}
+
+
+@pytest.mark.parametrize("row", sorted(CASE1_GIRTH_LABEL_SHA256))
+def test_case1_documents_moved_by_the_label_alone(row):
+    argv, source, _ = CLI_PINS[row]
+    code, out = cli_stdout(argv, stdin_text(source))
+    assert code == 0 and out.count(":cycle=") == 60
+    old = out.replace(":cycle=", ":girth=").encode("ascii")
+    assert hashlib.sha256(old).hexdigest() == CASE1_GIRTH_LABEL_SHA256[row]
+
+
 # One parsed Graph decomposed under several statements in turn keeps its
 # component split, and each document its row's bytes.
 SAME_GRAPH = (("r3000-balanced", "r3000-ii", "r3000-balanced"), ("r3002-balanced", "r3002-iv"))
