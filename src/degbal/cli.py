@@ -284,7 +284,7 @@ def cmd_batch(args) -> int:
     return EXIT_FAIL if kinds["failed"] else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="degbal",
         description="Degree-balanced spanning subgraphs of cubic graphs",
@@ -335,15 +335,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit '-' in the ms column for byte-stable output",
     )
     p.set_defaults(func=cmd_batch, named=None)
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = build_parser()
+_PARSER, _COMMANDS = build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What _PARSER.parse_args(argv) returns, in one pass when argv[0]'s subparser
+    takes every other word; any other argv goes to _PARSER, for its exact text."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_FAIL
     try:

@@ -132,16 +132,16 @@ class ResultDocument:
 
 def render_result(r: ResultDocument, format: str = "json") -> str:
     """Deterministic serialization; JSON keys in fixed order."""
-    if format == "json":
+    if format == "json":  # json writes a tuple as an array
         doc = {
             "input_name": r.input_name,
             "n": r.n,
             "statement": r.statement,
-            "target_profile": list(r.target_profile.counts),
-            "achieved_profile": list(r.achieved_profile.counts),
-            "subgraph_edges": [list(e) for e in r.subgraph_edges],
+            "target_profile": r.target_profile.counts,
+            "achieved_profile": r.achieved_profile.counts,
+            "subgraph_edges": r.subgraph_edges,
             "max_deviation": str(r.max_deviation),
-            "branch_trace": list(r.branch_trace),
+            "branch_trace": r.branch_trace,
             "fallback_used": r.fallback_used,
         }
         return json.dumps(doc, separators=(",", ":"))

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from degbal import cli
 from degbal.cli import _document, main
 from degbal.formats import encode_graph6, parse_graph6, render_result
 from degbal.gen import cycles, disjoint_union, named
@@ -831,6 +832,111 @@ class TestBatchCorpus:
                     capsys, "verify", "--input", str(path), "--result", str(result)
                 )
                 assert code == 0, out
+
+
+class TestParsePaths:
+    """main parses an argv whose first word is a command with that command's
+    subparser alone, and any other argv with the full parser; both must read
+    every argv alike, or fail with the same exit code and the same text."""
+
+    # Each command's options with values to draw: a value of None marks a
+    # flag; each value list holds a bad one where the option has a type.
+    OPTIONS = {
+        "decompose": {"--input": ["-", "g.g6"], "--named": ["k4", "petersen"],
+                      "--statement": ["ii", "Two_Regular", "bogus"], "--format": ["tsv", "xml"]},
+        "verify": {"--input": ["-"], "--named": ["k4"], "--result": ["r.json"]},
+        "oracle": {"--input": ["-"], "--named": ["k33"], "--profile": ["1,2,1,2"],
+                   "--min-deviation": None, "--edge-cap": ["12", "x"]},
+        "gen": {"--named": ["k4"], "--random": ["8", "x"], "--cycles": ["3,3"], "--union": ["k4,k33"],
+                "--count": ["2"], "--seed": ["-1", "3"], "--connected": None},
+        "batch": {"--input": ["-"], "--statement": ["ii", "bogus"], "--jobs": ["2", "0"],
+                  "--no-timing": None},
+    }
+    SHORT = {"--input": "-i", "--statement": "-s", "--format": "-f", "--result": "-r", "--jobs": "-j"}
+    STRAYS = ["-h", "--help", "--", "--bogus", "-z", "extra", "-1", "decompose", "--inp", "--n"]
+
+    TABLE = [
+        [], ["-h"], ["--help"], ["--he"], ["bogus"], ["bogus", "-i", "-"], ["--bogus", "decompose"],
+        ["-i", "-", "decompose"], ["decompose"], ["decompose", "-h"], ["gen", "--help"],
+        ["decompose", "--inp", "-"], ["decompose", "--stat", "ii", "--inp", "-"],
+        ["decompose", "--stat=ii", "-sIII", "-i-"], ["decompose", "--n", "k4"],
+        ["decompose", "-i", "-", "extra"], ["decompose", "--named", "k4", "--bogus"],
+        ["decompose", "--bogus", "-s", "bogus"], ["decompose", "-i", "-", "--", "-i"],
+        ["decompose", "-s", "bogus"], ["batch", "-i", "-", "-s", "bogus"], ["batch", "--no", "-i", "-"],
+        ["oracle", "--named", "k4", "--profile", "1,2,1,2", "--min-deviation"],
+        ["oracle", "--min", "--prof", "1,1,1,1"], ["oracle", "--edge-cap", "x"],
+        ["verify", "-i", "-"], ["gen"], ["gen", "--random", "8", "--named", "k4"],
+        ["gen", "--seed", "-1", "--random", "8"], ["gen", "--random", "8", "decompose"],
+    ]
+
+    @classmethod
+    def random_argv(cls, rng):
+        command = rng.choice(list(cls.OPTIONS))
+        argv = [command]
+        for option in rng.sample(list(cls.OPTIONS[command]), rng.randint(0, 3)):
+            values = cls.OPTIONS[command][option]
+            spelling = rng.choice([option, option[:rng.randint(3, len(option))],
+                                   cls.SHORT.get(option, option)])
+            if values is None:
+                argv.append(spelling)
+            elif rng.random() < 0.2 and spelling.startswith("--"):
+                argv.append(f"{spelling}={rng.choice(values)}")
+            else:
+                argv += [spelling, rng.choice(values)]
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):  # a stray word, or a word lost
+            if rng.random() < 0.7:
+                argv.insert(rng.randint(1, len(argv)), rng.choice(cls.STRAYS))
+            elif len(argv) > 1:
+                del argv[rng.randrange(1, len(argv))]
+        if rng.random() < 0.1:
+            argv[0] = rng.choice(["bogus", "-h", "--named", "Decompose"])
+        return argv
+
+    @staticmethod
+    def outcome(parse, argv):
+        """vars() of the parse, or the exit code; with whatever it printed."""
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                result = vars(parse(list(argv)))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    def assert_same(self, argv):
+        got = self.outcome(cli._parse_args, argv)
+        assert got == self.outcome(cli._PARSER.parse_args, argv), argv
+        return got
+
+    @pytest.mark.parametrize("argv", TABLE, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_table_parses_alike(self, argv):
+        self.assert_same(argv)
+
+    def test_random_argvs_parse_alike(self):
+        rng = random.Random(45)
+        parsed = sum(isinstance(self.assert_same(self.random_argv(rng))[0], dict)
+                     for _ in range(600))
+        assert parsed >= 100  # the draw reaches the one-pass path, not only usage errors
+
+    def test_well_formed_argvs_skip_the_full_parser(self, capsys, monkeypatch, tmp_path):
+        class FullParse(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise FullParse
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", refuse)
+        k4 = tmp_path / "k4.g6"
+        k4.write_text(encode_graph6(named("K4")) + "\n")
+        code, out = cli_stdout(("decompose", "--input", "-"), k4.read_text())
+        assert code == 0
+        result = tmp_path / "r.json"
+        result.write_text(out)
+        for argv in (["verify", "-i", str(k4), "-r", str(result)], ["oracle", "--named", "k4"],
+                     ["gen", "--named", "k4"], ["batch", "-i", str(k4), "--no-timing"]):
+            assert run_cli(capsys, *argv)[0] == 0, argv
+        with pytest.raises(FullParse):
+            main(["decompose", "--bogus"])
 
 
 class TestEntryPoint:
