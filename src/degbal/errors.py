@@ -1,4 +1,6 @@
-"""Exception vocabulary shared across the package."""
+"""Exception vocabulary shared across the package.
+
+Refusals that no caller tells apart by class raise DegbalError itself."""
 
 
 class DegbalError(Exception):
@@ -7,24 +9,8 @@ class DegbalError(Exception):
 
 # -- graph construction / validation ----------------------------------------
 
-class LoopEdge(DegbalError):
-    """An edge joins a vertex to itself."""
-
-
-class DuplicateEdge(DegbalError):
-    """The same unordered pair appears twice in an edge list."""
-
-
-class VertexOutOfRange(DegbalError):
-    """An edge endpoint is not in [0, n)."""
-
-
 class NotRegular(DegbalError):
     """The graph is not regular of the required degree."""
-
-
-class NotConnected(DegbalError):
-    """The graph has more than one connected component."""
 
 
 class SizeMismatch(DegbalError):
@@ -35,10 +21,6 @@ class SizeMismatch(DegbalError):
 
 class ParseError(DegbalError):
     """Malformed graph6 or edge-list input."""
-
-
-class UnsupportedOrder(DegbalError):
-    """Graph order outside the supported graph6 range (n > 258047)."""
 
 
 # -- decomposition -----------------------------------------------------------
@@ -66,29 +48,7 @@ class PreconditionViolated(DegbalError):
     """A construction was invoked on a graph lacking its structural pattern."""
 
 
-class NoSuchTuple(DegbalError):
-    """Requested profile is not in the stored decomposition table."""
-
-
 # -- oracle ------------------------------------------------------------------
 
 class CapExceeded(DegbalError):
     """Edge count, or the oracle's state count, exceeds its cap."""
-
-
-# -- generators --------------------------------------------------------------
-
-class UnknownName(DegbalError):
-    """Name not present in the named-graph catalog."""
-
-
-class OddOrder(DegbalError):
-    """Cubic graphs require an even number of vertices."""
-
-
-class RetriesExhausted(DegbalError):
-    """Configuration model failed to produce a simple graph in time."""
-
-
-class PartTooSmall(DegbalError):
-    """Cycle lengths must be at least 3."""

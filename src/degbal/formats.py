@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .errors import ParseError, UnsupportedOrder
+from .errors import DegbalError, ParseError
 from .graphs import DegreeProfile, Graph, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -41,7 +41,7 @@ def parse_graph6(line: str) -> Graph:
     n, body = data[0] - 63, data[1:]
     if n == 63:
         if data[1:2] == b"~":
-            raise UnsupportedOrder("8-byte graph6 order prefix (n > 258047)")
+            raise DegbalError("8-byte graph6 order prefix (n > 258047)")
         if len(data) < 4:
             raise ParseError("truncated long-form order prefix")
         n, body = (data[1] - 63 << 12) | (data[2] - 63 << 6) | (data[3] - 63), data[4:]
@@ -72,7 +72,7 @@ def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line for g under its given labeling."""
     n = g.n
     if n > _MAX_ORDER:
-        raise UnsupportedOrder(f"n={n} exceeds graph6 3-byte form")
+        raise DegbalError(f"n={n} exceeds graph6 3-byte form")
     prefix = [n] if n < 63 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     start = len(prefix)
     values = bytearray(prefix) + bytes((n * (n - 1) // 2 + 5) // 6)

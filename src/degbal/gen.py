@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from operator import eq
 
-from .errors import OddOrder, PartTooSmall, RetriesExhausted, UnknownName
+from .errors import DegbalError
 from .graphs import Graph, build_graph
 
 _MASK64 = (1 << 64) - 1
@@ -115,7 +115,7 @@ def named(name: str) -> Graph:
     if key == "K3_3":
         key = "K33"
     if key not in _CATALOG:
-        raise UnknownName(f"unknown graph {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
+        raise DegbalError(f"unknown graph {name!r}; catalog: {', '.join(CATALOG_NAMES)}")
     return _CATALOG[key]()
 
 
@@ -128,7 +128,7 @@ def random_cubic(n: int, seed: int) -> Graph:
     cubic graphs.  Deterministic per (n, seed).
     """
     if n < 4 or n % 2:
-        raise OddOrder(f"order must be an even integer >= 4, got {n}")
+        raise DegbalError(f"order must be an even integer >= 4, got {n}")
     stubs = [v for v in range(n) for _ in range(3)]
     k = len(stubs)
     for attempt in range(_MAX_RETRIES):
@@ -141,7 +141,7 @@ def random_cubic(n: int, seed: int) -> Graph:
         pairs = set(zip(us, vs))
         if len(pairs) == len(us) and pairs.isdisjoint(zip(vs, us)):
             return build_graph(n, pairs)  # no pair repeats, in either orientation
-    raise RetriesExhausted(f"no simple matching after {_MAX_RETRIES} attempts")
+    raise DegbalError(f"no simple matching after {_MAX_RETRIES} attempts")
 
 
 def disjoint_union(parts: list[Graph]) -> Graph:
@@ -158,7 +158,7 @@ def cycles(partition: list[int]) -> Graph:
     """Disjoint union of cycles of the given lengths (each >= 3)."""
     for a in partition:
         if a < 3:
-            raise PartTooSmall(f"cycle length {a} < 3")
+            raise DegbalError(f"cycle length {a} < 3")
     offset = 0
     edges = []
     for a in partition:

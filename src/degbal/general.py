@@ -30,7 +30,7 @@ from .connected import (
     refusal,
     target_profile,
 )
-from .errors import ExceptionGraph, InternalStuck, NoSuchTuple
+from .errors import DegbalError, ExceptionGraph, InternalStuck
 from .gen import named
 from .graphs import (
     Component,
@@ -91,7 +91,7 @@ def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> E
     canon, table = _TABLES[cls]
     if counts not in table:
         name = "K4" if cls is SmallClass.K4 else "K3,3"
-        raise NoSuchTuple(f"{name} table has no entry for {counts}")
+        raise DegbalError(f"{name} table has no entry for {counts}")
     subset = EdgeSubset(canon.m, table[counts])
     if cls is SmallClass.K4:
         return subset  # any K4 labeling is canonical

@@ -16,14 +16,7 @@ from functools import cached_property
 from itertools import combinations, compress, count
 from operator import itemgetter
 
-from .errors import (
-    DuplicateEdge,
-    LoopEdge,
-    NotConnected,
-    NotRegular,
-    SizeMismatch,
-    VertexOutOfRange,
-)
+from .errors import DegbalError, NotRegular, SizeMismatch
 
 
 class SmallClass(Enum):
@@ -173,16 +166,16 @@ def build_graph(n: int, raw_edges) -> Graph:
     Duplicates are an error rather than silently merged.
     """
     if n < 0:
-        raise VertexOutOfRange(f"negative vertex count {n}")
+        raise DegbalError(f"negative vertex count {n}")
     seen = {}  # in input order, which is often sorted already
     for u, v in raw_edges:
         if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
+            raise DegbalError(f"loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) outside [0,{n})")
+            raise DegbalError(f"edge ({u},{v}) outside [0,{n})")
         e = (u, v) if u < v else (v, u)
         if e in seen:
-            raise DuplicateEdge(f"edge {e} listed twice")
+            raise DegbalError(f"edge {e} listed twice")
         seen[e] = None
     edges = sorted(seen)
     return Graph(n, tuple(map(itemgetter(0), edges)), tuple(map(itemgetter(1), edges)))
@@ -303,12 +296,6 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     best = g.n + 1
     cycle = None
     for root in range(g.n):
-        if best == 4:
-            # Only a triangle can beat a 4-cycle now, so no search is needed.
-            triangle = _lowest_triangle(adjacency, root)
-            if triangle:
-                best, cycle = 3, triangle
-            break
         best, meet, queue = _closing_search(adjacency, root, dist, parent, best)
         if meet is not None:
             # Paths u->root and w->root meet only at the root, else a
@@ -379,19 +366,6 @@ def _cycle_through(parent: list[int], u: int, w: int) -> list[int]:
     return left[::-1] + right[:-1]
 
 
-def _lowest_triangle(adjacency, start: int) -> list[int] | None:
-    """The triangle where the first root r >= start meets one: with best at 4
-    its search queues r's neighbours above r in order and meets at the first
-    such u's first neighbour w among them, so the cycle is r, u, w."""
-    for r in range(start, len(adjacency)):
-        up = [w for w in adjacency[r] if w > r]
-        for u in up:
-            for w in adjacency[u]:
-                if w in up:
-                    return [r, u, w]
-    return None
-
-
 def _path_to_root(parent: list[int], x: int) -> list[int]:
     path = []
     while x != -1:
@@ -435,7 +409,7 @@ def classify_small(g: Graph) -> SmallClass:
     require_regular(g, 3)
     # Cubic graphs on 4 or 6 vertices are connected; other orders need a look.
     if g.n not in (4, 6) and len(connected_components(g)) != 1:
-        raise NotConnected("classify_small expects a connected graph")
+        raise DegbalError("classify_small expects a connected graph")
     return small_class(g)
 
 

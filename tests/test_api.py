@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import degbal
+import degbal.errors
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -40,6 +41,20 @@ EXPORTED = [
 ]
 
 
+# The DegbalError subclasses: each is told apart by a caller or named in a
+# message.  Every other refusal raises DegbalError itself.
+ERROR_CLASSES = [
+    "CapExceeded",
+    "ExceptionGraph",
+    "InternalStuck",
+    "NotRegular",
+    "ParityMismatch",
+    "ParseError",
+    "PreconditionViolated",
+    "SizeMismatch",
+]
+
+
 def library_section() -> str:
     text = README.read_text(encoding="utf-8")
     start = text.index("\n## Library\n")
@@ -59,6 +74,17 @@ def test_every_exported_name_resolves():
 def test_library_section_names_every_export():
     section = library_section()
     assert [name for name in EXPORTED if f"`{name}`" not in section] == []
+
+
+def test_error_classes_are_the_named_ones():
+    defined = sorted(
+        name for name, value in vars(degbal.errors).items()
+        if isinstance(value, type) and issubclass(value, degbal.DegbalError)
+        and value is not degbal.DegbalError
+    )
+    assert defined == ERROR_CLASSES
+    bullet = re.search(r"^- errors:.*?(?=^\S|^- )", library_section(), re.S | re.M).group(0)
+    assert [name for name in ERROR_CLASSES if f"`{name}`" not in bullet] == []
 
 
 def test_library_example_comments_hold():

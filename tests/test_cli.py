@@ -633,6 +633,12 @@ class TestBatchCommand:
         )
 
 
+UNKNOWN_NOSUCH = (
+    "error: unknown graph 'nosuch'; catalog: K4, K33, PRISM, CUBE, PETERSEN, HEAWOOD, PAPPUS,"
+    " DESARGUES, MOEBIUS_KANTOR\n"
+)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -644,9 +650,14 @@ class TestBatchCommand:
         ),
         (("oracle", "-i", "{pair}"), "error: oracle expects exactly one graph\n"),
         (("verify", "-i", "{pair}", "-r", "{path}"), "error: verify expects exactly one graph\n"),
+        (("gen", "--named", "nosuch"), UNKNOWN_NOSUCH),
+        (("decompose", "--named", "nosuch"), UNKNOWN_NOSUCH),
+        (("gen", "--cycles", "2,3"), "error: cycle length 2 < 3\n"),
+        (("gen", "--random", "7"), "error: order must be an even integer >= 4, got 7\n"),
     ],
     ids=["gen-count-0", "batch-jobs-0", "batch-bogus-statement", "oracle-two-graphs",
-         "verify-two-graphs"],
+         "verify-two-graphs", "gen-unknown-name", "decompose-unknown-name",
+         "gen-cycle-too-short", "gen-odd-order"],
 )
 def test_usage_error_is_one_stderr_line_exit_1(capsys, tmp_path, argv, message):
     path, pair = tmp_path / "k4.g6", tmp_path / "pair.g6"
@@ -654,6 +665,14 @@ def test_usage_error_is_one_stderr_line_exit_1(capsys, tmp_path, argv, message):
     pair.write_text(2 * path.read_text())
     code, out, err = run_cli(capsys, *(arg.format(path=path, pair=pair) for arg in argv))
     assert (code, out, err) == (1, "", message)
+
+
+def test_graph6_order_past_the_long_form_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "huge.g6"
+    path.write_text("~~??????\n")
+    assert run_cli(capsys, "decompose", "-i", str(path)) == (
+        4, "", f"parse error: {path}:1: 8-byte graph6 order prefix (n > 258047)\n"
+    )
 
 
 # SHA-256 of `batch --no-timing` stdout over every fixture corpus in name
