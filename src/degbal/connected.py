@@ -127,21 +127,20 @@ class ConnectedTrace:
 
 
 class ColoringState:
-    """Mutable 2-coloring bookkeeping for the staged construction.
+    """Mutable 2-coloring bookkeeping for the staged construction, and its finders.
 
     colored[i] is 1 iff canonical edge i has color 1, i.e. lies in H;
     EdgeSubset.from_member packs it into a bitmask once.  deg1[v] is the
     number of color-1 edges at v; sizes[k] = |V_k|; both move by
     increments, and no stage recounts them: the stages assert the paper's
     size identities, and general.decompose counts the result's profile
-    once.  Stage 1 works in vertex space (_V3Growth) and writes colored at
-    its end; stage 2 colors through _RuleFinders, stage 3 with color_edge
-    alone.
+    once.  Stage 1 grows V3 through add and lowest, stage 2 colors through
+    color and the rule finders, stage 3 with color_edge alone.
     """
 
     def __init__(self, host: Graph, targets: DegreeProfile, cycle: list[int]):
         self.host = host
-        self.tails, self.heads = host.tails, host.heads
+        self.tails, self.heads, self.adjacency = host.tails, host.heads, host.adjacency
         self.n3, self.n2, self.n1 = targets.counts[:3]  # highest subgraph degree first
         self.cycle = cycle
         self.incident = incident_edges(host)
@@ -149,6 +148,7 @@ class ColoringState:
         self.deg1 = [0] * host.n
         self.sizes = [host.n, 0, 0, 0]
         self.rule_counts = {"R1": 0, "R2": 0, "R3": 0}
+        self.v3, self.v3_cursor, self.v3_heap = [], 0, []
 
     def color_edge(self, i: int) -> None:
         colored, deg1, sizes = self.colored, self.deg1, self.sizes
@@ -166,21 +166,13 @@ class ColoringState:
         # Handshake: the odd classes V1 and V3 move in lockstep parity.
         assert (sizes[1] + sizes[3]) % 2 == 0
 
-
-class _V3Growth:
-    """Stage 1 in vertex space: V3 grows one vertex at a time.
-
-    Stage 1 colors every edge at each vertex it adds, so an edge is colored
-    exactly when an endpoint is in V3, and deg1[w] of a w outside V3 counts
-    its V3 neighbors.  add(v) keeps deg1 and sizes so; stage1_grow_v3 writes
-    colored at the end.  lowest() is a cursor over the vertices with a
-    min-heap of valid-again vertices below it: only a neighbor of an added
-    vertex can turn valid, and add offers those.
-    """
-
-    def __init__(self, state: ColoringState):
-        self.state, self.v3, self.cursor, self.heap = state, [], 0, []
-        self.deg1, self.sizes, self.adjacency = state.deg1, state.sizes, state.host.adjacency
+    # Stage 1 in vertex space: V3 grows one vertex at a time.  Stage 1 colors
+    # every edge at each vertex it adds, so an edge is colored exactly when an
+    # endpoint is in V3, and deg1[w] of a w outside V3 counts its V3
+    # neighbors.  add(v) keeps deg1 and sizes so; stage1_grow_v3 writes
+    # colored at the end.  lowest() is a cursor over the vertices with a
+    # min-heap of valid-again vertices below it: only a neighbor of an added
+    # vertex can turn valid, and add offers those.
 
     def add(self, v: int) -> None:
         deg1, sizes, adjacency = self.deg1, self.sizes, self.adjacency
@@ -190,7 +182,7 @@ class _V3Growth:
         sizes[3] += 1
         deg1[v] = 3
         self.v3.append(v)
-        cursor = self.cursor
+        cursor = self.v3_cursor
         for w in adjacency[v]:
             d = deg1[w]
             if d != 3:
@@ -203,7 +195,7 @@ class _V3Growth:
                 if w < cursor:
                     a, b, c = adjacency[w]
                     if deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2:
-                        heappush(self.heap, w)
+                        heappush(self.v3_heap, w)
         assert (sizes[1] + sizes[3]) % 2 == 0
 
     def lowest(self) -> int | None:
@@ -211,7 +203,7 @@ class _V3Growth:
         # A candidate is outside V3 and adjacent to it (deg1 counts V3
         # neighbors) with no neighbor in V2; g is cubic.  The tests are
         # inline: a call costs more than most vertices' test.
-        deg1, adjacency, heap = self.deg1, self.adjacency, self.heap
+        deg1, adjacency, heap = self.deg1, self.adjacency, self.v3_heap
         while heap:
             v = heap[0]
             if 0 < deg1[v] < 3:
@@ -219,128 +211,26 @@ class _V3Growth:
                 if deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2:
                     return v
             heappop(heap)
-        i, n = self.cursor, len(deg1)
+        i, n = self.v3_cursor, len(deg1)
         while i < n:
             if 0 < deg1[i] < 3:
                 a, b, c = adjacency[i]
                 if deg1[a] != 2 and deg1[b] != 2 and deg1[c] != 2:
                     break
             i += 1
-        self.cursor = i
+        self.v3_cursor = i
         return i if i < n else None
 
+    # Stage 2's R1, R2 and R3 finders.  R1 and R2 are cursors over the edges,
+    # each with a min-heap of edges below it that a coloring made valid again.
+    # color(i) colors edge i and offers what that can turn valid: the edges
+    # at an endpoint entering V1 (R1 and R2), and the edges at the color-1 V1
+    # neighbors of an endpoint leaving V1 (R1).  deg1 only rises, so R3
+    # (deg1 == 0) is a plain cursor.
 
-def seed_cycle(g: Graph) -> list[int]:
-    """Stage 1's seed: a short chordless cycle of a connected cubic g, found from vertex 0.
-
-    Start from cycle_from(g, 0).  While a chord, or an outside vertex with
-    two neighbours on the cycle, closes a strictly shorter cycle, move to the
-    first one the scan meets: the shorter arc (the inner one on a tie), its
-    vertices in their old order.  So the seed is chordless and, from length
-    L = 5 up, its L outside neighbours are distinct, so L <= n/2.  Each step
-    scans the cycle once: O(L^2) past the search.
-    """
-    cycle = cycle_from(g, 0)
-    assert cycle is not None, "a connected cubic graph has a cycle"
-    # No cycle is shorter than a triangle.
-    while len(cycle) > 3 and (shorter := _shorter_cycle(g.adjacency, cycle)) is not None:
-        cycle = shorter
-    return cycle
-
-
-def _shorter_cycle(adjacency, cycle: list[int]) -> list[int] | None:
-    """The first strictly shorter cycle that a chord or an outside vertex closes, or None.
-
-    An outside vertex is tried with the first position it touches only:
-    from length 5 up any two positions close a shorter cycle, and on a
-    4-cycle a vertex touching three positions closes a triangle with its
-    first and third.
-    """
-    k = len(cycle)
-    position = dict(zip(cycle, range(k)))
-    outside: dict[int, int] = {}  # outside vertex -> the first cycle position it touches
-    for j, v in enumerate(cycle):
-        for w in adjacency[v]:
-            i = position.get(w)
-            if i is None:
-                i = outside.setdefault(w, j)
-                if i != j and min(j - i, k - j + i) + 2 < k:
-                    return _arc(cycle, i, j, [w])
-            elif i < j - 1 and (i, j) != (0, k - 1):
-                return _arc(cycle, i, j, [])  # a chord always closes a shorter cycle
-    return None
-
-
-def _arc(cycle: list[int], i: int, j: int, via: list[int]) -> list[int]:
-    """The shorter cycle through positions i < j and the vertices via, the arc i..j on a tie."""
-    if 2 * (j - i) <= len(cycle):
-        return cycle[i:j + 1] + via
-    return cycle[:i + 1] + via + cycle[j:]
-
-
-def stage1_grow_v3(state: ColoringState) -> Stage1Stats:
-    """Grow a connected V3 of target size starting along the seed cycle."""
-    n3 = state.n3
-    assert n3 >= 1
-    grow = _V3Growth(state)
-    for v in state.cycle[:n3]:
-        grow.add(v)
-    while len(grow.v3) < n3:
-        v = grow.lowest()
-        if v is None:
-            raise InternalStuck("stage 1: no expansion vertex (should be impossible)")
-        grow.add(v)
-    v3, colored, deg1, adjacency = grow.v3, state.colored, state.deg1, state.host.adjacency
-    for v in v3:
-        for i in state.incident[v]:
-            colored[i] = 1
-
-    # Recounted from deg1 in one pass: each V3-V3 edge shows up at both ends.
-    ends = 0
-    for v in v3:
-        a, b, c = adjacency[v]
-        ends += (deg1[a] == 3) + (deg1[b] == 3) + (deg1[c] == 3)
-    e_v3 = ends // 2
-    out_v3 = 3 * n3 - 2 * e_v3
-    cycle_length = len(state.cycle)
-    assert e_v3 >= n3 - 1, "V3 must induce a connected subgraph"
-    if cycle_length <= n3:
-        assert e_v3 >= n3, "V3 contains the whole cycle, hence a cycle"
-    assert out_v3 <= n3 + 2
-    assert 2 * state.sizes[2] + state.sizes[1] == out_v3
-    assert state.sizes[2] <= state.n2
-    assert state.sizes[1] <= n3 + 2
-    assert _v3_connected(state, v3)
-    return Stage1Stats(cycle_length, e_v3, out_v3, state.sizes[2], state.sizes[1])
-
-
-def _v3_connected(state: ColoringState, v3: list[int]) -> bool:
-    deg1, adjacency = state.deg1, state.host.adjacency
-    seen, queue = {v3[0]}, [v3[0]]
-    for u in queue:
-        for w in adjacency[u]:
-            if deg1[w] == 3 and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(queue) == len(v3)
-
-
-class _RuleFinders:
-    """Stage 2's R1, R2 and R3 finders over one ColoringState.
-
-    R1 and R2 are cursors over the edges, each with a min-heap of edges
-    below it that a coloring made valid again.  color(i) colors edge i and
-    offers what that can turn valid: the edges at an endpoint entering V1
-    (R1 and R2), and the edges at the color-1 V1 neighbors of an endpoint
-    leaving V1 (R1).  deg1 only rises, so R3 (deg1 == 0) is a plain cursor.
-    """
-
-    def __init__(self, state: ColoringState):
-        self.state = state
-        self.deg1 = deg1 = state.deg1
-        self.colored, self.incident = state.colored, state.incident
-        self.tails, self.heads, self.adjacency = state.tails, state.heads, state.host.adjacency
-        cycle, edge_index = state.cycle, state.host.edge_index
+    def start_rules(self) -> None:
+        """Set up stage 2's finders on the coloring stage 1 left."""
+        cycle, deg1, edge_index = self.cycle, self.deg1, self.host.edge_index
         # deg1 never decreases, so a cycle edge with both ends out of V0 is never R2's again.
         self.cycle_edges = sorted([edge_index(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])
                                    if deg1[u] == 0 or deg1[v] == 0])
@@ -348,7 +238,7 @@ class _RuleFinders:
         self.r1_heap, self.r2_heap = [], []
 
     def color(self, i: int) -> None:
-        self.state.color_edge(i)
+        self.color_edge(i)
         deg1, colored, adjacency, incident = self.deg1, self.colored, self.adjacency, self.incident
         r1_cursor, r2_cursor = self.r1_cursor, self.r2_cursor
         for x in (self.tails[i], self.heads[i]):
@@ -413,19 +303,113 @@ class _RuleFinders:
         return None
 
 
-def _is_r1(rules: _RuleFinders, i: int) -> bool:
-    colored, deg1 = rules.colored, rules.deg1
+def _is_r1(state: ColoringState, i: int) -> bool:
+    colored, deg1 = state.colored, state.deg1
     if colored[i]:
         return False
-    u, v = rules.tails[i], rules.heads[i]
+    u, v = state.tails[i], state.heads[i]
     if deg1[u] != 1 or deg1[v] != 1:
         return False
-    adjacency, incident = rules.adjacency, rules.incident
+    adjacency, incident = state.adjacency, state.incident
     for x in (u, v):
         for w, e in zip(adjacency[x], incident[x]):
             if colored[e] and deg1[w] >= 2:
                 return True
     return False
+
+
+def seed_cycle(g: Graph) -> list[int]:
+    """Stage 1's seed: a short chordless cycle of a connected cubic g, found from vertex 0.
+
+    Start from cycle_from(g, 0).  While a chord, or an outside vertex with
+    two neighbours on the cycle, closes a strictly shorter cycle, move to the
+    first one the scan meets: the shorter arc (the inner one on a tie), its
+    vertices in their old order.  So the seed is chordless and, from length
+    L = 5 up, its L outside neighbours are distinct, so L <= n/2.  Each step
+    scans the cycle once: O(L^2) past the search.
+    """
+    cycle = cycle_from(g, 0)
+    assert cycle is not None, "a connected cubic graph has a cycle"
+    # No cycle is shorter than a triangle.
+    while len(cycle) > 3 and (shorter := _shorter_cycle(g.adjacency, cycle)) is not None:
+        cycle = shorter
+    return cycle
+
+
+def _shorter_cycle(adjacency, cycle: list[int]) -> list[int] | None:
+    """The first strictly shorter cycle that a chord or an outside vertex closes, or None.
+
+    An outside vertex is tried with the first position it touches only:
+    from length 5 up any two positions close a shorter cycle, and on a
+    4-cycle a vertex touching three positions closes a triangle with its
+    first and third.
+    """
+    k = len(cycle)
+    position = dict(zip(cycle, range(k)))
+    outside: dict[int, int] = {}  # outside vertex -> the first cycle position it touches
+    for j, v in enumerate(cycle):
+        for w in adjacency[v]:
+            i = position.get(w)
+            if i is None:
+                i = outside.setdefault(w, j)
+                if i != j and min(j - i, k - j + i) + 2 < k:
+                    return _arc(cycle, i, j, [w])
+            elif i < j - 1 and (i, j) != (0, k - 1):
+                return _arc(cycle, i, j, [])  # a chord always closes a shorter cycle
+    return None
+
+
+def _arc(cycle: list[int], i: int, j: int, via: list[int]) -> list[int]:
+    """The shorter cycle through positions i < j and the vertices via, the arc i..j on a tie."""
+    if 2 * (j - i) <= len(cycle):
+        return cycle[i:j + 1] + via
+    return cycle[:i + 1] + via + cycle[j:]
+
+
+def stage1_grow_v3(state: ColoringState) -> Stage1Stats:
+    """Grow a connected V3 of target size starting along the seed cycle."""
+    n3 = state.n3
+    assert n3 >= 1
+    for v in state.cycle[:n3]:
+        state.add(v)
+    while len(state.v3) < n3:
+        v = state.lowest()
+        if v is None:
+            raise InternalStuck("stage 1: no expansion vertex (should be impossible)")
+        state.add(v)
+    v3, colored, deg1, adjacency = state.v3, state.colored, state.deg1, state.adjacency
+    for v in v3:
+        for i in state.incident[v]:
+            colored[i] = 1
+
+    # Recounted from deg1 in one pass: each V3-V3 edge shows up at both ends.
+    ends = 0
+    for v in v3:
+        a, b, c = adjacency[v]
+        ends += (deg1[a] == 3) + (deg1[b] == 3) + (deg1[c] == 3)
+    e_v3 = ends // 2
+    out_v3 = 3 * n3 - 2 * e_v3
+    cycle_length = len(state.cycle)
+    assert e_v3 >= n3 - 1, "V3 must induce a connected subgraph"
+    if cycle_length <= n3:
+        assert e_v3 >= n3, "V3 contains the whole cycle, hence a cycle"
+    assert out_v3 <= n3 + 2
+    assert 2 * state.sizes[2] + state.sizes[1] == out_v3
+    assert state.sizes[2] <= state.n2
+    assert state.sizes[1] <= n3 + 2
+    assert _v3_connected(state, v3)
+    return Stage1Stats(cycle_length, e_v3, out_v3, state.sizes[2], state.sizes[1])
+
+
+def _v3_connected(state: ColoringState, v3: list[int]) -> bool:
+    deg1, adjacency = state.deg1, state.adjacency
+    seen, queue = {v3[0]}, [v3[0]]
+    for u in queue:
+        for w in adjacency[u]:
+            if deg1[w] == 3 and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(queue) == len(v3)
 
 
 def stage2_fill_v2(state: ColoringState) -> bool:
@@ -436,19 +420,19 @@ def stage2_fill_v2(state: ColoringState) -> bool:
       R2 colors a V1-V0 edge        -> (-1, 0, +1, 0), cycle edges preferred
       R3 colors two V0-V0 edges     -> (-3, +2, +1, 0), only while |V1| < n1
     """
-    rules = _RuleFinders(state)
+    state.start_rules()
     sizes, n1, n2, counts = state.sizes, state.n1, state.n2, state.rule_counts
     while sizes[2] < n2:
         v0, v1, v2, v3 = sizes
-        if sizes[2] < n2 - 1 and (i := rules.r1()) is not None:
-            rules.color(i)
+        if sizes[2] < n2 - 1 and (i := state.r1()) is not None:
+            state.color(i)
             name, deltas = "R1", (0, -2, 2, 0)
-        elif (i := rules.r2()) is not None:
-            rules.color(i)
+        elif (i := state.r2()) is not None:
+            state.color(i)
             name, deltas = "R2", (-1, 0, 1, 0)
-        elif sizes[1] < n1 and (pair := rules.r3()) is not None:
-            rules.color(pair[0])
-            rules.color(pair[1])
+        elif sizes[1] < n1 and (pair := state.r3()) is not None:
+            state.color(pair[0])
+            state.color(pair[1])
             name, deltas = "R3", (-3, 2, 1, 0)
         else:
             return False

@@ -12,15 +12,12 @@ run may block, and every one must end on target.
 """
 
 import random
-from unittest import mock
 
 import pytest
 
-import degbal.connected as connected
 from degbal.connected import (
     ColoringState,
     _is_r1,
-    _RuleFinders,
     decompose_connected_traced,
     seed_cycle,
     stage1_grow_v3,
@@ -40,8 +37,12 @@ RANDOM_SEEDS = range(10)
 RANDOM_RUNS = 8  # random trajectories per (graph, statement)
 
 
-class RandomRules(_RuleFinders):
-    """Stage 2's finders answering with a random valid application of self.rng."""
+class RandomRules(ColoringState):
+    """A state whose stage-2 finders answer with a random valid application of rng."""
+
+    def __init__(self, *args, rng):
+        super().__init__(*args)
+        self.rng = rng
 
     def r1(self):
         return self._pick([i for i in range(len(self.tails)) if _is_r1(self, i)])
@@ -64,14 +65,12 @@ class RandomRules(_RuleFinders):
 
 
 def random_run(g, s, rng):
-    """Stages 1-3 with RandomRules of rng in stage 2; False if stage 2 blocks."""
+    """Stages 1-3 on a RandomRules state of rng; False if stage 2 blocks."""
     target = target_profile(g.n, s)
-    state = ColoringState(g, target, seed_cycle(g))
+    state = RandomRules(g, target, seed_cycle(g), rng=rng)
     stage1_grow_v3(state)
-    seeded = type("SeededRules", (RandomRules,), {"rng": rng})
-    with mock.patch.object(connected, "_RuleFinders", seeded):
-        if not stage2_fill_v2(state):
-            return False
+    if not stage2_fill_v2(state):
+        return False
     stage3_fill_v1(state)
     assert profile_of(g, EdgeSubset.from_member(state.colored)) == target
     return True

@@ -21,8 +21,6 @@ from degbal.connected import (
     stage2_fill_v2,
     stage3_fill_v1,
     target_profile,
-    _RuleFinders,
-    _V3Growth,
 )
 from degbal.errors import (
     ExceptionGraph,
@@ -201,17 +199,17 @@ class TestStaged:
     def test_deep_checks_path(self, monkeypatch):
         # Recount the whole state after every vertex stage 1 adds (in vertex
         # space: deg1 counts V3 neighbors) and after every later recoloring.
-        add, color_edge = _V3Growth.add, ColoringState.color_edge
+        add, color_edge = ColoringState.add, ColoringState.color_edge
         added, colored = [], []
 
-        def checked_add(grow, v):
-            add(grow, v)
-            deg1, adjacency = grow.state.deg1, grow.state.host.adjacency
+        def checked_add(state, v):
+            add(state, v)
+            deg1, adjacency = state.deg1, state.host.adjacency
             v3 = {u for u in range(len(deg1)) if deg1[u] == 3}
-            assert v3 == set(grow.v3)
+            assert v3 == set(state.v3)
             for u in set(range(len(deg1))) - v3:
                 assert deg1[u] == sum(w in v3 for w in adjacency[u]), u
-            assert grow.state.sizes == [deg1.count(k) for k in range(4)]
+            assert state.sizes == [deg1.count(k) for k in range(4)]
             added.append(v)
 
         def checked(state, i):
@@ -224,7 +222,7 @@ class TestStaged:
             assert state.sizes == [deg.count(k) for k in range(4)]
             colored.append(i)
 
-        monkeypatch.setattr(_V3Growth, "add", checked_add)
+        monkeypatch.setattr(ColoringState, "add", checked_add)
         monkeypatch.setattr(ColoringState, "color_edge", checked)
         for g, s in ((named("PETERSEN"), Statement.IV), (random_cubic(402, 21), Statement.III)):
             added.clear()
@@ -324,20 +322,20 @@ class TestRules:
     def test_petersen_iii_rule_sequence(self):
         g = named("PETERSEN")
         state = self._after_stage1(g, Statement.III)
-        rules = _RuleFinders(state)
+        state.start_rules()
         # no V1-V1 edge yet, so R1 must decline
-        assert rules.r1() is None
+        assert state.r1() is None
         # R2 prefers the cycle edge (2,3) over any other V1-V0 edge
-        i = rules.r2()
+        i = state.r2()
         assert g.edges[i] == (2, 3)
         before = tuple(state.sizes)
-        rules.color(i)
+        state.color(i)
         assert tuple(a - b for a, b in zip(state.sizes, before)) == (-1, 0, 1, 0)
         # now (3,4) joins two 1-vertices: R1 applies, shrinking V1 by 2
-        j = rules.r1()
+        j = state.r1()
         assert g.edges[j] == (3, 4)
         before = tuple(state.sizes)
-        rules.color(j)
+        state.color(j)
         assert tuple(a - b for a, b in zip(state.sizes, before)) == (0, -2, 2, 0)
 
     def test_r3_step_effects(self):
@@ -345,14 +343,14 @@ class TestRules:
 
         g = parse_graph6(R3_GRAPH6)
         state = self._after_stage1(g, Statement.III)
-        rules = _RuleFinders(state)
-        assert rules.r1() is None and rules.r2() is None
-        i, j = rules.r3()
+        state.start_rules()
+        assert state.r1() is None and state.r2() is None
+        i, j = state.r3()
         ends = {*g.edges[i], *g.edges[j]}  # a path of two edges on three 0-vertices
         assert len(ends) == 3 and all(state.deg1[x] == 0 for x in ends)
         before = tuple(state.sizes)
-        rules.color(i)
-        rules.color(j)
+        state.color(i)
+        state.color(j)
         assert tuple(a - b for a, b in zip(state.sizes, before)) == (-3, 2, 1, 0)
         _, trace = decompose_connected_traced(g, Statement.III)
         assert trace.rule_counts["R3"] == 1
@@ -395,20 +393,19 @@ class TestRuleSizeChecks:
         ("r1", _v1_v0, None),
     ])
     def test_wrong_edge_names_the_rule(self, monkeypatch, finder, wrong, held):
-        find, fired = getattr(_RuleFinders, finder), []
+        find, fired = getattr(ColoringState, finder), []
 
-        def once(rules):
+        def once(state):
             if not fired:
-                state = rules.state
                 fired.extend(i for i in range(state.host.m) if wrong(state, i))
                 if fired:
                     return fired[0]
-            return find(rules)
+            return find(state)
 
-        monkeypatch.setattr(_RuleFinders, finder, once)
+        monkeypatch.setattr(ColoringState, finder, once)
         if held is not None:
-            hold = getattr(_RuleFinders, held)
-            monkeypatch.setattr(_RuleFinders, held, lambda rules: hold(rules) if fired else None)
+            hold = getattr(ColoringState, held)
+            monkeypatch.setattr(ColoringState, held, lambda state: hold(state) if fired else None)
         with pytest.raises(AssertionError, match=rf"^{finder.upper()}: sizes changed by"):
             decompose_connected_traced(random_cubic(402, 21), Statement.III)
         assert fired
@@ -610,18 +607,18 @@ def _bookkept_not_written(state, color_edge, i):
 
 def _stage1_deg1_lags(monkeypatch, fired):
     # The first addition leaves one raised neighbor's deg1 where it was; sizes moves.
-    add = _V3Growth.add
+    add = ColoringState.add
 
-    def lagging(grow, v):
-        deg1 = grow.state.deg1
-        before = {w: deg1[w] for w in grow.state.host.adjacency[v] if deg1[w] < 3}
-        add(grow, v)
+    def lagging(state, v):
+        deg1 = state.deg1
+        before = {w: deg1[w] for w in state.host.adjacency[v] if deg1[w] < 3}
+        add(state, v)
         if before and not fired:
             w = min(before)
             fired.append(w)
             deg1[w] = before[w]
 
-    monkeypatch.setattr(_V3Growth, "add", lagging)
+    monkeypatch.setattr(ColoringState, "add", lagging)
 
 
 def _stage1_colored_lags(monkeypatch, fired):

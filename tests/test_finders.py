@@ -2,28 +2,22 @@
 
 The scans below are the straightforward definitions of each finder: walk
 every vertex or edge in canonical order and return the first that
-qualifies.  They are kept here only as a reference for the finders each
-stage of ``degbal.connected`` drives.  Stage 1 grows V3 in vertex space
-(_V3Growth): its finder is a cursor over the vertices with a heap behind
-it of vertices below the cursor that an addition made valid again, and
-it is checked after every vertex added.  Stage 2 colors through
-_RuleFinders: R1 and R2 are cursors over the edges with such a heap
-behind each, fed by the coloring step, and R3 is a plain cursor, since
-its predicate never turns true again; all three are checked after every
-edge colored.  Stage 3 needs no finder: it walks the edges once, and
+qualifies.  They are kept here only as a reference for the finders of
+``degbal.connected.ColoringState``.  Stage 1 grows V3 in vertex space:
+its finder is a cursor over the vertices with a heap behind it of
+vertices below the cursor that an addition made valid again, and it is
+checked after every vertex added.  In stage 2, R1 and R2 are cursors over
+the edges with such a heap behind each, fed by the coloring step, and R3
+is a plain cursor, since its predicate never turns true again; all three
+are checked after every edge colored.  Stage 3 needs no finder: it walks the edges once, and
 every edge it colors must be the scan's lowest V0-V0 edge at that step.
 """
-
-from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import degbal.connected as connected
 from degbal.connected import (
     ColoringState,
-    _RuleFinders,
-    _V3Growth,
     seed_cycle,
     stage1_grow_v3,
     stage2_fill_v2,
@@ -97,12 +91,14 @@ def scan_v0_v0(state):
 
 
 class CheckedState(ColoringState):
-    """Counts the steps and finder checks of each stage from check_from on.
+    """The finders, compared with their scans after each step from check_from on.
 
     run_checked sets stage before each stage runs.  A step is a vertex
     added in stage 1 and an edge colored in stages 2 and 3, and each
-    stage's steps are counted within it.  In stage 3 each coloring must be
-    scan_v0_v0's edge, whatever check_from.
+    stage's steps and checks are counted within it.  Stage 1's finder is
+    checked after each vertex added, and stage 2's after each edge
+    colored.  In stage 3 each coloring must be scan_v0_v0's edge, whatever
+    check_from.
     """
 
     def __init__(self, *args, check_from=0):
@@ -127,25 +123,17 @@ class CheckedState(ColoringState):
             self.checks[3] += 1
         super().color_edge(i)
 
-
-class CheckedGrowth(_V3Growth):
-    """Stage 1's finder, compared with its scan after each vertex added."""
-
     def add(self, v):
         super().add(v)
-        if self.state.step(1):
-            assert self.lowest() == scan_stage1_candidate(self.state), ("stage 1", self.state.steps)
-
-
-class CheckedRules(_RuleFinders):
-    """Stage 2's finders, compared with their scans after each edge colored."""
+        if self.step(1):
+            assert self.lowest() == scan_stage1_candidate(self), ("stage 1", self.steps)
 
     def color(self, i):
         super().color(i)
-        if self.state.step(2):
-            assert self.r1() == scan_r1(self.state), ("R1", self.state.steps)
-            assert self.r2() == scan_r2(self.state), ("R2", self.state.steps)
-            assert self.r3() == scan_r3(self.state), ("R3", self.state.steps)
+        if self.step(2):
+            assert self.r1() == scan_r1(self), ("R1", self.steps)
+            assert self.r2() == scan_r2(self), ("R2", self.steps)
+            assert self.r3() == scan_r3(self), ("R3", self.steps)
 
 
 def expected_checks(steps, check_from):
@@ -154,21 +142,19 @@ def expected_checks(steps, check_from):
 
 
 def run_checked(g, s, check_from=0):
-    """Stages 1-3 through the checked finders; the state, or None if stage 2 blocks.
+    """Stages 1-3 on a CheckedState; the state, or None if stage 2 blocks.
 
     Each stage's steps are counted off the coloring itself, not through the
     hooks, and every one of them must have been checked.
     """
     target = target_profile(g.n, s)
     state = CheckedState(g, target, seed_cycle(g), check_from=check_from)
-    with mock.patch.object(connected, "_V3Growth", CheckedGrowth), \
-            mock.patch.object(connected, "_RuleFinders", CheckedRules):
-        state.stage = 1
-        stage1_grow_v3(state)
-        stage1_vertices, stage1_edges = state.sizes[3], sum(state.colored)
-        state.stage = 2
-        if not stage2_fill_v2(state):
-            return None
+    state.stage = 1
+    stage1_grow_v3(state)
+    stage1_vertices, stage1_edges = state.sizes[3], sum(state.colored)
+    state.stage = 2
+    if not stage2_fill_v2(state):
+        return None
     stage2_edges = sum(state.colored) - stage1_edges
     state.stage = 3
     deficit = state.n1 - state.sizes[1]
@@ -189,11 +175,10 @@ def check_growth_in_random_order(g, rng, check_from=0):
     """
     state = CheckedState(g, target_profile(g.n, applicable_statements(g.n)[0]), [],
                          check_from=check_from)
-    grow = CheckedGrowth(state)
-    grow.add(rng.randrange(g.n))
+    state.add(rng.randrange(g.n))
     while candidates := [v for v in range(g.n) if is_stage1_candidate(state, v)]:
-        grow.add(rng.choice(candidates))
-    assert state.steps[1] == len(grow.v3) > 1
+        state.add(rng.choice(candidates))
+    assert state.steps[1] == len(state.v3) > 1
     return state
 
 
@@ -201,11 +186,11 @@ def check_rules_in_random_order(g, rng, check_from=0):
     """Color every edge through stage 2's finders in a random order, checking each step."""
     state = CheckedState(g, target_profile(g.n, applicable_statements(g.n)[0]), seed_cycle(g),
                          check_from=check_from)
-    rules = CheckedRules(state)
+    state.start_rules()
     edges = list(range(g.m))
     rng.shuffle(edges)
     for i in edges:
-        rules.color(i)
+        state.color(i)
     return state
 
 

@@ -10,7 +10,7 @@ only its cursor.
 
 import random
 
-from degbal.connected import _RuleFinders, _V3Growth
+from degbal.connected import ColoringState
 from degbal.gen import random_cubic
 from degbal.graphs import connected_components
 
@@ -66,12 +66,12 @@ def test_each_heap_finder_answers_from_its_heap(monkeypatch):
             return found
         return counted
 
-    monkeypatch.setattr(_V3Growth, "lowest",
-                        counting(_V3Growth.lowest, "stage 1", lambda f: f.cursor))
-    monkeypatch.setattr(_RuleFinders, "r1",
-                        counting(_RuleFinders.r1, "R1", lambda f: f.r1_cursor))
-    monkeypatch.setattr(_RuleFinders, "r2",
-                        counting(_RuleFinders.r2, "R2", lambda f: f.r2_cursor))
+    monkeypatch.setattr(ColoringState, "lowest",
+                        counting(ColoringState.lowest, "stage 1", lambda f: f.v3_cursor))
+    monkeypatch.setattr(ColoringState, "r1",
+                        counting(ColoringState.r1, "R1", lambda f: f.r1_cursor))
+    monkeypatch.setattr(ColoringState, "r2",
+                        counting(ColoringState.r2, "R2", lambda f: f.r2_cursor))
     for path in sorted(FIXTURES.glob("*.g6")):
         for name, g in load_corpus_file(path.name):
             if g.n >= 8 and len(connected_components(g)) == 1:
