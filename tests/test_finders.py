@@ -9,8 +9,9 @@ vertices below the cursor that an addition made valid again, and it is
 checked after every vertex added.  In stage 2, R1 and R2 are cursors over
 the edges with such a heap behind each, fed by the coloring step, and R3
 is a plain cursor, since its predicate never turns true again; all three
-are checked after every edge colored.  Stage 3 needs no finder: it walks the edges once, and
-every edge it colors must be the scan's lowest V0-V0 edge at that step.
+are checked after every edge colored.  Stage 3 needs no finder: it walks
+the edges once, and every edge it colors must be the scan's lowest V0-V0
+edge at that step.
 """
 
 from hypothesis import assume, given, settings
