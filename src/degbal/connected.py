@@ -37,12 +37,12 @@ from .graphs import (
     EdgeSubset,
     Graph,
     SmallClass,
+    classify_small,
     connected_components,
     cycle_from,
     incident_edges,
     profile_of,
     require_regular,
-    small_class,
     triangle_at_zero,
 )
 from .oracle import find_witness
@@ -521,15 +521,6 @@ def _find_special_w(g: Graph, inside: set, u: int, u1: int) -> int | None:
     return None
 
 
-def fallback_search(g: Graph, target: DegreeProfile) -> EdgeSubset | None:
-    """First subset in rank order realizing ``target``, or None.
-
-    The stage-2 backstop: the oracle's exhaustive single-profile search,
-    which raises CapExceeded above its default edge cap.
-    """
-    return find_witness(g, target)
-
-
 def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, ConnectedTrace]:
     """Edge subset meant to realize target_profile(n, s) on a cubic g the
     caller knows is connected, and its trace; general.decompose counts the
@@ -547,7 +538,7 @@ def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, Conn
 
 def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
     """t = 1 orders get the proof's explicit constructions; REFUSALS' rows have none."""
-    cls = small_class(g)
+    cls = classify_small(g)
     kind = refusal(s, [cls])[0]
     if kind is not None:
         raise ExceptionGraph(kind)
@@ -570,15 +561,16 @@ def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace
     trace.rule_counts = state.rule_counts  # counted in place from here on
     trace.stage1 = stage1_grow_v3(state)
     if not stage2_fill_v2(state):
-        return _blocked_dispatch(g, s, target, state, trace)
+        return fallback_search(g, s, target, state, trace)
     stage3_fill_v1(state)
     trace.branch.append(f"staged:{s.value}:cycle={len(cycle)}")
     return EdgeSubset.from_member(state.colored)
 
 
-def _blocked_dispatch(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,
-                      trace: ConnectedTrace) -> EdgeSubset:
-    """Stage-2 block: the oracle's first witness, or InternalStuck over its edge cap."""
+def fallback_search(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,
+                    trace: ConnectedTrace) -> EdgeSubset:
+    """The stage-2 backstop: the oracle's first witness in rank order, or
+    InternalStuck over its edge cap or where it finds none."""
     e_v1 = sum(1 for u, v in zip(g.tails, g.heads) if state.deg1[u] == state.deg1[v] == 1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means
@@ -586,7 +578,7 @@ def _blocked_dispatch(g: Graph, s: Statement, target: DegreeProfile, state: Colo
         log.warning("stage-2 block with e(V1)=%d on n=%d edges=%s", e_v1, g.n,
                     tuple(zip(g.tails, g.heads)))
     try:
-        subset = fallback_search(g, target)
+        subset = find_witness(g, target)
     except CapExceeded:
         raise InternalStuck(f"stage 2 blocked on n={g.n} with no fallback available") from None
     if subset is None:

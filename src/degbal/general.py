@@ -38,12 +38,12 @@ from .graphs import (
     EdgeSubset,
     Graph,
     SmallClass,
+    classify_small,
     complement_within,
     connected_components,
     incident_edges,
     profile_of,
     require_regular,
-    small_class,
 )
 from .oracle import achievable_profiles
 
@@ -83,7 +83,7 @@ def _split(g: Graph) -> tuple[list[Component], list[SmallClass]]:
     """The components of a cubic g and their small classes."""
     require_regular(g, 3)
     comps = connected_components(g)
-    return comps, [small_class(c.graph) for c in comps]
+    return comps, [classify_small(c.graph) for c in comps]
 
 
 def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> EdgeSubset:

@@ -400,21 +400,12 @@ def profile_of(g: Graph, s: EdgeSubset) -> DegreeProfile:
 
 
 def classify_small(g: Graph) -> SmallClass:
-    """Recognize K4 / K3,3 / 3-prism among connected cubic graphs.
+    """Recognize K4 / K3,3 / 3-prism in a cubic g the caller knows is connected.
 
     Structural fingerprints suffice: the connected cubic graphs on at most
     6 vertices are exactly K4, K3,3, and the prism, and K3,3 is the
     triangle-free one on 6 vertices.
     """
-    require_regular(g, 3)
-    # Cubic graphs on 4 or 6 vertices are connected; other orders need a look.
-    if g.n not in (4, 6) and len(connected_components(g)) != 1:
-        raise DegbalError("classify_small expects a connected graph")
-    return small_class(g)
-
-
-def small_class(g: Graph) -> SmallClass:
-    """classify_small without its checks, for a known connected cubic g."""
     if g.n == 4:
         return SmallClass.K4
     if g.n == 6:

@@ -22,7 +22,7 @@ from degbal.connected import ExceptionKind, Statement, refusal, target_profile
 from degbal.errors import ExceptionGraph
 from degbal.gen import disjoint_union
 from degbal.general import decompose
-from degbal.graphs import connected_components, inferred_degree, small_class
+from degbal.graphs import classify_small, connected_components, inferred_degree
 from degbal.oracle import achievable_profiles
 
 from conftest import applicable_statements, load_corpus_file, relabeled
@@ -93,7 +93,7 @@ def check_against_oracle(name, g):
     target is achievable exactly where REFUSALS has no row; the refusals met."""
     report = achievable_profiles(g)
     assert decompose(g, "BALANCED").max_deviation == report.min_max_deviation, name
-    shapes = [small_class(c.graph) for c in connected_components(g)]
+    shapes = [classify_small(c.graph) for c in connected_components(g)]
     refused = set()
     for s in applicable_statements(g.n):
         kind = refusal(s, shapes)[0]

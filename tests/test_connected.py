@@ -14,7 +14,6 @@ from degbal.connected import (
     ExceptionKind,
     Statement,
     decompose_connected_traced,
-    fallback_search,
     seed_cycle,
     special_14_construction,
     stage1_grow_v3,
@@ -495,8 +494,17 @@ class TestSpecial14:
             special_14_construction(named("HEAWOOD"))
 
 
+class _NoRules(ColoringState):
+    """A state whose stage-2 finders find nothing, so stage 2 blocks by itself."""
+
+    def r1(self):
+        return None
+
+    r2 = r3 = r1
+
+
 class TestBlockedDispatch:
-    """Stage-2 blocks are rare; force one to exercise the routing."""
+    """Stage-2 blocks are rare; force one to exercise fallback_search."""
 
     def _force_block(self, monkeypatch):
         monkeypatch.setattr(connected_mod, "stage2_fill_v2", lambda state: False)
@@ -545,30 +553,41 @@ class TestBlockedDispatch:
         with pytest.raises(InternalStuck):
             decompose_connected_traced(named("PAPPUS"), Statement.III)
 
+    @pytest.mark.parametrize(
+        "name, s",
+        [("PETERSEN", Statement.III), ("PETERSEN", Statement.IV), ("CUBE", Statement.I),
+         ("CUBE", Statement.II), ("HEAWOOD", Statement.III), ("HEAWOOD", Statement.IV)],
+    )
+    def test_real_block_hands_stage1_state_to_fallback(self, monkeypatch, name, s):
+        # With no rule found, stage 2 itself returns False on the coloring
+        # stage 1 left, and the backstop takes that state.
+        g = named(name)
+        state = _NoRules(g, target_profile(g.n, s), seed_cycle(g))
+        stage1_grow_v3(state)
+        assert stage2_fill_v2(state) is False
+        monkeypatch.setattr(connected_mod, "ColoringState", _NoRules)
+        sub, trace = decompose_connected_traced(g, s)
+        assert trace.fallback_used and trace.branch == ["staged:blocked->fallback"]
+        assert sub == find_witness(g, target_profile(g.n, s))
 
-class TestFallbackSearch:
-    def test_k4_infeasible_target(self):
-        assert fallback_search(named("K4"), DegreeProfile((1, 1, 1, 1))) is None
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_over_cap_warns_on_e_v1(self, monkeypatch, caplog, seed):
+        # After stage 1 these graphs keep e(V1) > 2, more than the
+        # blocked-state analysis allows, and m = 600 is over the oracle's cap.
+        g = random_cubic(400, seed)
+        assert len(connected_components(g)) == 1
+        monkeypatch.setattr(connected_mod, "ColoringState", _NoRules)
+        with pytest.raises(InternalStuck, match="^stage 2 blocked on n=400 with no fallback available$"):
+            decompose_connected_traced(g, Statement.I)
+        warned = [r for r in caplog.records if r.getMessage().startswith("stage-2 block with e(V1)=")]
+        assert len(warned) == 1
 
-    def test_k4_single_edge_target(self):
-        g = named("K4")
-        sub = fallback_search(g, DegreeProfile((0, 0, 2, 2)))
-        assert profile_of(g, sub).counts == (0, 0, 2, 2)
-        assert len(sub) == 1
-
-    def test_prism_iii_target(self):
-        g = named("PRISM")
-        sub = fallback_search(g, DegreeProfile((1, 2, 1, 2)))
-        assert profile_of(g, sub).counts == (1, 2, 1, 2)
-
-    def test_wrong_order_target(self):
-        assert fallback_search(named("K4"), DegreeProfile((1, 1, 1, 2))) is None
-
-    def test_deterministic(self):
-        g = named("CUBE")
-        a = fallback_search(g, DegreeProfile((2, 2, 2, 2)))
-        b = fallback_search(g, DegreeProfile((2, 2, 2, 2)))
-        assert a.bits == b.bits
+    def test_block_with_no_witness(self, monkeypatch):
+        self._force_block(monkeypatch)
+        monkeypatch.setattr(connected_mod, "find_witness", lambda g, target: None)
+        with pytest.raises(InternalStuck,
+                           match=r"^stage 2 blocked and exhaustive search finds no \(2, 2, 2, 2\)$"):
+            decompose_connected_traced(named("CUBE"), Statement.I)
 
 
 def _drift_in_stage(stage_name, drifted_color):

@@ -25,10 +25,10 @@ from degbal.graphs import (
     DegreeProfile,
     SmallClass,
     build_graph,
+    classify_small,
     connected_components,
     inferred_degree,
     profile_of,
-    small_class,
 )
 from degbal.oracle import achievable_profiles, find_witness
 
@@ -321,7 +321,7 @@ def test_small_labelings_match_golden_digest():
     counts = {}
     for name, g in small_labelings():
         counts[name] = counts.get(name, 0) + 1
-        cls = small_class(g)
+        cls = classify_small(g)
         lines = [f"{name}\t{g.edges}\t{cls.value}"]
         statements = (Statement.I, Statement.II) if g.n % 4 == 0 else (Statement.III, Statement.IV)
         for s in statements:

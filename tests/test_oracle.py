@@ -313,6 +313,7 @@ class TestWitnesses:
 
     def test_find_witness_none_for_wrong_shape(self):
         assert find_witness(named("K4"), DegreeProfile((4,))) is None
+        assert find_witness(named("K4"), DegreeProfile((1, 1, 1, 2))) is None
 
 
 def _witness_graph(name):
