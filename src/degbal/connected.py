@@ -377,15 +377,13 @@ def stage1_grow_v3(state: ColoringState) -> Stage1Stats:
         if v is None:
             raise InternalStuck("stage 1: no expansion vertex (should be impossible)")
         state.add(v)
+    # Write the coloring and recount e(V3) in one pass: each V3-V3 edge shows up at both ends.
     v3, colored, deg1, adjacency = state.v3, state.colored, state.deg1, state.adjacency
-    for v in v3:
-        for i in state.incident[v]:
-            colored[i] = 1
-
-    # Recounted from deg1 in one pass: each V3-V3 edge shows up at both ends.
-    ends = 0
+    incident, ends = state.incident, 0
     for v in v3:
         a, b, c = adjacency[v]
+        i, j, k = incident[v]
+        colored[i] = colored[j] = colored[k] = 1
         ends += (deg1[a] == 3) + (deg1[b] == 3) + (deg1[c] == 3)
     e_v3 = ends // 2
     out_v3 = 3 * n3 - 2 * e_v3
@@ -439,7 +437,6 @@ def stage2_fill_v2(state: ColoringState) -> bool:
         change = (sizes[0] - v0, sizes[1] - v1, sizes[2] - v2, sizes[3] - v3)
         assert change == deltas, f"{name}: sizes changed by {change}, expected {deltas}"
         counts[name] += 1
-    assert sizes[1] <= n1, "stage 2 must finish with |V1| <= n1"
     return True
 
 
@@ -522,18 +519,22 @@ def _find_special_w(g: Graph, inside: set, u: int, u1: int) -> int | None:
 
 
 def decompose_connected_traced(g: Graph, s: Statement) -> tuple[EdgeSubset, ConnectedTrace]:
-    """Edge subset meant to realize target_profile(n, s) on a cubic g the
-    caller knows is connected, and its trace; general.decompose counts the
-    profile of what it returns."""
-    require_regular(g, 3)
+    """Edge subset meant to realize target_profile(n, s) on a g the caller
+    has checked is cubic and connected, and its trace; general.decompose
+    counts the profile of what it returns."""
     target = target_profile(g.n, s)
     trace = ConnectedTrace()
-
     if g.n <= 6:
-        subset = _base_case(g, s, trace)
-    else:
-        subset = _staged(g, s, target, trace)
-    return subset, trace
+        return _base_case(g, s, trace), trace
+    cycle = seed_cycle(g)
+    state = ColoringState(g, target, cycle)
+    trace.rule_counts = state.rule_counts  # counted in place from here on
+    trace.stage1 = stage1_grow_v3(state)
+    if not stage2_fill_v2(state):
+        return fallback_search(g, s, target, state, trace), trace
+    stage3_fill_v1(state)
+    trace.branch.append(f"staged:{s.value}:cycle={len(cycle)}")
+    return EdgeSubset.from_member(state.colored), trace
 
 
 def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
@@ -553,18 +554,6 @@ def _base_case(g: Graph, s: Statement, trace: ConnectedTrace) -> EdgeSubset:
     assert cls is SmallClass.PRISM and s is Statement.III
     trace.branch.append("base:PRISM:triangle+pendant")
     return EdgeSubset.from_edges(g, [(0, w) for w in g.adjacency[0]] + [triangle_at_zero(g)])
-
-
-def _staged(g: Graph, s: Statement, target: DegreeProfile, trace: ConnectedTrace) -> EdgeSubset:
-    cycle = seed_cycle(g)
-    state = ColoringState(g, target, cycle)
-    trace.rule_counts = state.rule_counts  # counted in place from here on
-    trace.stage1 = stage1_grow_v3(state)
-    if not stage2_fill_v2(state):
-        return fallback_search(g, s, target, state, trace)
-    stage3_fill_v1(state)
-    trace.branch.append(f"staged:{s.value}:cycle={len(cycle)}")
-    return EdgeSubset.from_member(state.colored)
 
 
 def fallback_search(g: Graph, s: Statement, target: DegreeProfile, state: ColoringState,

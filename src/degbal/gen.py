@@ -155,13 +155,9 @@ def disjoint_union(parts: list[Graph]) -> Graph:
 
 
 def cycles(partition: list[int]) -> Graph:
-    """Disjoint union of cycles of the given lengths (each >= 3)."""
+    """Disjoint union of cycles of the given lengths (each >= 3), one ring built per length."""
     for a in partition:
         if a < 3:
             raise DegbalError(f"cycle length {a} < 3")
-    offset = 0
-    edges = []
-    for a in partition:
-        edges.extend((offset + i, offset + (i + 1) % a) for i in range(a))
-        offset += a
-    return build_graph(offset, edges)
+    rings = {a: build_graph(a, [(i, (i + 1) % a) for i in range(a)]) for a in set(partition)}
+    return disjoint_union([rings[a] for a in partition])

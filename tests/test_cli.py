@@ -12,6 +12,7 @@ import pytest
 
 from degbal import cli
 from degbal.cli import _document, main
+from degbal.errors import InternalStuck
 from degbal.formats import encode_graph6, parse_graph6, render_result
 from degbal.gen import cycles, disjoint_union, named
 from degbal.general import decompose
@@ -74,6 +75,16 @@ class TestDecomposeCommand:
     def test_parity_exit_3(self, capsys):
         code, _, err = run_cli(capsys, "decompose", "--named", "cube", "--statement", "iii")
         assert code == 3
+
+    @pytest.mark.parametrize("exc", [InternalStuck("x"), AssertionError("y")],
+                             ids=["internal-stuck", "assertion"])
+    def test_internal_failure_exit_5(self, capsys, monkeypatch, exc):
+        def failing(g, statement):
+            raise exc
+
+        monkeypatch.setattr(cli, "decompose", failing)
+        code, out, err = run_cli(capsys, "decompose", "--named", "petersen")
+        assert (code, out, err) == (5, "", f"internal invariant failure: {exc}\n")
 
     def test_bad_statement_is_usage_error_exit_1(self, capsys):
         # 2 means an exception graph; a usage error is a generic failure.

@@ -164,8 +164,9 @@ class TestBaseCases:
 
 class TestValidation:
     def test_not_cubic(self):
+        # The split checks regularity; the connected entry trusts it.
         with pytest.raises(NotRegular):
-            decompose_connected_traced(cycles([6]), Statement.III)[0]
+            decompose(cycles([6]), "III")
 
     def test_parity(self):
         with pytest.raises(ParityMismatch):
@@ -363,6 +364,14 @@ class TestRules:
         stage3_fill_v1(state)
         subset = EdgeSubset.from_member(state.colored)
         assert profile_of(g, subset) == target_profile(10, Statement.IV)
+
+    def test_stage3_refuses_v1_over_target(self):
+        g = named("PETERSEN")
+        state = ColoringState(g, target_profile(10, Statement.IV), seed_cycle(g))
+        for u, v in ((0, 1), (2, 3)):  # four 1-vertices, one more than n1 = 3
+            state.color_edge(g.edge_index(u, v))
+        with pytest.raises(InternalStuck, match=r"^stage 3 entered with \|V1\| > n1$"):
+            stage3_fill_v1(state)
 
     def test_parity_invariant_throughout(self):
         g = named("MOEBIUS_KANTOR")

@@ -34,7 +34,10 @@ from degbal.general import (
     CANONICAL_K4,
     DecompositionResult,
     decompose,
+    decompose_balanced,
+    decompose_result,
     decompose_traced,
+    decompose_two_regular,
     detect_exception,
     realize_tuple_on,
     statement_target,
@@ -714,6 +717,15 @@ class TestDecomposeResult:
         assert res.statement == "III"
         assert res.achieved.counts == (2, 3, 2, 3)
         assert res.branch_trace and not res.fallback_used
+
+    def test_benchmark_entries_are_decompose(self):
+        # bench/run.py calls these three by name.
+        g = disjoint_union([named("K4"), named("PETERSEN"), named("CUBE"), named("K33")])
+        c = cycles([3, 4, 5, 7])
+        assert g.n % 4 == 0
+        assert decompose_result(g, Statement.II) == decompose(g, "II")
+        assert decompose_balanced(g) == decompose(g, "BALANCED")
+        assert decompose_two_regular(c) == decompose(c, "TWO_REGULAR")
 
 
 def _outcome(fn, g, name):
