@@ -1,17 +1,16 @@
 """Test-input supply: named cubic graphs, random cubic graphs, unions.
 
-Randomness is a fixed, portable algorithm so seeds reproduce anywhere:
-every random draw comes from the splitmix64 stream of the seed, and the
-half-edge shuffle is "stable-sort stubs by their 64-bit stream keys"
-(attempt a uses stream positions [a*3n, (a+1)*3n)).  Position j's state is
-seed + (j+1)*gamma mod 2^64, so outputs are mixed lane-parallel in big ints;
-they equal the scalar ``splitmix64`` steps.
+Randomness is a fixed, portable algorithm so seeds reproduce anywhere: every
+random draw comes from the splitmix64 stream of the seed, and the half-edge
+shuffle is "stable-sort stubs by their 64-bit stream keys" (attempt a uses
+stream positions [a*3n, (a+1)*3n) and is accepted iff ``build_graph`` accepts
+its pairs).  Position j's state is seed + (j+1)*gamma mod 2^64, so outputs are
+mixed lane-parallel in big ints; they equal the scalar ``splitmix64`` steps.
 """
 
 from __future__ import annotations
 
 import struct
-from operator import eq
 
 from .errors import DegbalError
 from .graphs import Graph, build_graph
@@ -122,25 +121,25 @@ def named(name: str) -> Graph:
 def random_cubic(n: int, seed: int) -> Graph:
     """Random simple cubic graph via the configuration model.
 
-    Each attempt stable-sorts the 3n half-edges by fresh splitmix64 keys and
-    pairs them consecutively; attempts with loops or parallel edges are
-    rejected wholesale, so accepted graphs are uniform over labeled simple
-    cubic graphs.  Deterministic per (n, seed).
+    Each attempt stable-sorts the 3n half-edges by fresh splitmix64 keys, pairs
+    them consecutively and is accepted iff ``build_graph`` accepts the pairs (no
+    loop, no pair listed twice in either orientation); rejection is wholesale, so
+    accepted graphs are uniform over labeled simple cubic graphs.  An attempt holds
+    one copy of its pairing at a time: the sorted stubs, then build_graph's edges.
+    Deterministic per (n, seed).
     """
     if n < 4 or n % 2:
         raise DegbalError(f"order must be an even integer >= 4, got {n}")
     stubs = [v for v in range(n) for _ in range(3)]
     k = len(stubs)
     for attempt in range(_MAX_RETRIES):
-        keys = splitmix64_stream(seed, k, attempt * k)
-        # Stable sort = deterministic tie-break by stub index.
-        ends = list(map(stubs.__getitem__, sorted(range(k), key=keys.__getitem__)))
-        us, vs = ends[0::2], ends[1::2]
-        if any(map(eq, us, vs)):
-            continue  # a loop
-        pairs = set(zip(us, vs))
-        if len(pairs) == len(us) and pairs.isdisjoint(zip(vs, us)):
-            return build_graph(n, pairs)  # no pair repeats, in either orientation
+        # Stable sort = deterministic tie-break by stub index; the keys go with the sort.
+        ends = sorted(range(k), key=splitmix64_stream(seed, k, attempt * k).__getitem__)
+        ends = iter(list(map(stubs.__getitem__, ends)))  # stub indices -> their vertices
+        try:
+            return build_graph(n, zip(ends, ends))  # refuses a loop or a pair listed twice
+        except DegbalError:
+            del ends  # before the next attempt's sort
     raise DegbalError(f"no simple matching after {_MAX_RETRIES} attempts")
 
 

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +144,19 @@ class TestRandomCubic:
         expected = random_cubic(10, 5).edges
         monkeypatch.setattr(gen, "_MAX_RETRIES", 1)
         assert random_cubic(10, 5).edges == expected
+
+    def test_traced_peak_below_three_and_a_half_graphs(self):
+        # An attempt holds one copy of its pairing at a time: the sorted stubs,
+        # then build_graph's edges.  Three copies at once peaked at 4.3x.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = random_cubic(3002, 1)
+            kept, peak = tracemalloc.get_traced_memory()  # kept: what g holds
+        finally:
+            tracemalloc.stop()
+        assert g.n == 3002
+        assert peak < 3.5 * kept, (peak, kept)
 
     @settings(max_examples=30)
     @given(n=st.sampled_from([4, 6, 10, 16]), seed=st.integers(0, 1 << 40))
