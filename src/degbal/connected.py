@@ -20,7 +20,6 @@ witness search, and over the oracle's edge cap it is an InternalStuck.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -46,8 +45,6 @@ from .graphs import (
     triangle_at_zero,
 )
 from .oracle import find_witness
-
-log = logging.getLogger(__name__)
 
 
 class Statement(Enum):
@@ -560,6 +557,8 @@ def fallback_search(g: Graph, s: Statement, target: DegreeProfile, state: Colori
                     trace: ConnectedTrace) -> EdgeSubset:
     """The stage-2 backstop: the oracle's first witness in rank order, or
     InternalStuck over its edge cap or where it finds none."""
+    import logging  # here, not at module load: no canonical input reaches this backstop
+    log = logging.getLogger(__name__)
     e_v1 = sum(1 for u, v in zip(g.tails, g.heads) if state.deg1[u] == state.deg1[v] == 1)
     if e_v1 > 2:
         # The blocked-state analysis promises e(V1) <= 2; seeing more means

@@ -178,7 +178,10 @@ def build_graph(n: int, raw_edges) -> Graph:
             raise DegbalError(f"edge {e} listed twice")
         seen[e] = None
     edges = sorted(seen)
-    return Graph(n, tuple(map(itemgetter(0), edges)), tuple(map(itemgetter(1), edges)))
+    del seen  # each transient goes before the next is built, and all before Graph's rows
+    tails, heads = tuple(map(itemgetter(0), edges)), tuple(map(itemgetter(1), edges))
+    del edges
+    return Graph(n, tails, heads)
 
 
 def require_regular(g: Graph, d: int) -> None:

@@ -2,6 +2,8 @@
 example block runs with every ``# value`` comment holding."""
 
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +76,13 @@ def test_every_exported_name_resolves():
 def test_library_section_names_every_export():
     section = library_section()
     assert [name for name in EXPORTED if f"`{name}`" not in section] == []
+
+
+def test_import_loads_no_logging():
+    # Only fallback_search logs, and it imports logging when a stage-2 block reaches it.
+    code = "import sys, degbal, degbal.cli\nassert 'logging' not in sys.modules, 'logging was imported'\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_error_classes_are_the_named_ones():

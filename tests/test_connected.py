@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 import subprocess
 import sys
@@ -590,6 +591,7 @@ class TestBlockedDispatch:
             decompose_connected_traced(g, Statement.I)
         warned = [r for r in caplog.records if r.getMessage().startswith("stage-2 block with e(V1)=")]
         assert len(warned) == 1
+        assert warned[0].name == "degbal.connected" and warned[0].levelno == logging.WARNING
 
     def test_block_with_no_witness(self, monkeypatch):
         self._force_block(monkeypatch)

@@ -1,3 +1,4 @@
+import logging
 import math
 import pickle
 import sys
@@ -412,6 +413,7 @@ class TestOneRunPerShape:
         assert res.fallback_used and profile_of(g, res.subset) == target_profile(g.n, Statement.I)
         warned = [r for r in caplog.records if r.getMessage().startswith("fallback used")]
         assert len(warned) == len(calls) < 6
+        assert all(r.name == "degbal.connected" and r.levelno == logging.WARNING for r in warned)
 
     @pytest.mark.parametrize("parts, cubes", [
         (("CUBE", "PETERSEN", "PETERSEN"), 1),  # the cube is peeled
