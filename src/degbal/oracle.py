@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import CapExceeded
 from .graphs import DegreeProfile, EdgeSubset, Graph, inferred_degree
@@ -137,7 +138,10 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     Depth-first over edges m-1 down to 0, absent before present, which
     visits masks in increasing order.  A vertex is final once its lowest
     edge is decided; a branch is cut when a final degree count exceeds p,
-    or when its edge count can no longer be |E(H)| = sum_k k*n_k / 2.
+    or when its edge count can no longer be |E(H)| = sum_k k*n_k / 2, or
+    when for some k fewer vertices can still end at degree >= k (degree
+    plus open edges), or have degree <= k, than p puts there.  A step moves
+    one of those counts per endpoint, so its check and undo are O(1).
     """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
@@ -157,7 +161,11 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
         final_at[g.edge_index(v, g.adjacency[v][0])].append(v)
 
     deg = [0] * g.n
+    top = [d] * g.n  # deg plus open edges: the most v can still reach
     final = [0] * (d + 1)
+    ge, le = [g.n] * (d + 1), [g.n] * (d + 1)  # vertices with top >= k, deg <= k
+    need_le = list(accumulate(want))  # vertices p puts at degree <= k
+    need_ge = [g.n - x for x in [0, *need_le]]  # and at degree >= k
     chosen = bits = 0
     choice = [-1] * m  # option applied at edge i: -1 none, 0 absent, 1 present
     i = m - 1
@@ -165,30 +173,45 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
         if i < 0:
             # Every vertex is final within its count, and the counts sum to n.
             return EdgeSubset(m, bits)
+        u, v = tails[i], heads[i]
         c = choice[i]
         if c >= 0:  # back at i: undo its option before trying the next
-            for v in final_at[i]:
-                final[deg[v]] -= 1
+            for w in final_at[i]:
+                final[deg[w]] -= 1
             if c:
-                u, v = tails[i], heads[i]
                 deg[u] -= 1
                 deg[v] -= 1
+                le[deg[u]] += 1
+                le[deg[v]] += 1
                 chosen -= 1
                 bits ^= 1 << i
+            else:
+                top[u] += 1
+                top[v] += 1
+                ge[top[u]] += 1
+                ge[top[v]] += 1
         if c == 1:
             choice[i] = -1
             i += 1
             continue
         c = choice[i] = c + 1
         if c:
-            u, v = tails[i], heads[i]
-            deg[u] += 1
-            deg[v] += 1
+            k, j = deg[u], deg[v]
+            deg[u], deg[v] = k + 1, j + 1
+            le[k] -= 1
+            le[j] -= 1
+            ok = le[k] >= need_le[k] and le[j] >= need_le[j]
             chosen += 1
             bits |= 1 << i
-        ok = chosen <= size <= chosen + i  # edges 0..i-1 are still open
-        for v in final_at[i]:
-            k = deg[v]
+        else:
+            k, j = top[u], top[v]
+            top[u], top[v] = k - 1, j - 1
+            ge[k] -= 1
+            ge[j] -= 1
+            ok = ge[k] >= need_ge[k] and ge[j] >= need_ge[j]
+        ok = ok and chosen <= size <= chosen + i  # edges 0..i-1 are still open
+        for w in final_at[i]:
+            k = deg[w]
             final[k] += 1
             ok = ok and final[k] <= want[k]
         if ok:

@@ -762,6 +762,12 @@ CLI_PINS = {
                    "c443616e4f8c3245feda65c0c8a2c3536ba72de277157b947dbffbbcc27eae42"),
     "heawood-oracle": (("oracle", "--named", "heawood"), "",
                        "b75522547e05af9a65238ae877abdc42bfd2e7e192593475ce60475632316e7e"),
+    # Single-profile queries: r16's balanced profile, which it has, and a
+    # near-balanced profile C13(1,5) lacks, whose search runs to the end.
+    "r16-profile": (("oracle", "-i", "-", "--profile", "4,4,4,4"), R16,
+                    "f30576747fb307c731027601a4df3c662f340f91489ec66f202595139d00a461"),
+    "c13-profile-none": (("oracle", "-i", "-", "--profile", "3,2,2,2,4"), "LhEIHEPQHGaPaP\n",
+                         "7358a65112e7984e708b051b8b73332fe70b39973e724e868defb5c603f6a63e"),
 }
 DECOMPOSE_ROWS = [row for row, (argv, _, _) in CLI_PINS.items() if argv[0] == "decompose"]
 

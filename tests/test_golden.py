@@ -394,6 +394,21 @@ def test_oracle_reports_match_golden_digest():
     assert digest.hexdigest() == ORACLE_SHA256
 
 
+# find_witness past the edge cap: the first witness, in rank order, of both
+# statements' targets on the connected random_cubic(64, 1) and (64, 2), m = 96.
+STATEMENT_WITNESS_64_SHA256 = "f10a678f34c0beec4c0792c792c45149f9ce1bace84dd216cbe499ea6cfd914d"
+
+
+def test_statement_witnesses_at_64_match_golden_digest():
+    digest = hashlib.sha256()
+    for seed in (1, 2):
+        g = random_cubic(64, seed)
+        for s in (Statement.I, Statement.II):
+            w = find_witness(g, target_profile(g.n, s), edge_cap=g.m)
+            digest.update(f"{seed}\t{s.value}\t{'none' if w is None else f'{w.bits:x}'}\n".encode())
+    assert digest.hexdigest() == STATEMENT_WITNESS_64_SHA256
+
+
 # The edge lists random_cubic draws, seed for seed.  Every bench input and
 # most test inputs come from it, so a faster key stream or pairing check
 # must leave each (n, seed) on the same graph.  Seeds outside [0, 2^64)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import degbal.oracle as oracle_mod
+from degbal.connected import target_profile
 from degbal.errors import CapExceeded, NotRegular
 from degbal.gen import cycles, disjoint_union, named, random_cubic
 from degbal.graphs import (
@@ -23,7 +24,7 @@ from degbal.oracle import (
     min_max_deviation,
 )
 
-from conftest import circulant
+from conftest import applicable_statements, circulant
 
 K4_BASE_TUPLES = [
     (0, 0, 0, 4), (0, 0, 2, 2), (0, 0, 4, 0),
@@ -317,23 +318,28 @@ class TestWitnesses:
 
 
 def _witness_graph(name):
-    if name.startswith("random10:"):
-        g = random_cubic(10, int(name.split(":")[1]))
-        assert len(connected_components(g)) == 1
-        return g
-    return named(name)
+    if name == "C10(1,3)":
+        return circulant(10, (1, 3))
+    g = NUMPY_CHECKED[name]()
+    assert not name.startswith("random") or len(connected_components(g)) == 1
+    return g
 
 
 class TestFindWitnessAgainstReport:
-    """The single-profile search agrees with the full enumeration."""
+    """The single-profile search agrees with the full enumeration.
+
+    Every profile of order n with d + 1 classes is asked, so the search's
+    per-class bounds are checked at d = 2, 3, 4 (C10(1,3), m = 20) and 5.
+    """
 
     @pytest.mark.parametrize(
-        "name", ["K4", "K33", "PRISM", "CUBE", "PETERSEN", "random10:1", "random10:2"]
+        "name", ["K4", "K33", "PRISM", "CUBE", "PETERSEN", "random10:1", "random10:2",
+                 "random14:1", "random14:2", "C3+C4+C5", "C10(1,3)", "K6"]
     )
     def test_every_profile(self, name):
         g = _witness_graph(name)
         rep = achievable_profiles(g)
-        for counts in itertools.product(range(g.n + 1), repeat=4):
+        for counts in itertools.product(range(g.n + 1), repeat=rep.degree + 1):
             if sum(counts) != g.n:
                 continue
             p = DegreeProfile(counts)
@@ -385,6 +391,22 @@ class TestLargestCubic:
         for counts in ((4, 4, 4, 4), (g.n - 2, 0, 2, 0)):
             p = DegreeProfile(counts)
             assert rep.witness.get(p) == find_witness(g, p), counts
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(18, 33, 2))
+def test_find_witness_matches_the_report_past_the_cap(monkeypatch, n):
+    """Both statements' targets and (n-2, 0, 2, 0) on random_cubic(n, 1) and
+    (n, 2), m = 27 to 48, with the edge cap raised to m.  The report on
+    random_cubic(30, 2) holds 1,117,728 states in one layer, so the state
+    cap is doubled here: the report is the reference, not the subject."""
+    monkeypatch.setattr(oracle_mod, "STATE_CAP", 1 << 21)
+    for seed in (1, 2):
+        g = random_cubic(n, seed)
+        rep = achievable_profiles(g, edge_cap=g.m)
+        for p in (*(target_profile(n, s) for s in applicable_statements(n)),
+                  DegreeProfile((n - 2, 0, 2, 0))):
+            assert find_witness(g, p, edge_cap=g.m) == rep.witness.get(p), (seed, p.counts)
 
 
 class TestCap:
