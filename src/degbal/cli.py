@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
 )
 from .formats import (
+    GRAPH6_MAX_ORDER,
     STATEMENTS,
     ResultDocument,
     encode_graph6,
@@ -226,6 +227,9 @@ def cmd_gen(args) -> int:
     else:
         if args.count < 1:
             raise DegbalError("count must be >= 1")
+        # An order random_cubic would draw and encode_graph6 then refuse: refuse it first.
+        if args.random % 2 == 0 and args.random > GRAPH6_MAX_ORDER:
+            raise DegbalError(f"n={args.random} exceeds graph6 3-byte form")
         seed = args.seed
         while len(graphs) < args.count:
             g = gen.random_cubic(args.random, seed)

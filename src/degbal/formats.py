@@ -20,7 +20,7 @@ from .graphs import DegreeProfile, Graph, build_graph
 
 GRAPH6_HEADER = ">>graph6<<"
 STATEMENTS = ("I", "II", "III", "IV", "BALANCED", "TWO_REGULAR")
-_MAX_ORDER = 258047
+GRAPH6_MAX_ORDER = 258047
 _GRAPH6_CHARS = bytes(range(63, 127))  # '?'..'~', the 6-bit values 0..63 offset by 63
 _TO_CHAR = bytes.maketrans(bytes(range(64)), _GRAPH6_CHARS)
 # Each character's set bits, as offsets into its six (MSB at offset 0).
@@ -71,7 +71,7 @@ def parse_graph6(line: str) -> Graph:
 def encode_graph6(g: Graph) -> str:
     """Canonical graph6 line for g under its given labeling."""
     n = g.n
-    if n > _MAX_ORDER:
+    if n > GRAPH6_MAX_ORDER:
         raise DegbalError(f"n={n} exceeds graph6 3-byte form")
     prefix = [n] if n < 63 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
     start = len(prefix)

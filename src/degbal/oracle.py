@@ -138,10 +138,12 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     Depth-first over edges m-1 down to 0, absent before present, which
     visits masks in increasing order.  A vertex is final once its lowest
     edge is decided; a branch is cut when a final degree count exceeds p,
-    or when its edge count can no longer be |E(H)| = sum_k k*n_k / 2, or
-    when for some k fewer vertices can still end at degree >= k (degree
+    or when for some k fewer vertices can still end at degree >= k (degree
     plus open edges), or have degree <= k, than p puts there.  A step moves
-    one of those counts per endpoint, so its check and undo are O(1).
+    one of those counts per endpoint, so its check and undo are O(1).  They
+    bound the edge count too: over k = 1..d the first sum to twice the chosen
+    plus open edges, n minus the second over k = 0..d-1 to twice the chosen
+    edges, and p's to 2|E(H)| in both.
     """
     _check_cap(g, edge_cap)
     d = inferred_degree(g)
@@ -150,10 +152,8 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     if g.m == 0:  # d = 0, so p is (n,): the empty subset's profile
         return EdgeSubset(0)
     want = p.counts[::-1]  # want[k] = vertices of subgraph degree k
-    degree_sum = sum(k * c for k, c in enumerate(want))
-    if degree_sum % 2:
+    if sum(k * c for k, c in enumerate(want)) % 2:  # every subgraph's degree sum is even
         return None
-    size = degree_sum // 2
     m = g.m
     tails, heads = g.tails, g.heads
     final_at: list[list[int]] = [[] for _ in range(m)]
@@ -166,13 +166,12 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
     ge, le = [g.n] * (d + 1), [g.n] * (d + 1)  # vertices with top >= k, deg <= k
     need_le = list(accumulate(want))  # vertices p puts at degree <= k
     need_ge = [g.n - x for x in [0, *need_le]]  # and at degree >= k
-    chosen = bits = 0
     choice = [-1] * m  # option applied at edge i: -1 none, 0 absent, 1 present
     i = m - 1
     while i < m:
         if i < 0:
             # Every vertex is final within its count, and the counts sum to n.
-            return EdgeSubset(m, bits)
+            return EdgeSubset.from_member(bytearray(choice))
         u, v = tails[i], heads[i]
         c = choice[i]
         if c >= 0:  # back at i: undo its option before trying the next
@@ -183,8 +182,6 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
                 deg[v] -= 1
                 le[deg[u]] += 1
                 le[deg[v]] += 1
-                chosen -= 1
-                bits ^= 1 << i
             else:
                 top[u] += 1
                 top[v] += 1
@@ -201,15 +198,12 @@ def find_witness(g: Graph, p: DegreeProfile, edge_cap: int | None = None) -> Edg
             le[k] -= 1
             le[j] -= 1
             ok = le[k] >= need_le[k] and le[j] >= need_le[j]
-            chosen += 1
-            bits |= 1 << i
         else:
             k, j = top[u], top[v]
             top[u], top[v] = k - 1, j - 1
             ge[k] -= 1
             ge[j] -= 1
             ok = ge[k] >= need_ge[k] and ge[j] >= need_ge[j]
-        ok = ok and chosen <= size <= chosen + i  # edges 0..i-1 are still open
         for w in final_at[i]:
             k = deg[w]
             final[k] += 1

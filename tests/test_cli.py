@@ -12,9 +12,9 @@ import pytest
 
 from degbal import cli
 from degbal.cli import _document, main
-from degbal.errors import InternalStuck
+from degbal.errors import DegbalError, InternalStuck
 from degbal.formats import encode_graph6, parse_graph6, render_result
-from degbal.gen import cycles, disjoint_union, named
+from degbal.gen import cycles, disjoint_union, named, random_cubic
 from degbal.general import decompose
 
 from conftest import FIXTURES
@@ -485,6 +485,25 @@ class TestGenCommand:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "order, err",
+        [("258046", "drawn"), ("258047", "order must be an even integer >= 4, got 258047"),
+         ("258048", "n=258048 exceeds graph6 3-byte form"),
+         ("100000000000000000000", "n=100000000000000000000 exceeds graph6 3-byte form")],
+    )
+    def test_random_order_graph6_cannot_hold_is_refused_before_the_draw(
+        self, capsys, monkeypatch, order, err
+    ):
+        def draw(n, seed):
+            if n % 2:
+                return random_cubic(n, seed)  # refuses an odd order without drawing
+            raise DegbalError("drawn")
+
+        monkeypatch.setattr("degbal.gen.random_cubic", draw)
+        code, out, stderr = run_cli(capsys, "gen", "--random", order)
+        assert code == 1 and out == ""
+        assert stderr == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [("--named", "k4", "--random", "8"), ("--random", "8", "--count", "2", "--cycles", "3,4")],
         ids=["named-and-random", "random-and-cycles"],
@@ -849,8 +868,6 @@ class TestBatchCorpus:
         assert "failures=0" in out.strip().splitlines()[-1]
 
     def test_random_20_decompose_then_verify(self, capsys, tmp_path):
-        from degbal.gen import random_cubic
-
         for seed in range(20):
             g = random_cubic(20, seed)
             path = tmp_path / "g.g6"
