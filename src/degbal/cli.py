@@ -210,6 +210,12 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _fits_graph6(n: int) -> None:
+    """Refuse an order encode_graph6 would refuse, before the graph is built."""
+    if n > GRAPH6_MAX_ORDER:
+        raise DegbalError(f"n={n} exceeds graph6 3-byte form")
+
+
 def cmd_gen(args) -> int:
     graphs: list[Graph] = []
     if args.named is not None:
@@ -221,15 +227,17 @@ def cmd_gen(args) -> int:
                 lengths.append(int(field))
             except ValueError:
                 raise ParseError(f"--cycles needs integer lengths, got field {field!r}") from None
+        _fits_graph6(sum(lengths) if min(lengths) >= 3 else 0)  # else gen.cycles refuses
         graphs.append(gen.cycles(lengths))
     elif args.union is not None:
-        graphs.append(gen.disjoint_union([gen.named(p) for p in args.union.split(",")]))
+        parts = [gen.named(p) for p in args.union.split(",")]
+        _fits_graph6(sum(p.n for p in parts))
+        graphs.append(gen.disjoint_union(parts))
     else:
         if args.count < 1:
             raise DegbalError("count must be >= 1")
-        # An order random_cubic would draw and encode_graph6 then refuse: refuse it first.
-        if args.random % 2 == 0 and args.random > GRAPH6_MAX_ORDER:
-            raise DegbalError(f"n={args.random} exceeds graph6 3-byte form")
+        if args.random % 2 == 0:  # an odd order gets random_cubic's own refusal
+            _fits_graph6(args.random)
         seed = args.seed
         while len(graphs) < args.count:
             g = gen.random_cubic(args.random, seed)

@@ -14,7 +14,8 @@ the end is one connected component, two K4s, or components that are all K4
 or K3,3; the last combine entries of fixed per-component decomposition
 tables, pairing same-kind components into "perfectly balanced" (tuple,
 reversed tuple) couples (case 2), each (shape, tuple) realized once per
-call.  Every component's subset goes onto the host through its edge map.
+call.  A per-call memo keeps each shape's local edge indices per statement
+or tuple and parity; per component only a label, trace and remap are left.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ def detect_exception(g: Graph, s: Statement) -> ExceptionKind | None:
 
 
 def _split(g: Graph) -> tuple[list[Component], list[SmallClass]]:
-    """The components of a cubic g and their small classes."""
+    """The components of a cubic g and their small classes, one classify per shared shape Graph."""
     require_regular(g, 3)
     comps = connected_components(g)
-    return comps, [classify_small(c.graph) for c in comps]
+    classes = {id(h): classify_small(h) for h in {id(c.graph): c.graph for c in comps}.values()}
+    return comps, [classes[id(c.graph)] for c in comps]
 
 
 def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> EdgeSubset:
@@ -103,17 +105,17 @@ def realize_tuple_on(comp: Graph, cls: SmallClass, counts: tuple[int, ...]) -> E
     return EdgeSubset.from_edges(comp, pairs)
 
 
-# Case-1 dispatch: (|H| mod 4, statement; it fixes n mod 4) ->
-#   (statement for G-H, statement for H, complement H's subset, complement whole)
+# Case-1 dispatch: (|H| mod 4, statement; it fixes n mod 4) -> (statement for G-H,
+#   statement for H, complement H's subset, complement whole, H's trace label)
 _CASE1 = {
-    (0, Statement.I): (Statement.II, Statement.II, True, False),
-    (0, Statement.II): (Statement.II, Statement.I, False, False),
-    (2, Statement.I): (Statement.IV, Statement.IV, True, False),
-    (2, Statement.II): (Statement.IV, Statement.III, True, False),
-    (0, Statement.III): (Statement.IV, Statement.II, True, False),
-    (0, Statement.IV): (Statement.IV, Statement.I, False, False),
-    (2, Statement.III): (Statement.II, Statement.IV, True, True),
-    (2, Statement.IV): (Statement.II, Statement.III, False, False),
+    (0, Statement.I): (Statement.II, Statement.II, True, False, "case1:rest=II,H=II~c"),
+    (0, Statement.II): (Statement.II, Statement.I, False, False, "case1:rest=II,H=I"),
+    (2, Statement.I): (Statement.IV, Statement.IV, True, False, "case1:rest=IV,H=IV~c"),
+    (2, Statement.II): (Statement.IV, Statement.III, True, False, "case1:rest=IV,H=III~c"),
+    (0, Statement.III): (Statement.IV, Statement.II, True, False, "case1:rest=IV,H=II~c"),
+    (0, Statement.IV): (Statement.IV, Statement.I, False, False, "case1:rest=IV,H=I"),
+    (2, Statement.III): (Statement.II, Statement.IV, True, True, "case1:rest=II,H=IV~c|whole~c"),
+    (2, Statement.IV): (Statement.II, Statement.III, False, False, "case1:rest=II,H=III"),
 }
 
 
@@ -138,13 +140,9 @@ def decompose_traced(g: Graph, s: Statement, split) -> tuple[EdgeSubset, list[st
     return _compose(g, s, comps, classes)
 
 
-def _lift(member: bytearray, comp: Component, subset: EdgeSubset, complemented: bool) -> None:
-    """Mark a component's subset, complemented within it if asked, on the host."""
-    if complemented:
-        subset = complement_within(comp.graph, subset)
-    edges = comp.edges
-    for i in subset.indices():
-        member[edges[i]] = 1
+def _local(h: Graph, sub: EdgeSubset, complemented: bool) -> list[int]:
+    """A component's subset as local edge indices, complemented within it if asked."""
+    return (complement_within(h, sub) if complemented else sub).indices()
 
 
 def _compose(
@@ -154,12 +152,12 @@ def _compose(
 
     Case 1 peels each PRISM/OTHER component while more than one component
     is left; the _CASE1 row for its order mod 4 and the running statement
-    gives the peeled component's statement and the statement of the rest.  A
-    "complement whole" flag complements the rest and everything peeled
-    from it on, so a peeled part is complemented by its own flag XOR the
-    running XOR of those flags, and the tail by that running XOR.  Each
-    (shape, statement) pair is decomposed, and each case-2 (shape, tuple)
-    pair realized, once per call; every component is lifted on its own.
+    gives the peeled component's statement and label and the statement of
+    the rest.  A "complement whole" flag complements the rest and everything
+    peeled from it on, so a peeled part is complemented by its own flag XOR
+    the running XOR of those flags, and the tail by that running XOR.  A
+    per-call memo keyed by (shape identity, statement or case-2 tuple,
+    complemented) keeps local edge indices, "H:" trace and fallback flag.
     """
     big = [i for i, cls in enumerate(classes) if cls in (SmallClass.PRISM, SmallClass.OTHER)]
     peels = big[: len(comps) - 1]
@@ -170,47 +168,51 @@ def _compose(
 
     labels: list[str] = []
     h_trace: list[str] = []
-    member = bytearray(g.m)
+    marks: list[tuple] = []  # (edge map, local edge indices) per component
     flip = rest_is_2k4 = fallback = False
-    stmt = s
-    run, realize = cache(decompose_connected_traced), cache(realize_tuple_on)
+    run, memo = cache(decompose_connected_traced), {}
 
     for i in peels:
-        comp = comps[i]
+        h = comps[i].graph
         # Only the last peel leaves no component but the tail.
         rest_is_2k4 = tail_is_2k4 and i == peels[-1]
         if rest_is_2k4:
             # The rest's statement-I pairs, _PAIR's K4 pair, give (2,2,2,2):
             # target(n, s) - target(n - 8, s) for every s, so H keeps s.
-            stmt, h_stmt, compl_h, compl_whole = Statement.I, stmt, False, False
-            labels.append(f"case1:rest=2K4-balanced,H={h_stmt.value}")
+            s, h_stmt, compl_h, compl_whole = Statement.I, s, False, False
+            label = f"case1:rest=2K4-balanced,H={h_stmt.value}"
         else:
-            stmt, h_stmt, compl_h, compl_whole = _CASE1[comp.graph.n % 4, stmt]
-            labels.append(
-                f"case1:rest={stmt.value},H={h_stmt.value}"
-                + ("~c" if compl_h else "")
-                + ("|whole~c" if compl_whole else "")
-            )
+            s, h_stmt, compl_h, compl_whole, label = _CASE1[h.n % 4, s]
+        labels.append(label)
         flip ^= compl_whole
-        h_sub, trace = run(comp.graph, h_stmt)
-        fallback |= trace.fallback_used
-        h_trace.extend(f"H:{t}" for t in trace.branch)
-        _lift(member, comp, h_sub, compl_h ^ flip)
+        if (key := (id(h), h_stmt, compl_h ^ flip)) not in memo:
+            sub, trace = run(h, h_stmt)
+            memo[key] = _local(h, sub, key[2]), [f"H:{t}" for t in trace.branch], trace.fallback_used
+        local, branch, h_fallback = memo[key]
+        fallback |= h_fallback
+        h_trace += branch
+        marks.append((comps[i].edges, local))
 
     if len(tail) == 1:
         comp = comps[tail[0]]
-        sub, trace = run(comp.graph, stmt)
+        sub, trace = run(comp.graph, s)
         fallback |= trace.fallback_used
         tail_trace = trace.branch
-        _lift(member, comp, sub, flip)
+        marks.append((comp.edges, _local(comp.graph, sub, flip)))
     else:
         k4s = [comps[i] for i in tail if classes[i] is SmallClass.K4]
         k33s = [comps[i] for i in tail if classes[i] is SmallClass.K33]
-        label, assignments = _case2_assignments(stmt, k4s, k33s)
+        label, assignments = _case2_assignments(s, k4s, k33s)
         tail_trace = [] if rest_is_2k4 else [label]
         for comp, cls, counts in assignments:
-            _lift(member, comp, realize(comp.graph, cls, counts), flip)
+            if (key := (id(comp.graph), counts, flip)) not in memo:
+                memo[key] = _local(comp.graph, realize_tuple_on(comp.graph, cls, counts), flip)
+            marks.append((comp.edges, memo[key]))
 
+    member = bytearray(g.m)
+    for edges, local in marks:
+        for e in map(edges.__getitem__, local):
+            member[e] = 1
     trace = labels + [f"rest:{t}" for t in tail_trace] + h_trace if peels else tail_trace
     return EdgeSubset.from_member(member), trace, fallback
 

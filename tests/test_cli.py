@@ -14,7 +14,7 @@ from degbal import cli
 from degbal.cli import _document, main
 from degbal.errors import DegbalError, InternalStuck
 from degbal.formats import encode_graph6, parse_graph6, render_result
-from degbal.gen import cycles, disjoint_union, named, random_cubic
+from degbal.gen import CATALOG_NAMES, cycles, disjoint_union, named, random_cubic
 from degbal.general import decompose
 
 from conftest import FIXTURES
@@ -502,6 +502,40 @@ class TestGenCommand:
         code, out, stderr = run_cli(capsys, "gen", "--random", order)
         assert code == 1 and out == ""
         assert stderr == f"error: {err}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [(("--cycles", "258047"), 1, "error: built"),
+         (("--cycles", "3,3,258042"), 1, "error: n=258048 exceeds graph6 3-byte form"),
+         (("--cycles", "3000000"), 1, "error: n=3000000 exceeds graph6 3-byte form"),
+         (("--cycles", "3000000,2"), 1, "error: cycle length 2 < 3"),
+         (("--cycles", "3000000,x"), 4,
+          "parse error: --cycles needs integer lengths, got field 'x'"),
+         (("--union", "k4,petersen"), 1, "error: built"),
+         (("--union", ",".join(["DESARGUES"] * 12903)), 1,
+          "error: n=258060 exceeds graph6 3-byte form"),
+         (("--union", ",".join(["K4"] * 64512 + ["K5"])), 1,
+          f"error: unknown graph 'K5'; catalog: {', '.join(CATALOG_NAMES)}")],
+        ids=["cycles-258047", "cycles-258048", "cycles-3M", "cycles-short", "cycles-field",
+             "union-small", "union-258060", "union-unknown"],
+    )
+    def test_cycles_or_union_graph6_cannot_hold_is_refused_before_the_build(
+        self, capsys, monkeypatch, argv, code, err
+    ):
+        def ring(lengths):
+            if min(lengths) < 3:
+                return cycles(lengths)  # refuses a short length without building
+            raise DegbalError("built")
+
+        def union(parts):
+            raise DegbalError("built")
+
+        monkeypatch.setattr("degbal.gen.cycles", ring)
+        monkeypatch.setattr("degbal.gen.disjoint_union", union)
+        monkeypatch.setattr("degbal.gen.named", functools.cache(named))  # 64,513 names, 9 built
+        got, out, stderr = run_cli(capsys, "gen", *argv)
+        assert got == code and out == ""
+        assert stderr == f"{err}\n"
 
     @pytest.mark.parametrize(
         "argv",

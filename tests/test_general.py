@@ -49,6 +49,8 @@ from degbal.graphs import (
     Graph,
     SmallClass,
     build_graph,
+    classify_small,
+    complement_within,
     connected_components,
     profile_of,
 )
@@ -404,6 +406,48 @@ class TestOneRunPerShape:
             assert {h for h, _ in calls} == {k4.edges, k33.edges, copy.edges}
             assert decompose(g, s.value) == first
             assert sorted(calls) == sorted(2 * list(distinct))
+
+    @pytest.mark.parametrize("shapes", [1, 3], ids=["200xPRISM", "30xK4+30xK33+copy"])
+    def test_each_step_runs_once_per_shape(self, monkeypatch, shapes):
+        # Per call: classify_small once per shape Graph, one connected run or
+        # realization per (shape, statement or tuple), and complement_within
+        # at most once per (shape, statement or tuple, complemented).
+        copy = build_graph(6, [(i, j) for i in (0, 2, 4) for j in (1, 3, 5)])
+        g = disjoint_union([named("PRISM")] * 200 if shapes == 1
+                           else [named("K4")] * 30 + [named("K33")] * 30 + [copy])
+        classified, built, complemented, made = [], [], [], {}
+
+        def classify(h):
+            classified.append(id(h))
+            return classify_small(h)
+
+        def run(h, s):
+            sub, trace = decompose_connected_traced(h, s)
+            built.append((id(h), s))
+            made[id(sub)] = sub, built[-1]  # sub is kept, so its id stays its own
+            return sub, trace
+
+        def realize(h, cls, counts):
+            sub = realize_tuple_on(h, cls, counts)
+            built.append((id(h), counts))
+            made[id(sub)] = sub, built[-1]
+            return sub
+
+        def complement(h, sub):
+            complemented.append(made[id(sub)][1])
+            return complement_within(h, sub)
+
+        for name, fn in [("classify_small", classify), ("decompose_connected_traced", run),
+                         ("realize_tuple_on", realize), ("complement_within", complement)]:
+            monkeypatch.setattr(general_mod, name, fn)
+        for s in applicable_statements(g.n):
+            for calls in (classified, built, complemented):
+                del calls[:]
+            res = decompose(g, s.value)
+            assert res.achieved == target_profile(g.n, s)
+            assert len(classified) == len(set(classified)) == shapes
+            assert len(built) == len(set(built)) <= 3 * shapes
+            assert len(complemented) == len(set(complemented)) <= len(built)
 
     def test_forced_block_warns_once_per_shape(self, monkeypatch, caplog):
         monkeypatch.setattr(connected_mod, "stage2_fill_v2", lambda state: False)
